@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import logging
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +18,27 @@ PENALTIES = ("none", "L2")
 
 GRAD_TOL = 1e-5
 MAX_ITER = 5000
+LBFGS_HISTORY = 10      # (s, y) pairs kept by the L-BFGS two-loop recursion
+
+log = logging.getLogger("stylus")
 
 
 @dataclass(frozen=True)
 class LRConfig:
+    """Hyperparameters of the multinomial logistic regression.
+
+    ``fit`` minimises the mean weighted cross-entropy over the n training
+    rows plus ``0.5 / C * ||W||^2`` (no penalty term when ``penalty`` is
+    "none"); the bias is never penalised. "none" weights every row 1 and
+    "balanced" weights row i by ``n / (n_classes * count(class of i))``,
+    as scikit-learn does. The objective is scikit-learn's
+    ``0.5 * ||W||^2 + C_sk * sum(weight_i * loss_i)`` times ``1 / C``, so
+    both have the same minimiser at ``C_sk = C / n``: the penalty here
+    weighs against the mean loss, not the summed loss. A fit counts as
+    converged when the absolute gradient infinity-norm over W and b is at
+    most ``GRAD_TOL``.
+    """
+
     C: float = 1.0
     class_weight: str = "none"
     penalty: str = "L2"
@@ -75,12 +94,37 @@ def loss_and_grad(W, b, X, Y, weights, l2: float):
     return loss, grad_W, grad_b
 
 
+def _lbfgs_direction(g, history) -> np.ndarray:
+    """Two-loop recursion: -H g for the inverse Hessian the pairs imply.
+
+    With no history the direction is -g scaled by 1/max(1, ||g||_inf), so
+    the first unit step moves no coordinate by more than one.
+    """
+    if not history:
+        return -g / max(1.0, float(np.abs(g).max()))
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(history):
+        a = rho * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    s, y, _ = history[-1]
+    q *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(history, reversed(alphas)):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
 def fit(X, y, config: LRConfig = LRConfig(),
         max_iter: int = MAX_ITER, tol: float = GRAD_TOL) -> LRModel:
-    """Deterministic full-batch gradient descent with backtracking.
+    """Deterministic full-batch L-BFGS with Armijo backtracking.
 
     Starts from zero weights and runs until the gradient infinity-norm
-    drops below ``tol`` or ``max_iter`` iterations elapse.
+    drops below ``tol`` or ``max_iter`` iterations elapse. Each iteration
+    keeps the last ``LBFGS_HISTORY`` (s, y) pairs with positive curvature
+    s.y, backtracks from a unit step until the Armijo condition holds, and
+    restarts from steepest descent whenever the two-loop direction is not a
+    descent direction (Nocedal & Wright, Numerical Optimization, ch. 7).
     """
     X = np.asarray(X, dtype=float)
     labels = tuple(sorted(set(y)))
@@ -97,41 +141,61 @@ def fit(X, y, config: LRConfig = LRConfig(),
     weights = sample_weights(y_idx, k, config.class_weight)
     l2 = 1.0 / config.C if config.penalty == "L2" else 0.0
 
-    W = np.zeros((k, d))
-    b = np.zeros(k)
-    step = 1.0
-    loss, gW, gb = loss_and_grad(W, b, X, Y, weights, l2)
+    def objective(theta):
+        loss, gW, gb = loss_and_grad(theta[:k * d].reshape(k, d),
+                                     theta[k * d:], X, Y, weights, l2)
+        return loss, np.concatenate([gW.ravel(), gb])
+
+    theta = np.zeros(k * (d + 1))
+    loss, g = objective(theta)
+    history = deque(maxlen=LBFGS_HISTORY)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        gnorm = max(np.abs(gW).max(), np.abs(gb).max())
-        if gnorm <= tol:
+        if np.abs(g).max() <= tol:
             converged = True
             break
-        gsq = float((gW * gW).sum() + (gb * gb).sum())
-        step = min(step * 2.0, 1e6)
+        direction = _lbfgs_direction(g, history)
+        slope = float(g @ direction)
+        if slope >= 0:
+            history.clear()
+            direction = _lbfgs_direction(g, history)
+            slope = float(g @ direction)
+        step = 1.0
         while True:
-            W_new = W - step * gW
-            b_new = b - step * gb
-            loss_new, gW_new, gb_new = loss_and_grad(
-                W_new, b_new, X, Y, weights, l2)
-            if loss_new <= loss - 1e-4 * step * gsq or step < 1e-16:
+            theta_new = theta + step * direction
+            loss_new, g_new = objective(theta_new)
+            if loss_new <= loss + 1e-4 * step * slope or step < 1e-16:
                 break
             step *= 0.5
-        W, b, loss, gW, gb = W_new, b_new, loss_new, gW_new, gb_new
+        s, y_diff = theta_new - theta, g_new - g
+        sy = float(s @ y_diff)
+        if sy > 0:
+            history.append((s, y_diff, 1.0 / sy))
+        theta, loss, g = theta_new, loss_new, g_new
     else:
         it = max_iter
-    return LRModel(W=W, b=b, class_labels=labels, config=config,
+        log.warning("fit stopped at max_iter=%d with |grad|_inf=%.3g > %.3g "
+                    "(C=%g, class_weight=%s, penalty=%s)", max_iter,
+                    float(np.abs(g).max()), tol, config.C,
+                    config.class_weight, config.penalty)
+    return LRModel(W=theta[:k * d].reshape(k, d), b=theta[k * d:],
+                   class_labels=labels, config=config,
                    n_iter=it, converged=converged)
 
 
-def predict_proba(model: LRModel, X) -> np.ndarray:
+def decision_function(model: LRModel, X) -> np.ndarray:
+    """Class logits ``X @ W.T + b``."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.W.shape[1]:
         raise ValueError(
             f"feature width {X.shape[1]} does not match model "
             f"width {model.W.shape[1]}")
-    return _softmax(X @ model.W.T + model.b)
+    return X @ model.W.T + model.b
+
+
+def predict_proba(model: LRModel, X) -> np.ndarray:
+    return _softmax(decision_function(model, X))
 
 
 def top_k_accuracy(probs, y, class_labels, k: int = 1) -> float:
@@ -216,6 +280,8 @@ def write_model(path, model: LRModel, vocabulary_hash: str = "") -> None:
         "W": model.W.ravel(order="C").tolist(),
         "n_features": model.W.shape[1],
         "vocabulary_hash": vocabulary_hash,
+        "n_iter": model.n_iter,
+        "converged": model.converged,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -229,7 +295,9 @@ def read_model(path) -> LRModel:
     W = np.array(payload["W"], dtype=float).reshape(len(labels), d)
     return LRModel(W=W, b=np.array(payload["b"], dtype=float),
                    class_labels=labels,
-                   config=LRConfig(**payload["config"]))
+                   config=LRConfig(**payload["config"]),
+                   n_iter=payload.get("n_iter", 0),
+                   converged=payload.get("converged", False))
 
 
 def write_trial_log(path, trials) -> None:

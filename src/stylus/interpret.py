@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classifier
-from .classifier import LRConfig, LRModel, fit, predict_proba, top_k_accuracy
+from .classifier import (LRConfig, LRModel, decision_function, fit,
+                         top_k_accuracy)
 from .rng import derive_rng
 
 log = logging.getLogger("stylus")
@@ -22,12 +23,20 @@ class ImportanceReport:
     iterations: int
 
 
-def _permuted_accuracy(model, X, y, columns, rng):
-    Xp = X.copy()
-    perm = rng.permutation(X.shape[0])
-    Xp[:, columns] = Xp[perm][:, columns]
-    return top_k_accuracy(predict_proba(model, Xp), y,
+def _accuracy(model, logits, y) -> float:
+    return top_k_accuracy(classifier._softmax(logits), y,
                           model.class_labels, k=1)
+
+
+def _permuted_accuracy(model, logits, partial, y, rng):
+    """Accuracy after one shared row permutation of a column group.
+
+    The model is linear, so the group adds ``partial = X[:, cols] @
+    W[:, cols].T`` to the logits, and shuffling the group's rows shuffles
+    the rows of ``partial``.
+    """
+    perm = rng.permutation(partial.shape[0])
+    return _accuracy(model, logits - partial + partial[perm], y)
 
 
 def permutation_importance(model: LRModel, X_test, y_test, columns,
@@ -39,17 +48,18 @@ def permutation_importance(model: LRModel, X_test, y_test, columns,
     column, preserving within-group covariance.
     """
     X = np.asarray(X_test, dtype=float)
+    logits = decision_function(model, X)
     columns = np.asarray(columns, dtype=int)
-    baseline = top_k_accuracy(predict_proba(model, X), y_test,
-                              model.class_labels, k=1)
+    baseline = _accuracy(model, logits, y_test)
+    partial = X[:, columns] @ model.W[:, columns].T
     losses = np.empty(n_iter)
     for i in range(n_iter):
         if columns.size == 0:
             losses[i] = 0.0
             continue
         rng = derive_rng(seed, "perm-importance", group, i)
-        losses[i] = baseline - _permuted_accuracy(model, X, y_test,
-                                                  columns, rng)
+        losses[i] = baseline - _permuted_accuracy(model, logits, partial,
+                                                  y_test, rng)
     return ImportanceReport(group=group,
                             mean_accuracy_loss=float(losses.mean()),
                             sd=float(losses.std()), iterations=n_iter)
@@ -64,14 +74,15 @@ def subset_importance(model: LRModel, X_test, y_test, columns, k: int,
         raise ValueError(f"K={k} exceeds the {columns.size} features "
                          "of this group")
     X = np.asarray(X_test, dtype=float)
-    baseline = top_k_accuracy(predict_proba(model, X), y_test,
-                              model.class_labels, k=1)
+    logits = decision_function(model, X)
+    baseline = _accuracy(model, logits, y_test)
     losses = np.empty(n_iter)
     for i in range(n_iter):
         rng = derive_rng(seed, "subset-importance", group, i)
         subset = rng.choice(columns, size=k, replace=False)
-        losses[i] = baseline - _permuted_accuracy(model, X, y_test,
-                                                  subset, rng)
+        partial = X[:, subset] @ model.W[:, subset].T
+        losses[i] = baseline - _permuted_accuracy(model, logits, partial,
+                                                  y_test, rng)
     return ImportanceReport(group=group or f"subset-{k}",
                             mean_accuracy_loss=float(losses.mean()),
                             sd=float(losses.std()), iterations=n_iter)
@@ -132,7 +143,10 @@ def dataset_weight_correlation(X, y, tags, columns, config: LRConfig,
 
     Fits one model per dataset tag on the given columns, correlates each
     performer's weight vectors between the two tags, and estimates a
-    left-tailed p by refitting with tag labels shuffled per recording.
+    left-tailed p by refitting with tag labels shuffled across recordings
+    within each performer. The within-performer shuffle keeps every
+    performer's count of rows per tag, so each null refit sees the same
+    classes as the observed fits.
     """
     X = np.asarray(X, dtype=float)
     y = list(y)
@@ -154,11 +168,16 @@ def dataset_weight_correlation(X, y, tags, columns, config: LRConfig,
     a, b = tag_values
     observed = {p: pearson_r(by_tag[a][p], by_tag[b][p]) for p in kept}
 
+    tag_arr = np.asarray(tags)
+    rows_of = [np.flatnonzero(np.asarray(y) == p) for p in performers]
     null = {p: np.empty(n_perm) for p in kept}
     for i in range(n_perm):
         rng = derive_rng(seed, "tag-shuffle", i)
-        shuffled = [tags[j] for j in rng.permutation(len(tags))]
-        by_tag_null = _per_tag_weights(X, y, shuffled, columns, config, kept)
+        shuffled = tag_arr.copy()
+        for rows in rows_of:
+            shuffled[rows] = tag_arr[rng.permutation(rows)]
+        by_tag_null = _per_tag_weights(X, y, shuffled.tolist(), columns,
+                                       config, kept)
         for p in kept:
             null[p][i] = pearson_r(by_tag_null[a][p], by_tag_null[b][p])
     pvals = {p: left_tail_permutation_p(observed[p], null[p]) for p in kept}

@@ -131,6 +131,33 @@ class TestFit:
             m.W, m.b, X, Y, np.ones(len(y)), 1.0)
         assert max(np.abs(gW).max(), np.abs(gb).max()) <= 1e-5
 
+    @pytest.mark.parametrize("C, ceiling", [(0.01, 25), (100.0, 45)])
+    def test_converges_in_few_iterations(self, C, ceiling):
+        # both ends of the C range are ill-conditioned for steepest
+        # descent: on this 200 x 60, 5-class problem backtracking gradient
+        # descent needed 881 iterations at C=0.01 and 289 at C=100; L-BFGS
+        # needs 10 and 29
+        rng = np.random.default_rng(0)
+        n, d, k = 200, 60, 5
+        centres = rng.normal(scale=0.5, size=(k, d))
+        y_idx = np.arange(n) % k
+        X = centres[y_idx] + rng.normal(size=(n, d))
+        m = classifier.fit(X, [f"p{i}" for i in y_idx], LRConfig(C=C))
+        assert m.converged
+        assert m.n_iter <= ceiling
+
+    def test_only_max_iter_stop_logs_a_warning(self, caplog):
+        import logging
+        rng = np.random.default_rng(8)
+        X, y = self._separable(rng)
+        with caplog.at_level(logging.WARNING, logger="stylus"):
+            assert classifier.fit(X, y, LRConfig(C=1.0)).converged
+            assert not caplog.records
+            m = classifier.fit(X, y, LRConfig(C=1.0), max_iter=2)
+        assert not m.converged and m.n_iter == 2
+        assert len(caplog.records) == 1
+        assert "max_iter" in caplog.records[0].message
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             classifier.fit(np.zeros((3, 2)), ["a", "a", "a"], LRConfig())
@@ -142,6 +169,80 @@ class TestFit:
             LRConfig(class_weight="auto")
         with pytest.raises(ValueError):
             LRConfig(penalty="L1")
+
+
+def unpack(theta, k, d):
+    return theta[:k * d].reshape(k, d), theta[k * d:]
+
+
+class TestSolverOracle:
+    """``fit`` against scipy's L-BFGS-B on the same objective."""
+
+    def _overlapping(self, rng, n=60, d=4):
+        # unequal classes with a weak signal in column 0: the classes
+        # overlap, so the unpenalised objective has a finite minimiser
+        y_idx = np.repeat([0, 1, 2], [30, 18, 12])
+        X = rng.normal(size=(n, d))
+        X[:, 0] += 0.7 * y_idx
+        return X, y_idx
+
+    @pytest.mark.parametrize("penalty", ["L2", "none"])
+    @pytest.mark.parametrize("class_weight", ["none", "balanced"])
+    def test_reaches_scipy_minimum(self, penalty, class_weight):
+        from scipy.optimize import minimize
+        rng = np.random.default_rng(20)
+        X, y_idx = self._overlapping(rng)
+        n, d = X.shape
+        k = 3
+        config = LRConfig(C=0.5, class_weight=class_weight, penalty=penalty)
+        Y = np.eye(k)[y_idx]
+        weights = classifier.sample_weights(y_idx, k, class_weight)
+        l2 = 1 / config.C if penalty == "L2" else 0.0
+
+        def objective(theta):
+            loss, gW, gb = classifier.loss_and_grad(
+                *unpack(theta, k, d), X, Y, weights, l2)
+            return loss, np.concatenate([gW.ravel(), gb])
+
+        ref = minimize(objective, np.zeros(k * (d + 1)), jac=True,
+                       method="L-BFGS-B",
+                       options={"gtol": 1e-12, "ftol": 1e-15,
+                                "maxiter": 10_000})
+        assert np.abs(ref.jac).max() < 1e-7
+        m = classifier.fit(X, [f"c{i}" for i in y_idx], config)
+        assert m.converged
+        loss = objective(np.concatenate([m.W.ravel(), m.b]))[0]
+        # fit stops at |grad|_inf <= 1e-5, so its loss is O(|grad|^2) and
+        # its parameters O(|grad| / curvature) from the minimiser; the
+        # largest gaps over the four cases are 5e-10 and 3.3e-5. Adding
+        # one constant to every class's logits leaves the loss unchanged,
+        # so parameters are compared after centring over classes.
+        assert loss - ref.fun <= 1e-8
+        W_ref, b_ref = unpack(ref.x, k, d)
+        for got, want in ((m.W, W_ref), (m.b, b_ref)):
+            assert np.abs((got - got.mean(axis=0))
+                          - (want - want.mean(axis=0))).max() <= 2e-4
+
+    @pytest.mark.parametrize("class_weight", ["none", "balanced"])
+    def test_c_matches_sklearn_form_at_c_over_n(self, class_weight):
+        # scikit-learn minimises 0.5 ||W||^2 + C_sk * sum(w_i * loss_i);
+        # written here without loss_and_grad, with C_sk = C / n it is
+        # C times this package's objective
+        from scipy.special import logsumexp
+        rng = np.random.default_rng(21)
+        X, y_idx = self._overlapping(rng)
+        n = X.shape[0]
+        C = 0.5
+        weights = classifier.sample_weights(y_idx, 3, class_weight)
+        Y = np.eye(3)[y_idx]
+        for _ in range(5):
+            W = rng.normal(size=(3, X.shape[1]))
+            b = rng.normal(size=3)
+            Z = X @ W.T + b
+            nll = logsumexp(Z, axis=1) - Z[np.arange(n), y_idx]
+            sk = 0.5 * (W ** 2).sum() + (C / n) * (weights * nll).sum()
+            ours = classifier.loss_and_grad(W, b, X, Y, weights, 1 / C)[0]
+            assert C * ours == pytest.approx(sk, rel=1e-12)
 
 
 class TestTopKAccuracy:
@@ -216,6 +317,8 @@ class TestModelFile:
         assert np.array_equal(got.W, m.W) and np.array_equal(got.b, m.b)
         assert got.class_labels == m.class_labels
         assert got.config == m.config
+        assert m.converged and m.n_iter > 0
+        assert got.n_iter == m.n_iter and got.converged == m.converged
 
     def test_predict_width_mismatch(self):
         m = LRModel(W=np.zeros((2, 3)), b=np.zeros(2),

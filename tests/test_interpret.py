@@ -3,6 +3,7 @@ import pytest
 
 from stylus import classifier, interpret
 from stylus.classifier import LRConfig, LRModel
+from stylus.rng import derive_rng
 
 
 def identity_model(d, labels=("a", "b")):
@@ -61,6 +62,74 @@ class TestPermutationImportance:
         model, X, y = self._planted(rng)
         r = interpret.permutation_importance(model, X, y, [], 10, 0)
         assert r.mean_accuracy_loss == 0.0 and r.sd == 0.0
+
+
+def brute_force_importance(model, X, y, draws):
+    """Reference: copy X, shuffle the rows of the drawn columns, predict.
+
+    ``draws`` yields (rng, columns) per iteration. Returns (mean, sd).
+    """
+    def accuracy(Xv):
+        return classifier.top_k_accuracy(classifier.predict_proba(model, Xv),
+                                         y, model.class_labels, k=1)
+    baseline = accuracy(X)
+    losses = []
+    for rng, columns in draws:
+        Xp = X.copy()
+        perm = rng.permutation(X.shape[0])
+        Xp[:, columns] = X[perm][:, columns]
+        losses.append(baseline - accuracy(Xp))
+    return float(np.mean(losses)), float(np.std(losses))
+
+
+class TestImportanceOracle:
+    """The partial-logit importance equals a full predict per shuffle."""
+
+    def _cases(self):
+        rng = np.random.default_rng(14)
+        # small integers keep every logit exact; rows with x0 == x1 give
+        # classes a and b equal probability
+        X_tie = rng.integers(0, 3, size=(40, 5)).astype(float)
+        W_tie = np.array([[1.0, 0, 0, 1, 0], [0, 1.0, 0, 1, 0],
+                          [0, 0, 1.0, 0, 1]])
+        b_tie = np.array([0.5, 0.5, 0.0])
+        X_float = rng.normal(size=(60, 6))
+        W_float = rng.normal(size=(3, 6))
+        b_float = rng.normal(size=3)
+        for X, W, b in ((X_tie, W_tie, b_tie), (X_float, W_float, b_float)):
+            model = LRModel(W=W, b=b, class_labels=("a", "b", "c"),
+                            config=LRConfig())
+            yield model, X, list(rng.choice(["a", "b", "c"], size=len(X)))
+
+    def test_tie_case_has_ties(self):
+        model, X, _ = next(self._cases())
+        P = classifier.predict_proba(model, X)
+        assert (P[:, 0] == P[:, 1]).any()
+        assert (P[:, 0] == P.max(axis=1))[P[:, 0] == P[:, 1]].any()
+
+    def test_permutation_importance_matches_brute_force(self):
+        for model, X, y in self._cases():
+            for columns in ([0], [0, 1], [1, 3, 4], list(range(5))):
+                got = interpret.permutation_importance(model, X, y, columns,
+                                                       n_iter=60, seed=3,
+                                                       group="g")
+                draws = ((derive_rng(3, "perm-importance", "g", i), columns)
+                         for i in range(60))
+                want = brute_force_importance(model, X, y, draws)
+                assert (got.mean_accuracy_loss, got.sd) == want
+
+    def test_subset_importance_matches_brute_force(self):
+        for model, X, y in self._cases():
+            group = np.array([0, 1, 3, 4])
+
+            def draws():
+                for i in range(60):
+                    rng = derive_rng(4, "subset-importance", "s", i)
+                    yield rng, rng.choice(group, size=2, replace=False)
+            got = interpret.subset_importance(model, X, y, group, k=2,
+                                              n_iter=60, seed=4, group="s")
+            want = brute_force_importance(model, X, y, draws())
+            assert (got.mean_accuracy_loss, got.sd) == want
 
 
 class TestSubsetImportance:
@@ -172,6 +241,43 @@ class TestDatasetCorrelation:
                 X, y, tags, [0, 1, 2, 3], LRConfig(), n_perm=5, seed=0)
         assert set(report.r) == {"a", "b"}
         assert any("missing" in r.message for r in caplog.records)
+
+    def test_few_rows_per_performer_survive_the_shuffle(self):
+        # 3 performers x 2 rows per tag: a shuffle of tags across all
+        # rows can leave a performer with no rows under one tag, which
+        # raised KeyError
+        rng = np.random.default_rng(0)
+        X, y, tags = [], [], []
+        for tag in ("solo", "trio"):
+            for p, col in (("a", 0), ("b", 1), ("c", 2)):
+                for _ in range(2):
+                    row = rng.normal(scale=0.1, size=4)
+                    row[col] += 2.0
+                    X.append(row)
+                    y.append(p)
+                    tags.append(tag)
+        report = interpret.dataset_weight_correlation(
+            np.array(X), y, tags, [0, 1, 2, 3], LRConfig(), n_perm=50,
+            seed=0)
+        assert set(report.p) == {"a", "b", "c"}
+        assert all(1 / 51 <= p <= 1.0 for p in report.p.values())
+
+    def test_shuffle_keeps_each_performers_tag_counts(self, monkeypatch):
+        from collections import Counter
+        rng = np.random.default_rng(15)
+        X, y, tags = self._data(rng)
+        y[0] = "b"                  # unequal tag counts within performers
+        seen = []
+        original = interpret._per_tag_weights
+
+        def recording(X, y, tags, *args):
+            seen.append(Counter(zip(y, tags)))
+            return original(X, y, tags, *args)
+        monkeypatch.setattr(interpret, "_per_tag_weights", recording)
+        interpret.dataset_weight_correlation(
+            X, y, tags, [0, 1, 2, 3], LRConfig(), n_perm=10, seed=0)
+        assert len(seen) == 11
+        assert all(counts == seen[0] for counts in seen)
 
     def test_requires_two_tags(self):
         with pytest.raises(ValueError):
