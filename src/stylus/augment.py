@@ -83,11 +83,12 @@ def time_dilate(c: Clip, rng, parent: Transcription | None = None,
             refill_missing = True
             log.warning("%s: no parent context for t=%.3f refill", c.parent_id, t)
         else:
-            for n in parent.notes:
-                rel = n.onset - c.start
-                if rel >= CLIP_SECONDS and rel * t < CLIP_SECONDS:
-                    notes.append(replace(n, onset=rel * t,
-                                         offset=(n.offset - c.start) * t))
+            rel = parent.notes.onset - c.start
+            pulled = parent.notes[(rel >= CLIP_SECONDS)
+                                  & (rel * t < CLIP_SECONDS)]
+            for n in pulled:
+                notes.append(replace(n, onset=(n.onset - c.start) * t,
+                                     offset=(n.offset - c.start) * t))
     return replace(c, notes=tuple(notes)), t, refill_missing
 
 

@@ -60,6 +60,7 @@ class LRModel:
     config: LRConfig
     n_iter: int = 0
     converged: bool = False
+    vocabulary_hash: str = ""    # of the vocabulary trained on; "" unknown
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -297,7 +298,8 @@ def read_model(path) -> LRModel:
                    class_labels=labels,
                    config=LRConfig(**payload["config"]),
                    n_iter=payload.get("n_iter", 0),
-                   converged=payload.get("converged", False))
+                   converged=payload.get("converged", False),
+                   vocabulary_hash=payload.get("vocabulary_hash", ""))
 
 
 def write_trial_log(path, trials) -> None:

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -101,18 +100,9 @@ def _load_config(args) -> RunConfig:
     return config
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _load_transcriptions(manifest, threads: int):
-    def load(entry):
-        return corpus.parse_note_events(entry.path, entry.recording_id,
-                                        entry.performer, entry.dataset_tag)
-    return _parallel_map(load, manifest, threads)
+def _load_transcriptions(manifest):
+    return [corpus.parse_note_events(e.path, e.recording_id, e.performer,
+                                     e.dataset_tag) for e in manifest]
 
 
 def _require(path: Path, what: str):
@@ -142,6 +132,18 @@ def _vocab_hash(vocab) -> str:
     return digest.hexdigest()
 
 
+def _load_model(out: Path, vocab):
+    """The trained model, refused if it was trained on another vocabulary
+    (an empty stored hash, from older model files, is accepted)."""
+    model = classifier.read_model(_require(out / "model.json", "model"))
+    current = _vocab_hash(vocab)
+    if model.vocabulary_hash and model.vocabulary_hash != current:
+        raise corpus.ValidationError(
+            f"model.json was trained on vocabulary {model.vocabulary_hash}, "
+            f"but vocabulary.csv hashes to {current}; retrain the model")
+    return model
+
+
 def _split_rows(rids, split_map, split):
     return [i for i, r in enumerate(rids) if split_map.get(r) == split]
 
@@ -154,7 +156,7 @@ def cmd_gen_synthetic(args, config):
 
 def cmd_ingest(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest, args.threads)
+    transcriptions = _load_transcriptions(manifest)
     out = Path(args.out)
     with open(out / "ingest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -177,11 +179,9 @@ def cmd_split(args, config):
 
 def cmd_extract(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest, args.threads)
-    counts = _parallel_map(
-        lambda t: features.extract_recording(t, config.grid,
-                                             config.n_values),
-        transcriptions, args.threads)
+    transcriptions = _load_transcriptions(manifest)
+    counts = [features.extract_recording(t, config.grid, config.n_values)
+              for t in transcriptions]
     rids = [t.recording_id for t in transcriptions]
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
     out = Path(args.out)
@@ -193,6 +193,11 @@ def cmd_extract(args, config):
 
 def _labels_for(rids, manifest):
     by_id = {e.recording_id: e for e in manifest}
+    missing = [r for r in rids if r not in by_id]
+    if missing:
+        raise corpus.ValidationError(
+            f"features.csv names {len(missing)} recording(s) missing from "
+            f"the manifest: {', '.join(missing)}")
     return ([by_id[r].performer for r in rids],
             [by_id[r].dataset_tag for r in rids])
 
@@ -242,7 +247,7 @@ def cmd_evaluate(args, config):
     out = Path(args.out)
     rids, counts, vocab = _load_features(out)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    model = classifier.read_model(_require(out / "model.json", "model"))
+    model = _load_model(out, vocab)
     X = _feature_matrix(counts, vocab)
     y, _ = _labels_for(rids, manifest)
     rows = _split_rows(rids, split_map, "test")
@@ -263,7 +268,7 @@ def cmd_importance(args, config):
     out = Path(args.out)
     rids, counts, vocab = _load_features(out)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    model = classifier.read_model(_require(out / "model.json", "model"))
+    model = _load_model(out, vocab)
     X = _feature_matrix(counts, vocab)
     y, _ = _labels_for(rids, manifest)
     rows = _split_rows(rids, split_map, "test")
@@ -361,7 +366,7 @@ def cmd_pca(args, config):
 
 def cmd_rolls(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest, args.threads)
+    transcriptions = _load_transcriptions(manifest)
     out = Path(args.out)
     roll_dir = out / "rolls"
     roll_dir.mkdir(parents=True, exist_ok=True)
@@ -385,7 +390,7 @@ def cmd_rolls(args, config):
 
 def cmd_augment(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest, args.threads)
+    transcriptions = _load_transcriptions(manifest)
     out = Path(args.out)
     preview_dir = out / "augment_preview"
     preview_dir.mkdir(parents=True, exist_ok=True)
@@ -420,7 +425,7 @@ def cmd_concepts(args, config):
             concepts.expand_concept(e, min_chord_notes=config.min_chord_notes))
     held_out = {e.recording_id for e in manifest
                 if split_map.get(e.recording_id) in ("validation", "test")}
-    transcriptions = [t for t in _load_transcriptions(manifest, args.threads)
+    transcriptions = [t for t in _load_transcriptions(manifest)
                       if t.recording_id in held_out]
     clips_by_performer: dict = {}
     for t in transcriptions:
@@ -508,9 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", help="corpus manifest CSV")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         p.add_argument("--config", help="JSON file with config overrides")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "concepts":
             p.add_argument("--exercises",
                            help="concept exercise JSONL file")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class NoteEvent:
+    """One note: the row view of a NoteArray, and the unit clips hold."""
     onset: float
     pitch: int
     offset: float
@@ -62,23 +63,104 @@ def _sort_notes(notes):
     return tuple(sorted(notes, key=lambda n: (n.onset, n.pitch)))
 
 
+def _valid_rows(onset, offset, pitch, velocity) -> np.ndarray:
+    """Per-row mask of the NoteEvent invariants (NaN rows are invalid)."""
+    return ((offset > onset) & ~(onset < 0)
+            & (PITCH_MIN <= pitch) & (pitch <= PITCH_MAX)
+            & (VELOCITY_MIN <= velocity) & (velocity <= VELOCITY_MAX))
+
+
+def _events(onset, offset, pitch, velocity) -> list:
+    """NoteEvent rows, with Python float/int fields, from aligned columns."""
+    return [NoteEvent(onset=on, pitch=p, offset=off, velocity=v)
+            for on, off, p, v in zip(onset.tolist(), offset.tolist(),
+                                     pitch.tolist(), velocity.tolist())]
+
+
+class NoteArray:
+    """Validated notes as aligned columns, sorted by (onset, pitch).
+
+    ``onset``/``offset`` are float64 seconds and ``pitch``/``velocity``
+    int64. The sort is stable, so notes equal in (onset, pitch) keep their
+    input order. An integer index yields a ``NoteEvent`` row, iteration
+    yields every row, and a slice, mask or ascending index array yields a
+    NoteArray.
+    """
+
+    __slots__ = ("onset", "offset", "pitch", "velocity")
+
+    def __init__(self, onset, offset, pitch, velocity):
+        columns = (np.asarray(onset, dtype=np.float64),
+                   np.asarray(offset, dtype=np.float64),
+                   np.asarray(pitch, dtype=np.int64),
+                   np.asarray(velocity, dtype=np.int64))
+        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
+            raise ValidationError("note columns must be 1-D and aligned")
+        valid = _valid_rows(*columns)
+        if not valid.all():
+            i = int(np.argmin(valid))
+            _events(*(c[i:i + 1] for c in columns))  # raises the row's error
+        order = np.lexsort((columns[2], columns[0]))
+        self.onset, self.offset, self.pitch, self.velocity = (
+            c[order] for c in columns)
+
+    @classmethod
+    def from_events(cls, events) -> NoteArray:
+        events = list(events)
+        return cls([n.onset for n in events], [n.offset for n in events],
+                   [n.pitch for n in events], [n.velocity for n in events])
+
+    def columns(self) -> tuple:
+        return self.onset, self.offset, self.pitch, self.velocity
+
+    def __len__(self):
+        return self.onset.shape[0]
+
+    def __iter__(self):
+        return iter(_events(*self.columns()))
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return NoteEvent(onset=float(self.onset[key]),
+                             pitch=int(self.pitch[key]),
+                             offset=float(self.offset[key]),
+                             velocity=int(self.velocity[key]))
+        # a slice, mask or ascending index keeps the (onset, pitch) order
+        out = object.__new__(NoteArray)
+        out.onset, out.offset, out.pitch, out.velocity = (
+            c[key] for c in self.columns())
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, NoteArray):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in
+                   zip(self.columns(), other.columns()))
+
+    def __repr__(self):
+        return f"NoteArray({len(self)} notes)"
+
+
 @dataclass(frozen=True)
 class Transcription:
+    """A recording's notes; built from a NoteArray or a NoteEvent sequence."""
     recording_id: str
     performer: str
     dataset_tag: str
-    notes: tuple = ()
+    notes: NoteArray = ()
 
     def __post_init__(self):
         if self.dataset_tag not in DATASET_TAGS:
             raise ValidationError(f"unknown dataset_tag {self.dataset_tag!r}")
-        if not self.notes:
+        if not isinstance(self.notes, NoteArray):
+            object.__setattr__(self, "notes",
+                               NoteArray.from_events(self.notes))
+        if not len(self.notes):
             raise ValidationError(f"{self.recording_id}: no notes")
-        object.__setattr__(self, "notes", _sort_notes(self.notes))
 
     @property
     def duration(self) -> float:
-        return max(n.offset for n in self.notes)
+        return float(self.notes.offset.max())
 
 
 @dataclass(frozen=True)
@@ -110,42 +192,97 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
                       dataset_tag: str = "solo") -> Transcription:
     """Read a JSONL note-event file into a Transcription.
 
-    Each line holds one object: {"onset", "offset", "pitch", "velocity"}.
+    Each line holds one object: {"onset", "offset", "pitch", "velocity"};
+    blank lines are skipped. Fields convert as ``float()`` (times) and
+    ``int()`` (pitch, velocity). The whole file is decoded at once; the
+    per-line reader runs only when that decode or a row check fails, so
+    errors name the offending lines.
     """
     path = Path(path)
-    notes = []
-    bad = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                onset = float(obj["onset"])
-                offset = float(obj["offset"])
-                pitch = int(obj["pitch"])
-                velocity = int(obj["velocity"])
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed note: {exc}")
-            try:
-                notes.append(NoteEvent(onset=onset, offset=offset,
-                                       pitch=pitch, velocity=velocity))
-            except ValidationError as exc:
-                bad.append(f"line {lineno}: {exc}")
-    if bad:
-        raise ValidationError(f"{path}: invalid notes: " + "; ".join(bad))
+        lines = [(lineno, stripped) for lineno, line
+                 in enumerate(fh.read().split("\n"), start=1)
+                 if (stripped := line.strip())]
+    notes = _decode_notes([line for _, line in lines])
+    if notes is None:
+        notes = NoteArray.from_events(_parse_lines(path, lines))
     return Transcription(recording_id=recording_id or path.stem,
                          performer=performer, dataset_tag=dataset_tag,
-                         notes=tuple(notes))
+                         notes=notes)
+
+
+def _decode_notes(lines) -> NoteArray | None:
+    """Decode note lines with one ``json.loads``, or None to fall back.
+
+    Lines are joined with a ``null`` sentinel between them. When no line
+    contains ``null`` and every sentinel decodes as a top-level element
+    between two others, each line is exactly one JSON value, as a per-line
+    decode would find. Anything else (a line that is not one object, a
+    missing key, a field that is not a number, an invalid note) returns
+    None.
+    """
+    body = ",null,".join(lines)
+    if body.count("null") != len(lines) - 1:
+        return None
+    try:
+        values = json.loads("[" + body + "]")
+    except (ValueError, RecursionError):
+        return None
+    if (len(values) != 2 * len(lines) - 1
+            or values[1::2].count(None) != len(lines) - 1):
+        return None
+    rows = values[0::2]
+    try:
+        onset, offset, pitch, velocity = (
+            np.array([r[key] for r in rows])
+            for key in ("onset", "offset", "pitch", "velocity"))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if any(c.ndim != 1 or c.dtype.kind not in "bif"
+           for c in (onset, offset, pitch, velocity)):
+        return None
+    # int() truncates toward zero
+    pitch, velocity = (np.trunc(c) if c.dtype.kind == "f" else c
+                       for c in (pitch, velocity))
+    if not _valid_rows(onset, offset, pitch, velocity).all():
+        return None
+    return NoteArray(onset, offset, pitch, velocity)
+
+
+def _parse_lines(path, lines) -> list[NoteEvent]:
+    """Per-line reader: one ``json.loads`` and one NoteEvent per line."""
+    notes = []
+    bad = []
+    for lineno, line in lines:
+        try:
+            obj = json.loads(line)
+            onset = float(obj["onset"])
+            offset = float(obj["offset"])
+            pitch = int(obj["pitch"])
+            velocity = int(obj["velocity"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
+            raise ParseError(f"{path}:{lineno}: malformed note: {exc}")
+        try:
+            notes.append(NoteEvent(onset=onset, offset=offset,
+                                   pitch=pitch, velocity=velocity))
+        except ValidationError as exc:
+            bad.append(f"line {lineno}: {exc}")
+    if bad:
+        raise ValidationError(f"{path}: invalid notes: " + "; ".join(bad))
+    return notes
 
 
 def write_note_events(path, notes) -> None:
+    """Write a NoteArray, or a NoteEvent sequence, as JSONL."""
+    if isinstance(notes, NoteArray):
+        rows = zip(*(c.tolist() for c in notes.columns()))
+    else:
+        rows = ((n.onset, n.offset, n.pitch, n.velocity) for n in notes)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for n in notes:
-            fh.write(json.dumps({"onset": n.onset, "offset": n.offset,
-                                 "pitch": n.pitch, "velocity": n.velocity})
+        for onset, offset, pitch, velocity in rows:
+            fh.write(json.dumps({"onset": onset, "offset": offset,
+                                 "pitch": pitch, "velocity": velocity})
                      + "\n")
 
 
@@ -233,11 +370,14 @@ def segment_clips(t: Transcription, hop: float = CLIP_SECONDS) -> list[Clip]:
     while starts[-1] + CLIP_SECONDS < duration:
         starts.append(k * hop)
         k += 1
+    notes = t.notes
+    bounds = np.searchsorted(notes.onset,
+                             [(s, s + CLIP_SECONDS) for s in starts])
     clips = []
-    for start in starts:
-        end = start + CLIP_SECONDS
-        members = [replace(n, onset=n.onset - start, offset=n.offset - start)
-                   for n in t.notes if start <= n.onset < end]
+    for start, (lo, hi) in zip(starts, bounds.tolist()):
+        members = _events(notes.onset[lo:hi] - start,
+                          notes.offset[lo:hi] - start,
+                          notes.pitch[lo:hi], notes.velocity[lo:hi])
         clips.append(Clip(parent_id=t.recording_id, performer=t.performer,
                           start=start, notes=tuple(members)))
     return clips

@@ -8,8 +8,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import Transcription
+from .corpus import PITCH_MAX, PITCH_MIN, NoteArray, Transcription
 
 log = logging.getLogger("stylus")
 
@@ -26,84 +27,119 @@ KIND_MELODY = "melody"
 KIND_HARMONY = "harmony"
 
 
-@dataclass(frozen=True)
-class QuantisedFrame:
-    time: float
-    notes: tuple  # NoteEvents sharing this quantised onset, pitch ascending
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Position of the first element of each run of equal values."""
+    return np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
 
 
-@dataclass(frozen=True)
-class MelodyNote:
-    pitch: int
-    raw_onset: float
-    raw_offset: float
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Notes grouped by quantised onset.
+
+    ``notes`` keeps (onset, pitch) order and the frame index is monotone in
+    the onset, so each frame is one contiguous run; ``index[i]`` is the
+    frame of note ``i``.
+    """
+    notes: NoteArray
+    index: np.ndarray
+    grid: float
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Position of each frame's first note."""
+        return _run_starts(self.index)
+
+    @property
+    def time(self) -> np.ndarray:
+        """Grid time of each frame."""
+        return self.index[self.starts] * self.grid
 
 
 def _frame_index(onset: float, grid: float) -> int:
+    """The frame rule of ``quantise`` for one onset (the clip path uses it)."""
     # integer milliseconds avoid float artefacts; ties round away from zero
     ms = int(round(onset * 1000))
     grid_ms = int(round(grid * 1000))
     return (ms + grid_ms // 2) // grid_ms
 
 
-def quantise(t: Transcription, grid: float = GRID_SECONDS):
-    """Group notes into frames by snapping onsets to the nearest grid point."""
+def quantise(t, grid: float = GRID_SECONDS) -> Frames:
+    """Group the notes of ``t`` (a Transcription or Clip) into frames by
+    snapping onsets to the nearest grid point, in integer milliseconds:
+    frame = (rint(onset * 1000) + g // 2) // g with g the grid in ms."""
     if grid <= 0:
         raise ValueError("grid must be positive")
-    frames: dict[int, list] = {}
-    for n in t.notes:
-        frames.setdefault(_frame_index(n.onset, grid), []).append(n)
-    return [QuantisedFrame(time=idx * grid,
-                           notes=tuple(sorted(ns, key=lambda n: n.pitch)))
-            for idx, ns in sorted(frames.items())]
+    grid_ms = int(round(grid * 1000))
+    if grid_ms == 0:
+        raise ValueError("grid must be at least 1 ms")
+    notes = (t.notes if isinstance(t.notes, NoteArray)
+             else NoteArray.from_events(t.notes))
+    ms = np.rint(notes.onset * 1000).astype(np.int64)
+    return Frames(notes=notes, index=(ms + grid_ms // 2) // grid_ms,
+                  grid=grid)
 
 
-def skyline(frames) -> list[MelodyNote]:
-    """One melody note per frame: the highest pitch, raw times preserved."""
-    melody = []
-    for frame in frames:
-        top = max(frame.notes, key=lambda n: n.pitch)
-        melody.append(MelodyNote(pitch=top.pitch, raw_onset=top.onset,
-                                 raw_offset=top.offset))
-    return melody
+def skyline(frames: Frames) -> NoteArray:
+    """One melody note per frame: the highest pitch, raw times preserved.
+
+    Of equal highest pitches the first in (onset, pitch) order wins.
+    """
+    # stable: by frame, then pitch descending, then original position
+    order = np.lexsort((-frames.notes.pitch, frames.index))
+    return frames.notes[order[frames.starts]]
 
 
-def extract_ngrams(melody, n_values=NGRAM_SIZES) -> Counter:
+def _count_rows(rows: np.ndarray, base: int, lo: int) -> Counter:
+    """Count the distinct rows of a small-integer matrix with values in
+    [lo, lo + base), as tuples of Python ints."""
+    if rows.shape[0] == 0:
+        return Counter()
+    powers = base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes, counts = np.unique((rows - lo) @ powers, return_counts=True)
+    digits = codes[:, None] // powers % base + lo
+    return Counter(dict(zip(map(tuple, digits.tolist()), counts.tolist())))
+
+
+def extract_ngrams(melody: NoteArray, n_values=NGRAM_SIZES) -> Counter:
     """Count transposition-invariant n-grams over the melody.
 
     Windows spanning more than 12 semitones, or containing a silence longer
     than 2 s between successive notes (pre-quantisation times), are skipped.
     """
+    pitch = melody.pitch
+    gap = melody.onset[1:] - melody.offset[:-1] > MAX_MELODY_GAP
+    gaps_before = np.concatenate(([0], np.cumsum(gap)))  # gaps in [0, i)
     counts: Counter = Counter()
     for n in n_values:
-        for i in range(len(melody) - n + 1):
-            window = melody[i:i + n]
-            pitches = [m.pitch for m in window]
-            if max(pitches) - min(pitches) > MAX_NGRAM_SPAN:
-                continue
-            if any(window[j + 1].raw_onset - window[j].raw_offset
-                   > MAX_MELODY_GAP for j in range(n - 1)):
-                continue
-            counts[tuple(p - pitches[0] for p in pitches)] += 1
+        if pitch.size < n:
+            continue
+        windows = sliding_window_view(pitch, n)
+        span = windows.max(axis=1) - windows.min(axis=1)
+        no_gap = gaps_before[n - 1:] == gaps_before[:windows.shape[0]]
+        kept = windows[(span <= MAX_NGRAM_SPAN) & no_gap]
+        counts.update(_count_rows(kept - kept[:, :1], 2 * MAX_NGRAM_SPAN + 1,
+                                  -MAX_NGRAM_SPAN))
     return counts
 
 
-def extract_voicings(frames, n_values=VOICING_SIZES) -> Counter:
+def extract_voicings(frames: Frames, n_values=VOICING_SIZES) -> Counter:
     """Count chord voicings as semitone offsets above the lowest note.
 
     Frame size counts distinct pitches; frames with two or more adjacent
     gaps above 15 semitones are discarded as transcription errors.
     """
-    sizes = set(n_values)
+    # distinct (frame, pitch) pairs, by frame then pitch
+    pairs = np.unique(frames.index * (PITCH_MAX + 1) + frames.notes.pitch)
+    frame, pitch = np.divmod(pairs, PITCH_MAX + 1)
+    starts = _run_starts(frame)
+    sizes = np.diff(starts, append=frame.size)
     counts: Counter = Counter()
-    for frame in frames:
-        pitches = sorted({n.pitch for n in frame.notes})
-        if len(pitches) not in sizes:
-            continue
-        gaps = [b - a for a, b in zip(pitches, pitches[1:])]
-        if sum(g > MAX_VOICING_LEAP for g in gaps) >= 2:
-            continue
-        counts[tuple(p - pitches[0] for p in pitches)] += 1
+    for n in set(n_values):
+        chords = pitch[starts[sizes == n, None] + np.arange(n)]
+        leaps = (np.diff(chords, axis=1) > MAX_VOICING_LEAP).sum(axis=1)
+        kept = chords[leaps < 2]
+        counts.update(_count_rows(kept - kept[:, :1],
+                                  PITCH_MAX - PITCH_MIN + 1, 0))
     return counts
 
 

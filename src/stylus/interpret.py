@@ -186,14 +186,19 @@ def dataset_weight_correlation(X, y, tags, columns, config: LRConfig,
 
 def bootstrap_weight_sd(X, y, config: LRConfig, n_boot: int = 1000,
                         seed: int = 0) -> np.ndarray:
-    """SD of each class x feature weight over bootstrap refits."""
+    """SD of each class x feature weight over bootstrap refits.
+
+    A class's SD is taken over the resamples that contain it (NaN if none
+    does); the number of (resample, class) omissions is logged.
+    """
     if n_boot < 2:
         raise ValueError("n_boot must be >= 2")
     X = np.asarray(X, dtype=float)
     y = list(y)
     n = X.shape[0]
     reference = fit(X, y, config)
-    samples = np.empty((n_boot,) + reference.W.shape)
+    samples = np.zeros((n_boot,) + reference.W.shape)
+    present = np.zeros((n_boot, len(reference.class_labels)), dtype=bool)
     label_idx = {lab: i for i, lab in enumerate(reference.class_labels)}
     for i in range(n_boot):
         rng = derive_rng(seed, "bootstrap", i)
@@ -203,12 +208,18 @@ def bootstrap_weight_sd(X, y, config: LRConfig, n_boot: int = 1000,
             if len(set(resampled_y)) >= 2:
                 break
         model = fit(X[rows], resampled_y, config)
-        W_full = np.zeros_like(reference.W)
-        for lab, j in zip(model.class_labels,
-                          range(len(model.class_labels))):
-            W_full[label_idx[lab]] = model.W[j]
-        samples[i] = W_full
-    return samples.std(axis=0)
+        for lab, weights in zip(model.class_labels, model.W):
+            samples[i, label_idx[lab]] = weights
+            present[i, label_idx[lab]] = True
+    omitted = int((~present).sum())
+    if omitted:
+        log.warning("bootstrap: %d (resample, class) pairs omitted, the "
+                    "class being absent from the resample", omitted)
+    sd = np.full(reference.W.shape, np.nan)
+    for j in range(sd.shape[0]):
+        if present[:, j].any():
+            sd[j] = samples[present[:, j], j].std(axis=0)
+    return sd
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 
 from .corpus import (CLIP_SECONDS, PITCH_MAX, PITCH_MIN, ROLL_HEIGHT,
                      ROLL_WIDTH, Clip, time_to_column)
-from .features import GRID_SECONDS, QuantisedFrame, _frame_index, skyline
+from .features import GRID_SECONDS, _frame_index, quantise, skyline
 from .rng import derive_rng
 
 MIN_CHORD_NOTES = 3
@@ -51,14 +51,12 @@ def _clip_frames(c: Clip, grid: float = GRID_SECONDS):
 def melody_roll(c: Clip) -> np.ndarray:
     """Skyline notes laid left-to-right with equal spacing, binary values."""
     roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
-    frames = [QuantisedFrame(time=idx * GRID_SECONDS,
-                             notes=tuple(sorted(ns, key=lambda n: n.pitch)))
-              for idx, ns in _clip_frames(c)]
-    melody = skyline(frames)
-    if not melody:
+    melody = skyline(quantise(c)).pitch
+    if not melody.size:
         return roll
-    for (c0, c1), note in zip(equal_spans(ROLL_WIDTH, len(melody)), melody):
-        roll[note.pitch - PITCH_MIN, c0:c1] = 1.0
+    for (c0, c1), pitch in zip(equal_spans(ROLL_WIDTH, melody.size),
+                               melody.tolist()):
+        roll[pitch - PITCH_MIN, c0:c1] = 1.0
     return roll
 
 

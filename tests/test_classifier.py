@@ -319,6 +319,7 @@ class TestModelFile:
         assert got.config == m.config
         assert m.converged and m.n_iter > 0
         assert got.n_iter == m.n_iter and got.converged == m.converged
+        assert got.vocabulary_hash == "hash123"
 
     def test_predict_width_mismatch(self):
         m = LRModel(W=np.zeros((2, 3)), b=np.zeros(2),

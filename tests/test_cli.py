@@ -1,10 +1,11 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from stylus import cli, corpus
+from stylus import cli, corpus, features
 from stylus.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         RunConfig)
 
@@ -208,6 +209,65 @@ class TestPipeline:
         lines = (out / "ingest.csv").read_text().splitlines()
         assert lines[0] == "recording_id,performer,dataset_tag,n_notes,duration"
         assert len(lines) == 401
+
+
+class TestStaleArtifacts:
+    def _copy(self, workspace, tmp_path):
+        _, manifest, out = workspace
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("splits.csv", "features.csv", "vocabulary.csv",
+                     "model.json"):
+            shutil.copy(out / name, run / name)
+        return manifest, run
+
+    @pytest.mark.parametrize("command", ["evaluate", "importance"])
+    def test_model_from_another_vocabulary_refused(self, workspace, tmp_path,
+                                                   capsys, command):
+        manifest, run = self._copy(workspace, tmp_path)
+        trained = json.loads((run / "model.json").read_text())
+        vocab = features.read_vocabulary(run / "vocabulary.csv")
+        # same width, other document frequencies
+        features.write_vocabulary(
+            run / "vocabulary.csv",
+            features.FeatureVocabulary(
+                vocab.features,
+                tuple(df + 1 for df in vocab.document_frequency)))
+        current = cli._vocab_hash(
+            features.read_vocabulary(run / "vocabulary.csv"))
+        assert current != trained["vocabulary_hash"] != ""
+        code = cli.main([command, "--manifest", manifest, "--out", str(run),
+                         "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert trained["vocabulary_hash"] in err and current in err
+
+    def test_model_without_hash_accepted(self, workspace, tmp_path):
+        manifest, run = self._copy(workspace, tmp_path)
+        payload = json.loads((run / "model.json").read_text())
+        payload["vocabulary_hash"] = ""
+        (run / "model.json").write_text(json.dumps(payload))
+        assert cli.main(["evaluate", "--manifest", manifest,
+                         "--out", str(run), "--seed", "0"]) == EXIT_OK
+
+    def test_recording_missing_from_manifest(self, workspace, tmp_path,
+                                             capsys):
+        manifest, run = self._copy(workspace, tmp_path)
+        lines = open(manifest).read().splitlines()
+        short = tmp_path / "manifest.csv"
+        short.write_text("\n".join(lines[:-1]) + "\n")
+        missing = lines[-1].split(",")[0]
+        code = cli.main(["train", "--manifest", str(short),
+                         "--out", str(run), "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "missing from the manifest" in err and missing in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--threads", "--format"])
+    def test_removed_flags_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["split", flag, "1"])
 
 
 class TestLogging:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stylus import corpus
-from stylus.corpus import (Clip, ManifestEntry, NoteEvent, ParseError,
-                           Transcription, ValidationError)
+from stylus.corpus import (Clip, ManifestEntry, NoteArray, NoteEvent,
+                           ParseError, Transcription, ValidationError)
 
 
 def note(onset, pitch, offset=None, velocity=64):
@@ -35,6 +37,39 @@ class TestNoteEvent:
         NoteEvent(onset=0.0, pitch=108, offset=0.1, velocity=127)
 
 
+class TestNoteArray:
+    def test_rows_are_note_events_with_python_scalars(self):
+        notes = NoteArray([1.0, 0.5], [1.5, 0.75], [60, 72], [64, 90])
+        assert notes[0] == note(0.5, 72, offset=0.75, velocity=90)
+        assert list(notes) == [notes[0], notes[1]] == [notes[-2], notes[-1]]
+        for n in notes:
+            assert type(n.onset) is float and type(n.pitch) is int
+            assert type(n.offset) is float and type(n.velocity) is int
+
+    def test_slices_and_masks_keep_order(self):
+        notes = NoteArray.from_events([note(2.0, 60), note(1.0, 62),
+                                       note(3.0, 64)])
+        assert [n.pitch for n in notes[1:]] == [60, 64]
+        assert [n.pitch for n in notes[notes.pitch > 60]] == [62, 64]
+        assert notes[1:] == NoteArray.from_events([note(2.0, 60),
+                                                   note(3.0, 64)])
+
+    def test_stable_sort_keeps_input_order_of_equal_keys(self):
+        a = note(1.0, 60, offset=2.0)
+        b = note(1.0, 60, offset=1.5)
+        events = [note(3.0, 50), b, a, note(1.0, 40)]
+        assert tuple(NoteArray.from_events(events)) == tuple(
+            sorted(events, key=lambda n: (n.onset, n.pitch)))
+
+    def test_invalid_row_raises_its_note_error(self):
+        with pytest.raises(ValidationError, match="pitch 5 outside"):
+            NoteArray([0.0, 1.0], [0.5, 1.5], [60, 5], [64, 64])
+
+    def test_misaligned_columns_rejected(self):
+        with pytest.raises(ValidationError, match="aligned"):
+            NoteArray([0.0, 1.0], [0.5], [60, 61], [64, 64])
+
+
 class TestTranscription:
     def test_notes_sorted_by_onset_then_pitch(self):
         t = Transcription("r", "p", "solo",
@@ -62,7 +97,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "r.jsonl"
         corpus.write_note_events(path, notes)
         t = corpus.parse_note_events(path, "r", "p", "trio")
-        assert t.notes == notes
+        assert tuple(t.notes) == notes
         assert (t.recording_id, t.performer, t.dataset_tag) == ("r", "p", "trio")
 
     def test_recording_id_defaults_to_stem(self, tmp_path):
@@ -91,6 +126,166 @@ class TestJsonlRoundTrip:
         path.write_text('\n{"onset": 0.0, "offset": 0.2, "pitch": 60, '
                         '"velocity": 64}\n\n')
         assert len(corpus.parse_note_events(path).notes) == 1
+
+
+V = '{"onset": 0.0, "offset": 0.5, "pitch": 60, "velocity": 64}'
+W = '{"onset": 1.0, "offset": 1.5, "pitch": 62, "velocity": 70}'
+
+
+class TestParseParity:
+    """The one-decode parser accepts, converts and reports exactly as a
+    per-line ``json.loads`` reader does; the messages are recorded from
+    that reader."""
+
+    def _parse(self, tmp_path, text):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(text.encode())
+        return path, corpus.parse_note_events(path)
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        (V + "\n" + V + V + "\n", 2,
+         "Extra data: line 1 column 59 (char 58)"),
+        (V + "\n[1, 2]\n", 2,
+         "list indices must be integers or slices, not str"),
+        (V + '\n{"onset": 1.0, "pitch": 62, "velocity": 64}\n', 2,
+         "'offset'"),
+        (V + "\nnull\n", 2, "'NoneType' object is not subscriptable"),
+        (V + "\n5\n", 2, "'int' object is not subscriptable"),
+        ('{"onset": 0.0, "offset": null, "pitch": 60, "velocity": 64}\n', 1,
+         "float() argument must be a string or a real number, "
+         "not 'NoneType'"),
+        ('{"onset": 0.0, "offset": 0.5, "pitch": NaN, "velocity": 64}\n', 1,
+         "cannot convert float NaN to integer"),
+        ('{"onset": [0.0], "offset": 0.5, "pitch": 60, "velocity": 64}\n'
+         * 2, 1, "float() argument must be a string or a real number, "
+         "not 'list'"),
+        # lines 1-2 decode as one object only when joined, and line 3 holds
+        # two objects, so the joined document has one element per line
+        ('{"onset": 0.0, "offset": 0.5, "pitch": 60, "velocity": 64, '
+         '"x": [{"a": 1}\n{"b": 2}]}\n' + V + ", " + W + "\n", 1,
+         "Expecting ',' delimiter: line 1 column 74 (char 73)"),
+    ], ids=["two-objects", "list-line", "missing-key", "null-line",
+            "number-line", "null-field", "nan-pitch", "list-field",
+            "split-object"])
+    def test_malformed_line_message(self, tmp_path, text, lineno, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            corpus.parse_note_events(path)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{path}:{lineno}: malformed note: {message}"
+
+    def test_infinite_pitch_is_a_parse_error(self, tmp_path):
+        # int(inf) raises OverflowError, reported like the other field errors
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"onset": 0.0, "offset": 0.5, "pitch": Infinity, '
+                        '"velocity": 64}\n')
+        with pytest.raises(ParseError, match="cannot convert float infinity"):
+            corpus.parse_note_events(path)
+
+    def test_several_invalid_notes_reported_together(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text(
+            V + '\n{"onset": 1.0, "offset": 0.5, "pitch": 60, "velocity": 64}'
+            '\n \n{"onset": -1.0, "offset": 0.5, "pitch": 60, "velocity": 64}'
+            '\n{"onset": 2.0, "offset": 2.5, "pitch": 200, "velocity": 0}\n')
+        with pytest.raises(ValidationError) as err:
+            corpus.parse_note_events(path)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == (
+            f"{path}: invalid notes: "
+            "line 2: offset 0.5 must exceed onset 1.0; "
+            "line 4: onset -1.0 is negative; "
+            "line 5: pitch 200 outside [21, 108]")
+
+    @pytest.mark.parametrize("field, want", [
+        ('"pitch": "60"', 60), ('"pitch": 60.7', 60), ('"pitch": 60.0', 60)])
+    def test_pitch_converts_like_int(self, tmp_path, field, want):
+        _, t = self._parse(tmp_path, '{"onset": 0.0, "offset": 0.5, '
+                                     + field + ', "velocity": 64}\n')
+        assert [n.pitch for n in t.notes] == [want]
+        assert type(t.notes[0].pitch) is int
+
+    def test_velocity_true_converts_like_int(self, tmp_path):
+        _, t = self._parse(tmp_path, V.replace("64", "true") + "\n")
+        assert t.notes[0].velocity == 1
+
+    def test_crlf_line_endings(self, tmp_path):
+        _, t = self._parse(tmp_path, V + "\r\n" + W + "\r\n")
+        assert tuple(t.notes) == (note(0.0, 60, offset=0.5),
+                                  note(1.0, 62, offset=1.5, velocity=70))
+
+    def test_whitespace_only_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text("  \n" + V + "\n\t \n" + V.replace("60", "5")
+                        + "\n   ")
+        with pytest.raises(ValidationError) as err:
+            corpus.parse_note_events(path)
+        assert str(err.value) == (f"{path}: invalid notes: "
+                                  "line 4: pitch 5 outside [21, 108]")
+
+    def test_only_blank_lines_rejected(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text("\n  \n")
+        with pytest.raises(ValidationError, match="r: no notes"):
+            corpus.parse_note_events(path)
+
+    def test_columns_sorted_and_typed(self, tmp_path):
+        _, t = self._parse(tmp_path, W + "\n" + V + "\n"
+                           + V.replace("60", "59") + "\n")
+        assert t.notes.onset.dtype == np.float64
+        assert t.notes.pitch.dtype == np.int64
+        assert [(n.onset, n.pitch) for n in t.notes] == [
+            (0.0, 59), (0.0, 60), (1.0, 62)]
+        assert type(t.duration) is float and t.duration == 1.5
+
+
+# lines that decode, alone or joined, to objects with every key
+OBJECT_LINES = [
+    V, W, V.replace("60", "60.7"), V.replace("60", '"60"'),
+    V.replace("64", "true"), V.replace("0.5", "1"), V.replace("60", "5"),
+    V.replace("}", ', "extra": [1, {"k": null}]}'), V + ", " + W, "   ",
+    # one object over two lines
+    '{"onset": 0.0, "offset": 0.5, "pitch": 60, "velocity": 64, "x": [1\n2]}',
+]
+FRAGMENTS = OBJECT_LINES + [
+    V.replace("0.0", "-1.0"), V.replace("64", "1e400"), V + " " + W, "2]}",
+    "null", "[1, 2]", "5", '"text"', "", "{", "}",
+    '{"onset": 2.0, "offset": 2.5, "pitch": 61}',
+]
+
+
+def _outcome(fn):
+    try:
+        return tuple(fn())
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestParsePathsAgree:
+    @settings(max_examples=400, deadline=None)
+    # two lines make one object and one line holds two: the counts balance
+    @example(picks=[OBJECT_LINES[-1], V + ", " + W], newline="\n")
+    @given(picks=st.one_of(
+               st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=8),
+               st.lists(st.sampled_from(OBJECT_LINES), min_size=1,
+                        max_size=8)),
+           newline=st.sampled_from(["\n", "\r\n"]))
+    def test_one_decode_equals_per_line_reader(self, tmp_path_factory, picks,
+                                              newline):
+        path = tmp_path_factory.mktemp("parse") / "r.jsonl"
+        text = newline.join(picks)
+        path.write_bytes(text.encode())
+        lines = [(i, line.strip()) for i, line
+                 in enumerate(text.replace("\r\n", "\n").split("\n"),
+                              start=1) if line.strip()]
+
+        def reference():
+            notes = NoteArray.from_events(corpus._parse_lines(path, lines))
+            return Transcription("r", "", "solo", notes).notes
+
+        assert _outcome(lambda: corpus.parse_note_events(path).notes) == \
+            _outcome(reference)
 
 
 class TestManifest:

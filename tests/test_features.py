@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylus import features
-from stylus.corpus import NoteEvent, Transcription
+from stylus.corpus import NoteArray, NoteEvent, Transcription
 
 
 def note(onset, pitch, offset=None, velocity=64):
@@ -67,16 +67,18 @@ class TestQuantise:
         t = transcription([note(0.04, 60), note(0.05, 62), note(0.14, 64)])
         frames = features.quantise(t)
         # 0.04 -> frame 0; 0.05 and 0.14 round to frame 1
-        assert [f.time for f in frames] == [0.0, pytest.approx(0.1)]
-        assert [n.pitch for n in frames[1].notes] == [62, 64]
+        assert list(frames.time) == [0.0, pytest.approx(0.1)]
+        assert frames.notes.pitch[frames.index == 1].tolist() == [62, 64]
 
     def test_tie_rounds_up(self):
         t = transcription([note(0.35, 60)])
-        assert features.quantise(t)[0].time == pytest.approx(0.4)
+        assert features.quantise(t).time[0] == pytest.approx(0.4)
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
             features.quantise(transcription([note(0.0, 60)]), grid=0.0)
+        with pytest.raises(ValueError):   # rounds to a 0 ms grid
+            features.quantise(transcription([note(0.0, 60)]), grid=0.0004)
 
 
 class TestSkyline:
@@ -84,14 +86,13 @@ class TestSkyline:
         t = transcription([note(0.01, 60, offset=0.5),
                            note(0.02, 72, offset=0.7), note(0.4, 65)])
         melody = features.skyline(features.quantise(t))
-        assert [(m.pitch, m.raw_onset, m.raw_offset) for m in melody] == [
+        assert [(m.pitch, m.onset, m.offset) for m in melody] == [
             (72, 0.02, 0.7), (65, 0.4, pytest.approx(0.6))]
 
 
 class TestNgrams:
     def _melody(self, events):
-        return [features.MelodyNote(pitch=p, raw_onset=t, raw_offset=t + 0.2)
-                for t, p in events]
+        return NoteArray.from_events(note(t, p) for t, p in events)
 
     def test_deltas_from_first_note(self):
         m = self._melody([(0.0, 60), (0.5, 59), (1.0, 58), (1.5, 57)])
@@ -108,15 +109,15 @@ class TestNgrams:
         assert features.extract_ngrams(m)[(0, 12, 0)] == 1
 
     def test_gap_filter_uses_raw_times(self):
-        m = [features.MelodyNote(60, 0.0, 0.2),
-             features.MelodyNote(62, 2.3, 2.5),   # 2.1 s silence
-             features.MelodyNote(64, 2.6, 2.8)]
+        m = NoteArray.from_events([note(0.0, 60, offset=0.2),
+                                   note(2.3, 62, offset=2.5),  # 2.1 s silence
+                                   note(2.6, 64, offset=2.8)])
         assert features.extract_ngrams(m) == Counter()
 
     def test_gap_of_two_seconds_kept(self):
-        m = [features.MelodyNote(60, 0.0, 0.2),
-             features.MelodyNote(62, 2.2, 2.4),
-             features.MelodyNote(64, 2.5, 2.7)]
+        m = NoteArray.from_events([note(0.0, 60, offset=0.2),
+                                   note(2.2, 62, offset=2.4),
+                                   note(2.5, 64, offset=2.7)])
         assert features.extract_ngrams(m)[(0, 2, 4)] == 1
 
 
@@ -168,6 +169,68 @@ class TestExtractionOracle:
                                  for n in t.notes])
         assert features.extract_recording(t) == \
             features.extract_recording(shifted)
+
+
+@st.composite
+def edge_case_notes(draw):
+    """Notes that always hold the edge cases of quantisation, the skyline
+    and the n-gram/voicing filters, shuffled, plus a few random notes.
+
+    Block times are multiples of 0.25 s, so sums and differences of them
+    are exact and a gap of 2.0 s is exactly 2.0.
+    """
+    pitch = st.integers(30, 100)
+    notes = []
+    t = 0.0
+    # frames with 2, 3, 7 and 8 distinct pitches; one pitch doubled with
+    # another offset (a duplicate (onset, pitch) pair, so the skyline's tie
+    # rule picks the raw offset) and one more note 40 ms later in the frame
+    for size in draw(st.permutations([2, 3, 7, 8])):
+        ps = draw(st.lists(st.integers(21, 108), min_size=size,
+                           max_size=size, unique=True))
+        notes += [note(t, p, offset=t + 0.5) for p in ps]
+        notes.append(note(t, draw(st.sampled_from(ps)),
+                          offset=t + draw(st.sampled_from([0.25, 1.0, 3.0]))))
+        notes.append(note(t + 0.04, draw(pitch)))
+        t += draw(st.sampled_from([1.0, 2.5, 3.0]))
+    # onsets on half-frame boundaries (x.x5 s), which round up a frame
+    for k in range(3):
+        notes.append(note(t + 0.05 + 0.1 * k, draw(pitch)))
+    t += 1.0
+    # runs whose pitches span exactly 12 and exactly 13 semitones
+    for span in (12, 13):
+        p0 = draw(st.integers(30, 80))
+        inner = draw(st.lists(st.integers(0, span), min_size=2, max_size=4))
+        for i, d in enumerate(draw(st.permutations([0, span] + inner))):
+            notes.append(note(t + 0.25 * i, p0 + d))
+        t += 3.0
+    # silences of exactly 2.0 s (kept) and 2.25 s (dropped)
+    for gap in (2.0, 2.25):
+        p0 = draw(st.integers(40, 80))
+        notes.append(note(t, p0, offset=t + 0.5))
+        notes.append(note(t + 0.5 + gap, p0 + 2, offset=t + 0.75 + gap))
+        notes.append(note(t + 1.0 + gap, p0 + 4, offset=t + 1.25 + gap))
+        t += 5.0
+    for _ in range(draw(st.integers(0, 12))):
+        onset = draw(st.integers(0, int(t * 1000))) / 1000
+        notes.append(note(onset, draw(pitch), offset=onset
+                          + draw(st.integers(50, 3000)) / 1000))
+    return draw(st.permutations(notes))
+
+
+class TestColumnarOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(notes=edge_case_notes())
+    def test_extract_recording_matches_brute_force(self, notes):
+        t = transcription(notes)
+        # the stable column sort gives Python's (onset, pitch) order
+        assert tuple(t.notes) == tuple(
+            sorted(notes, key=lambda n: (n.onset, n.pitch)))
+        ngrams, voicings = brute_force_extract(t.notes)
+        want = {(features.KIND_MELODY, f): c for f, c in ngrams.items()}
+        want.update({(features.KIND_HARMONY, f): c
+                     for f, c in voicings.items()})
+        assert features.extract_recording(t) == want
 
 
 class TestVocabulary:

@@ -298,6 +298,36 @@ class TestBootstrap:
         assert np.array_equal(s1, s2)
         assert (s1 > 0).all()
 
+    def test_absent_class_sd_over_resamples_that_hold_it(self, caplog):
+        # "c" has one row of 13, so about a third of the resamples miss it
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(13, 3))
+        X[:6] += 1.0
+        y = ["a"] * 6 + ["b"] * 6 + ["c"]
+        config = LRConfig(C=2.0)
+        with caplog.at_level("WARNING", logger="stylus"):
+            sd = interpret.bootstrap_weight_sd(X, y, config, 12, seed=3)
+        weights = {lab: [] for lab in "abc"}
+        for i in range(12):
+            draw = derive_rng(3, "bootstrap", i)
+            while True:
+                rows = draw.integers(0, 13, size=13)
+                if len({y[r] for r in rows}) >= 2:
+                    break
+            model = classifier.fit(X[rows], [y[r] for r in rows], config)
+            for lab, w in zip(model.class_labels, model.W):
+                weights[lab].append(w)
+        omitted = sum(12 - len(ws) for ws in weights.values())
+        assert 0 < 12 - len(weights["c"]) < 12 and omitted > 0
+        for j, lab in enumerate("abc"):
+            assert np.allclose(sd[j], np.std(weights[lab], axis=0),
+                               rtol=0, atol=1e-12)
+        warnings = [r.getMessage() for r in caplog.records
+                    if "bootstrap" in r.getMessage()]
+        assert warnings == [f"bootstrap: {omitted} (resample, class) pairs "
+                            "omitted, the class being absent from the "
+                            "resample"]
+
     def test_requires_two_resamples(self):
         with pytest.raises(ValueError):
             interpret.bootstrap_weight_sd(np.zeros((4, 2)),
