@@ -39,7 +39,9 @@ class ConceptExercise:
 
 @dataclass(frozen=True)
 class Embedder:
-    fn: object      # PianoRoll -> 1-D vector, deterministic
+    """Roll -> ``dim`` values; ``fn`` must be deterministic and side-effect
+    free, as ``masked_sensitivity`` calls it once per distinct masked roll."""
+    fn: object      # PianoRoll -> 1-D vector
     dim: int
 
     def __call__(self, roll) -> np.ndarray:
@@ -292,18 +294,20 @@ def bonferroni(p, m: int = N_CONCEPTS):
     return np.minimum(1.0, np.asarray(p, dtype=float) * m)
 
 
-def _interp_grid(values: np.ndarray, row_centres, col_centres,
-                 height: int, width: int) -> np.ndarray:
-    """Bilinear interpolation of a coarse grid onto a full-size image with
-    edge replication beyond the outermost centres."""
-    cols = np.arange(width, dtype=float)
-    rows = np.arange(height, dtype=float)
-    by_row = np.vstack([np.interp(cols, col_centres, values[i])
-                        for i in range(values.shape[0])])
-    out = np.empty((height, width))
-    for j in range(width):
-        out[:, j] = np.interp(rows, row_centres, by_row[:, j])
-    return out
+def _interp_grid(values: np.ndarray, row_centres, col_centres) -> np.ndarray:
+    """Bilinear interpolation of a coarse grid onto the 88x3000 image, edges
+    replicated; bit for bit ``np.interp`` along each axis in turn."""
+    fp = values.T
+    for xp, size in ((col_centres, ROLL_WIDTH), (row_centres, ROLL_HEIGHT)):
+        x = np.arange(size, dtype=float)
+        j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 1)
+        out = fp[j]
+        mid = (x > xp[j]) & (j < len(xp) - 1)   # strictly between knots
+        jm = j[mid]
+        slope = (fp[jm + 1] - fp[jm]) / (xp[jm + 1] - xp[jm])[:, None]
+        out[mid] = slope * (x[mid] - xp[jm])[:, None] + fp[jm]
+        fp = out.T
+    return fp.T
 
 
 def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
@@ -314,44 +318,39 @@ def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
     removed, interpolated back to an 88x3000 heatmap.
 
     ``mask_by_pitch=False`` removes notes by onset time alone, ignoring the
-    kernel's pitch span.
+    kernel's pitch span. Kernel positions that remove the same notes share
+    one score, so each distinct masked roll is painted and embedded once.
     """
+    kh, kw = kernel
+    if not (1 <= kh <= ROLL_HEIGHT and 1 <= kw <= ROLL_WIDTH):
+        raise ValueError(f"kernel {kernel} is not within 1..88 x 1..3000")
+    if min(stride) < 1:
+        raise ValueError(f"stride {stride} has a step below 1")
     notes = clip.notes
     if not notes:
         raise ValueError("clip has no notes")
     max_velocity = max(n.velocity for n in notes)
-    base = paint_roll(notes, max_velocity)
-    s0 = concept_score(base, embedder, cav)
+    s0 = concept_score(paint_roll(notes, max_velocity), embedder, cav)
     if s0 == 0:
         raise ValueError("original concept score is zero; use the "
                          "unnormalised difference instead")
-    kh, kw = kernel
-    sh, sw = stride
-    row_starts = list(range(0, ROLL_HEIGHT - kh + 1, sh))
-    col_starts = list(range(0, ROLL_WIDTH - kw + 1, sw))
-    note_cols = [time_to_column(n.onset) for n in notes]
-    note_rows = [n.pitch - PITCH_MIN for n in notes]
-    values = np.zeros((len(row_starts), len(col_starts)))
-    for ri, r0 in enumerate(row_starts):
-        for ci, c0 in enumerate(col_starts):
-            keep = []
-            removed = 0
-            for n, col, row in zip(notes, note_cols, note_rows):
-                in_time = c0 <= col < c0 + kw
-                in_pitch = r0 <= row < r0 + kh
-                if in_time and (in_pitch or not mask_by_pitch):
-                    removed += 1
-                else:
-                    keep.append(n)
-            if removed == 0:
-                continue    # f(x') = f(x): relative change is exactly 0
-            masked = paint_roll(keep, max_velocity)
-            s1 = concept_score(masked, embedder, cav)
-            values[ri, ci] = (s0 - s1) / s0
-    row_centres = np.array(row_starts, dtype=float) + (kh - 1) / 2
-    col_centres = np.array(col_starts, dtype=float) + (kw - 1) / 2
-    return _interp_grid(values, row_centres, col_centres,
-                        ROLL_HEIGHT, ROLL_WIDTH)
+    row_starts = np.arange(0, ROLL_HEIGHT - kh + 1, stride[0])
+    col_starts = np.arange(0, ROLL_WIDTH - kw + 1, stride[1])
+    cols = np.array([time_to_column(n.onset) for n in notes])
+    rows = np.array([n.pitch - PITCH_MIN for n in notes])
+    in_time = (col_starts[:, None] <= cols) & (cols < col_starts[:, None] + kw)
+    in_pitch = ((row_starts[:, None] <= rows)
+                & (rows < row_starts[:, None] + kh)) | (not mask_by_pitch)
+    removed = (in_pitch[:, None] & in_time).reshape(-1, len(notes))
+    sets, inverse = np.unique(removed, axis=0, return_inverse=True)
+    scores = np.zeros(len(sets))    # removing no note changes nothing: 0
+    for k, drop in enumerate(sets):
+        if drop.any():
+            kept = [n for n, d in zip(notes, drop) if not d]
+            s1 = concept_score(paint_roll(kept, max_velocity), embedder, cav)
+            scores[k] = (s0 - s1) / s0
+    return _interp_grid(scores[inverse].reshape(len(row_starts), -1),
+                        row_starts + (kh - 1) / 2, col_starts + (kw - 1) / 2)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stylus import concepts
 from stylus.concepts import ConceptExercise, Embedder
-from stylus.corpus import Clip, NoteEvent
+from stylus.corpus import (PITCH_MIN, Clip, NoteEvent, paint_roll,
+                           time_to_column)
 from stylus.rng import derive_rng
 
 
@@ -259,6 +263,163 @@ class TestMaskedSensitivity:
         with pytest.raises(ValueError):
             concepts.masked_sensitivity(c, sum_embedder(),
                                         concepts.ConceptVector(y=np.ones(1)))
+
+    @pytest.mark.parametrize("kernel", [(100, 250), (0, 250), (24, 3001)])
+    def test_kernel_outside_roll_rejected(self, kernel):
+        with pytest.raises(ValueError, match=re.escape(str(kernel))):
+            concepts.masked_sensitivity(self._clip(), sum_embedder(),
+                                        concepts.ConceptVector(y=np.ones(1)),
+                                        kernel=kernel)
+
+    @pytest.mark.parametrize("stride", [(0, 200), (2, -1)])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match=re.escape(str(stride))):
+            concepts.masked_sensitivity(self._clip(), sum_embedder(),
+                                        concepts.ConceptVector(y=np.ones(1)),
+                                        stride=stride)
+
+
+def reference_interp_grid(values, row_centres, col_centres, height, width):
+    """One np.interp per grid row, then one per image column."""
+    cols = np.arange(width, dtype=float)
+    rows = np.arange(height, dtype=float)
+    by_row = np.vstack([np.interp(cols, col_centres, values[i])
+                        for i in range(values.shape[0])])
+    out = np.empty((height, width))
+    for j in range(width):
+        out[:, j] = np.interp(rows, row_centres, by_row[:, j])
+    return out
+
+
+def reference_sensitivity(clip, embedder, cav, kernel, stride, mask_by_pitch):
+    """Repaint and re-embed at every kernel position that removes a note.
+
+    Returns the heat map and the number of distinct non-empty removed note
+    sets.
+    """
+    notes = clip.notes
+    max_velocity = max(n.velocity for n in notes)
+    s0 = concepts.concept_score(paint_roll(notes, max_velocity), embedder, cav)
+    (kh, kw), (sh, sw) = kernel, stride
+    row_starts = list(range(0, 88 - kh + 1, sh))
+    col_starts = list(range(0, 3000 - kw + 1, sw))
+    values = np.zeros((len(row_starts), len(col_starts)))
+    removed_sets = set()
+    for ri, r0 in enumerate(row_starts):
+        for ci, c0 in enumerate(col_starts):
+            keep, removed = [], []
+            for i, n in enumerate(notes):
+                in_time = c0 <= time_to_column(n.onset) < c0 + kw
+                in_pitch = r0 <= n.pitch - PITCH_MIN < r0 + kh
+                if in_time and (in_pitch or not mask_by_pitch):
+                    removed.append(i)
+                else:
+                    keep.append(n)
+            if not removed:
+                continue
+            removed_sets.add(tuple(removed))
+            s1 = concepts.concept_score(paint_roll(keep, max_velocity),
+                                        embedder, cav)
+            values[ri, ci] = (s0 - s1) / s0
+    heat = reference_interp_grid(
+        values, np.array(row_starts, dtype=float) + (kh - 1) / 2,
+        np.array(col_starts, dtype=float) + (kw - 1) / 2, 88, 3000)
+    return heat, len(removed_sets)
+
+
+def squared_pool_embedder(calls):
+    """Squared 8x8 pooled sums: deterministic and not linear in the roll.
+    Appends to ``calls`` on every call."""
+    def fn(roll):
+        calls.append(1)
+        pooled = np.asarray(roll, dtype=float).reshape(8, 11, 8, 375)
+        return pooled.sum(axis=(1, 3)).ravel() ** 2
+    return Embedder(fn=fn, dim=64)
+
+
+pitches = st.integers(21, 108)
+velocities = st.integers(1, 127)
+# kernel edges in time fall on multiples of 50 columns
+columns = st.one_of(st.integers(0, 2999),
+                    st.builds(lambda k, d: max(50 * k + d, 0),
+                              st.integers(0, 59), st.integers(-1, 1)))
+
+
+@st.composite
+def sensitivity_clips(draw):
+    """Notes anywhere on the roll and on kernel edges, optionally with a
+    duplicate (onset, pitch) of the first note, a second note in its column
+    and a note at 29.99 s whose offset runs past the clip end."""
+    notes = [note(col / 100, pitch, offset=(col + dur) / 100, velocity=vel)
+             for col, pitch, dur, vel in draw(st.lists(
+                 st.tuples(columns, pitches, st.integers(1, 400), velocities),
+                 min_size=1, max_size=10))]
+    first = notes[0]
+    if draw(st.booleans()):
+        notes.append(note(first.onset, first.pitch, offset=first.offset + 1,
+                          velocity=draw(velocities)))
+    if draw(st.booleans()):
+        notes.append(note(first.onset, draw(pitches),
+                          velocity=draw(velocities)))
+    if draw(st.booleans()):
+        notes.append(note(29.99, draw(pitches), offset=30.5,
+                          velocity=draw(velocities)))
+    return Clip(parent_id="r", performer="p", start=0.0, notes=tuple(notes))
+
+
+class TestSensitivityOracle:
+    CAV = concepts.ConceptVector(y=np.random.default_rng(0).normal(size=64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(clip=sensitivity_clips(),
+           kernel=st.sampled_from([(24, 250), (88, 250), (24, 3000),
+                                   (88, 3000), (7, 600)]),
+           stride=st.sampled_from([(2, 200), (5, 450)]),
+           mask_by_pitch=st.booleans())
+    def test_equals_per_position_loop(self, clip, kernel, stride,
+                                      mask_by_pitch):
+        ref_calls, calls = [], []
+        want, n_sets = reference_sensitivity(
+            clip, squared_pool_embedder(ref_calls), self.CAV, kernel, stride,
+            mask_by_pitch)
+        got = concepts.masked_sensitivity(
+            clip, squared_pool_embedder(calls), self.CAV, kernel=kernel,
+            stride=stride, mask_by_pitch=mask_by_pitch)
+        assert np.array_equal(got, want)
+        assert len(calls) == 1 + n_sets
+
+
+class TestInterpGridOracle:
+    @settings(max_examples=60, deadline=None)
+    @example(n_rows=1, n_cols=5, seed=0)
+    @example(n_rows=5, n_cols=1, seed=1)
+    @example(n_rows=1, n_cols=1, seed=2)
+    @given(n_rows=st.integers(1, 8), n_cols=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_column_interp(self, n_rows, n_cols, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n_rows, n_cols))
+        values[rng.random(values.shape) < 0.3] = 0.0
+        # centres on a half-pixel grid hit pixels exactly or fall between
+        # them, and may lie beyond either edge
+        row_centres = np.sort(rng.choice(np.arange(-4, 2 * 88 + 4) / 2,
+                                         n_rows, replace=False))
+        col_centres = np.sort(rng.choice(np.arange(-4, 2 * 3000 + 4) / 2,
+                                         n_cols, replace=False))
+        got = concepts._interp_grid(values, row_centres, col_centres)
+        want = reference_interp_grid(values, row_centres, col_centres,
+                                     88, 3000)
+        assert np.array_equal(got, want)
+
+    def test_equals_per_column_interp_on_mask_grid(self):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(33, 14))
+        values[rng.random(values.shape) < 0.5] = 0.0
+        rows = np.arange(0, 65, 2) + 11.5
+        cols = np.arange(0, 2751, 200) + 124.5
+        assert np.array_equal(concepts._interp_grid(values, rows, cols),
+                              reference_interp_grid(values, rows, cols,
+                                                    88, 3000))
 
 
 def reference_upgma(D):
