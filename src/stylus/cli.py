@@ -8,7 +8,6 @@ import hashlib
 import json
 import logging
 import os
-import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import augment as augment_mod
 from . import classifier, concepts, corpus, features, interpret
 from . import representations, synthetic
@@ -35,22 +35,22 @@ COMMANDS = ("ingest", "split", "extract", "train", "search", "evaluate",
 @dataclass
 class RunConfig:
     """Pipeline defaults; every value matches the published analysis."""
-    grid: float = 0.1
-    n_values: tuple = (3, 4, 5, 6, 7)
-    min_df: int = 10
-    max_df: int = 1000
+    grid: float = features.GRID_SECONDS
+    n_values: tuple = features.NGRAM_SIZES
+    min_df: int = features.MIN_DF
+    max_df: int = features.MAX_DF
     C: float = 1.0
     class_weight: str = "balanced"
     penalty: str = "L2"
     top_k: int = 2000
     n_permutations: int = 1000
     n_importance: int = 1000
-    n_concept_iterations: int = 10
-    bonferroni_m: int = 20
+    n_concept_iterations: int = concepts.N_ITERATIONS
+    bonferroni_m: int = concepts.N_CONCEPTS
     search_iterations: int = 1000
     n_bootstrap: int = 1000
-    hop: float = 30.0
-    min_chord_notes: int = 3
+    hop: float = corpus.CLIP_SECONDS
+    min_chord_notes: int = representations.MIN_CHORD_NOTES
     mask_by_pitch: bool = True
 
 
@@ -62,23 +62,17 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _git_describe() -> str:
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
-        return out.stdout.strip()
-    except OSError:
-        return ""
-
-
 def _write_run_info(out_dir: Path, command: str, args, config: RunConfig,
                     started: float) -> None:
     payload = {
         "command": command,
         "seed": args.seed,
         "config": asdict(config),
-        "manifest": getattr(args, "manifest", None),
-        "git_describe": _git_describe(),
+        "manifest": args.manifest,
+        "manifest_sha256": (
+            hashlib.sha256(Path(args.manifest).read_bytes()).hexdigest()
+            if command in NEEDS_MANIFEST else None),
+        "version": __version__,
         "wall_time_seconds": time.time() - started,
     }
     with open(out_dir / "run.json", "w", encoding="utf-8") as fh:
@@ -429,7 +423,7 @@ def cmd_concepts(args, config):
                       if t.recording_id in held_out]
     clips_by_performer: dict = {}
     for t in transcriptions:
-        for clip in corpus.segment_clips(t, 30.0):
+        for clip in corpus.segment_clips(t, corpus.CLIP_SECONDS):
             clips_by_performer.setdefault(t.performer, []).append(
                 corpus.to_piano_roll(clip))
     embedder = concepts.default_embedder()

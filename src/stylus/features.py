@@ -6,11 +6,13 @@ import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .corpus import PITCH_MAX, PITCH_MIN, NoteArray, Transcription
+from .corpus import (PITCH_MAX, PITCH_MIN, NoteArray, Transcription,
+                     ValidationError)
 
 log = logging.getLogger("stylus")
 
@@ -25,6 +27,9 @@ MAX_DF = 1000
 
 KIND_MELODY = "melody"
 KIND_HARMONY = "harmony"
+
+FEATURE_COLUMNS = ("recording_id", "feature_kind", "feature_string", "count")
+VOCABULARY_COLUMNS = ("index", "kind", "feature_string", "document_frequency")
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -225,52 +230,90 @@ def parse_feature_string(s: str) -> tuple:
 
 
 def write_feature_counts(path, recording_ids, per_recording_counts) -> None:
+    text = {key: feature_string(key[1])
+            for key in set().union(*per_recording_counts)}
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["recording_id", "feature_kind", "feature_string",
-                         "count"])
+        writer.writerow(FEATURE_COLUMNS)
         for rid, counts in zip(recording_ids, per_recording_counts):
             if not counts:
                 # presence row so featureless recordings survive a re-read
                 writer.writerow([rid, "", "", 0])
-            for (kind, feat), c in sorted(counts.items()):
-                writer.writerow([rid, kind, feature_string(feat), c])
+            writer.writerows([rid, kind, text[kind, feat], c]
+                             for (kind, feat), c in sorted(counts.items()))
+
+
+def _open_table(fh, path, columns):
+    """A csv reader of ``fh`` past its header, and an itemgetter that picks
+    ``columns``, in that order, from a row."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValidationError(f"{path}:{reader.line_num}: header lacks "
+                              f"column(s) {', '.join(missing)}")
+    return reader, itemgetter(*(header.index(c) for c in columns))
+
+
+def _row_error(path, reader, exc) -> ValidationError:
+    reason = "too few fields" if isinstance(exc, IndexError) else str(exc)
+    return ValidationError(f"{path}:{reader.line_num}: {reason}")
 
 
 def read_feature_counts(path):
-    """Return (recording_ids, per-recording count dicts) from a feature dump."""
-    order: list[str] = []
+    """Return (recording_ids, per-recording count dicts) from a feature dump.
+
+    Recordings keep their order of first appearance and a repeated
+    (recording, feature) row overwrites the earlier one. Each distinct
+    (feature_kind, feature_string) pair is parsed once. A missing column,
+    a short row or a field that is not an integer is a ValidationError
+    naming the file and line.
+    """
     by_rid: dict[str, dict] = {}
+    keys: dict[tuple, tuple] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rid = row["recording_id"]
-            if rid not in by_rid:
-                order.append(rid)
-                by_rid[rid] = {}
-            if not row["feature_kind"]:
-                continue
-            key = (row["feature_kind"],
-                   parse_feature_string(row["feature_string"]))
-            by_rid[rid][key] = int(row["count"])
-    return order, [by_rid[r] for r in order]
+        reader, pick = _open_table(fh, path, FEATURE_COLUMNS)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                rid, kind, text, count = pick(row)
+                counts = by_rid.get(rid)
+                if counts is None:
+                    counts = by_rid[rid] = {}
+                if not kind:
+                    continue
+                key = keys.get((kind, text))
+                if key is None:
+                    key = keys[kind, text] = (kind, parse_feature_string(text))
+                counts[key] = int(count)
+        except (csv.Error, IndexError, ValueError) as exc:
+            raise _row_error(path, reader, exc) from None
+    return list(by_rid), list(by_rid.values())
 
 
 def write_vocabulary(path, vocab: FeatureVocabulary) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "kind", "feature_string",
-                         "document_frequency"])
+        writer.writerow(VOCABULARY_COLUMNS)
         for i, ((kind, feat), df) in enumerate(
                 zip(vocab.features, vocab.document_frequency)):
             writer.writerow([i, kind, feature_string(feat), df])
 
 
 def read_vocabulary(path) -> FeatureVocabulary:
+    """Vocabulary from ``write_vocabulary``'s file; malformed rows are
+    ValidationErrors as in ``read_feature_counts``."""
     feats, dfs = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            feats.append((row["kind"],
-                          parse_feature_string(row["feature_string"])))
-            dfs.append(int(row["document_frequency"]))
+        reader, pick = _open_table(fh, path, VOCABULARY_COLUMNS[1:])
+        try:
+            for row in reader:
+                if row:
+                    kind, text, df = pick(row)
+                    feats.append((kind, parse_feature_string(text)))
+                    dfs.append(int(df))
+        except (csv.Error, IndexError, ValueError) as exc:
+            raise _row_error(path, reader, exc) from None
     return FeatureVocabulary(features=tuple(feats),
                              document_frequency=tuple(dfs))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -5,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+import stylus
 from stylus import cli, corpus, features
 from stylus.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         RunConfig)
@@ -66,6 +68,23 @@ class TestRunInfo:
         assert payload["seed"] == 0
         assert payload["config"]["top_k"] == 2000
         assert payload["wall_time_seconds"] >= 0
+
+    def test_provenance_is_version_and_manifest_hash(self, workspace,
+                                                     tmp_path, monkeypatch):
+        _, manifest, _ = workspace
+        monkeypatch.chdir(tmp_path)   # outside any source checkout
+        assert cli.main(["split", "--manifest", manifest,
+                         "--out", "run", "--seed", "0"]) == EXIT_OK
+        payload = json.loads((tmp_path / "run" / "run.json").read_text())
+        assert payload["version"] == stylus.__version__
+        with open(manifest, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert payload["manifest_sha256"] == digest
+        assert "git_describe" not in payload
+        assert cli.main(["gen-synthetic", "--out", "corpus"]) == EXIT_OK
+        payload = json.loads((tmp_path / "corpus" / "run.json").read_text())
+        assert payload["manifest_sha256"] is None
+        assert payload["version"] == stylus.__version__
 
     def test_config_defaults(self):
         config = RunConfig()
@@ -262,6 +281,33 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert "missing from the manifest" in err and missing in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, line, edit, what", [
+        ("features.csv", 1,
+         lambda rows: ["recording_id,feature_kind,feature_string"] + rows[1:],
+         "count"),
+        ("features.csv", 3,
+         lambda rows: rows[:2] + ["p00r000,melody"] + rows[3:],
+         "too few fields"),
+        ("features.csv", 3,
+         lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0] + ",two"]
+         + rows[3:], "'two'"),
+        ("vocabulary.csv", 2,
+         lambda rows: rows[:1] + ['0,melody,"0,1"'] + rows[2:],
+         "too few fields"),
+    ])
+    def test_malformed_feature_files_exit_1(self, workspace, tmp_path,
+                                            capsys, name, line, edit, what):
+        manifest, run = self._copy(workspace, tmp_path)
+        path = run / name
+        path.write_text("\n".join(edit(path.read_text().splitlines()))
+                        + "\n")
+        code = cli.main(["train", "--manifest", manifest, "--out", str(run),
+                         "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"{path}:{line}: " in err and what in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--threads", "--format"])

@@ -1,13 +1,14 @@
+import csv
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stylus import features
-from stylus.corpus import NoteArray, NoteEvent, Transcription
+from stylus.corpus import NoteArray, NoteEvent, Transcription, ValidationError
 
 
 def note(onset, pitch, offset=None, velocity=64):
@@ -316,3 +317,146 @@ class TestMatrixAndTfidf:
     def test_feature_string_round_trip(self):
         assert features.parse_feature_string(
             features.feature_string((0, -3, 12))) == (0, -3, 12)
+
+
+# reference reader and writer: the row-at-a-time versions the feature-dump
+# IO is checked against
+def dictreader_feature_counts(path):
+    order, by_rid = [], {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            rid = row["recording_id"]
+            if rid not in by_rid:
+                order.append(rid)
+                by_rid[rid] = {}
+            if not row["feature_kind"]:
+                continue
+            feat = tuple(int(v) for v in row["feature_string"].split(","))
+            by_rid[rid][(row["feature_kind"], feat)] = int(row["count"])
+    return order, [by_rid[r] for r in order]
+
+
+def reference_write_feature_counts(path, recording_ids, per_recording_counts):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["recording_id", "feature_kind", "feature_string",
+                         "count"])
+        for rid, counts in zip(recording_ids, per_recording_counts):
+            if not counts:
+                writer.writerow([rid, "", "", 0])
+            for (kind, feat), c in sorted(counts.items()):
+                writer.writerow([rid, kind, ",".join(str(v) for v in feat), c])
+
+
+KINDS = st.sampled_from([features.KIND_MELODY, features.KIND_HARMONY])
+FEATS = st.lists(st.integers(-24, 24), min_size=1, max_size=7).map(tuple)
+# (recording, None) is a presence row; otherwise (kind, feature, spell the
+# feature with ", ", count)
+DUMP_ROWS = st.lists(
+    st.tuples(st.sampled_from(["r0", "r1", "r2", "r3"]),
+              st.none() | st.tuples(KINDS, FEATS, st.booleans(),
+                                    st.integers(0, 99)),
+              st.booleans()),     # blank line before the row
+    max_size=40)
+
+
+def dump_text(rows, newline):
+    lines = ["recording_id,feature_kind,feature_string,count"]
+    for rid, feature, blank in rows:
+        if blank:
+            lines.append("")
+        if feature is None:
+            lines.append(f"{rid},,,0")
+            continue
+        kind, feat, spaced, count = feature
+        text = (", " if spaced else ",").join(str(v) for v in feat)
+        lines.append(f'{rid},{kind},"{text}",{count}' if "," in text
+                     else f"{rid},{kind},{text},{count}")
+    return newline.join(lines) + newline
+
+
+class TestFeatureDumpIO:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=DUMP_ROWS, newline=st.sampled_from(["\n", "\r\n"]))
+    @example(rows=[("r1", ("melody", (0, -3, 12), False, 4), False),
+                   ("r0", None, True),                          # featureless
+                   ("r1", ("harmony", (0,), False, 1), False),
+                   ("r2", ("melody", (0, 1), False, 2), False),
+                   ("r1", ("melody", (0, 1, 2, 3, 4, 5, 6), False, 3), False),
+                   ("r2", ("melody", (0, 1), True, 5), True),   # "0, 1"
+                   ("r1", ("melody", (0, -3, 12), False, 7), False)],
+             newline="\r\n")
+    def test_reader_matches_dictreader_oracle(self, tmp_path_factory, rows,
+                                              newline):
+        path = tmp_path_factory.mktemp("dump") / "features.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(dump_text(rows, newline))
+        assert (features.read_feature_counts(path)
+                == dictreader_feature_counts(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.dictionaries(st.tuples(KINDS, FEATS),
+                                           st.integers(1, 99), max_size=8),
+                           max_size=6))
+    def test_write_read_round_trip_and_reference_bytes(self, tmp_path_factory,
+                                                       counts):
+        rids = [f"r{i}" for i in range(len(counts))]
+        root = tmp_path_factory.mktemp("dump")
+        features.write_feature_counts(root / "features.csv", rids, counts)
+        reference_write_feature_counts(root / "reference.csv", rids, counts)
+        assert ((root / "features.csv").read_bytes()
+                == (root / "reference.csv").read_bytes())
+        assert features.read_feature_counts(root / "features.csv") == (rids,
+                                                                       counts)
+
+    def test_each_distinct_feature_parsed_once(self, tmp_path, monkeypatch):
+        rows = [(f"r{i}", (kind, feat, spaced, i), False)
+                for i in range(30)
+                for kind in (features.KIND_MELODY, features.KIND_HARMONY)
+                for feat in ((0, 1), (0, 4, 7))
+                for spaced in (False, True)]
+        path = tmp_path / "features.csv"
+        path.write_text(dump_text(rows, "\n"))
+        calls = Counter()
+        parse = features.parse_feature_string
+
+        def counting(text):
+            calls[text] += 1
+            return parse(text)
+        monkeypatch.setattr(features, "parse_feature_string", counting)
+        _, counts = features.read_feature_counts(path)
+        assert len(counts) == 30 and all(len(c) == 4 for c in counts)
+        # two kinds parse each of the four spellings once
+        assert calls == {"0,1": 2, "0, 1": 2, "0,4,7": 2, "0, 4, 7": 2}
+
+    @pytest.mark.parametrize("reader, text, where, what", [
+        (features.read_feature_counts,
+         "recording_id,feature_kind,feature_string\nr0,melody,0\n",
+         1, "count"),
+        (features.read_feature_counts,
+         "recording_id,feature_kind,feature_string,count\n"
+         "r0,,,0\nr0,melody\n", 3, "too few fields"),
+        (features.read_feature_counts,
+         "recording_id,feature_kind,feature_string,count\n"
+         "r0,melody,0,x\n", 2, "'x'"),
+        (features.read_feature_counts,
+         "recording_id,feature_kind,feature_string,count\n"
+         'r0,melody,"0,a",1\n', 2, "'a'"),
+        (features.read_vocabulary,
+         "index,kind,feature_string\n0,melody,0\n",
+         1, "document_frequency"),
+        (features.read_vocabulary,
+         "index,kind,feature_string,document_frequency\n"
+         '0,melody,"0,1",3\n1,melody\n', 3, "too few fields"),
+        (features.read_vocabulary,
+         "index,kind,feature_string,document_frequency\n"
+         "0,melody,0,1.5\n", 2, "'1.5'"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, reader, text,
+                                                where, what):
+        path = tmp_path / "dump.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path}:{where}: ")
+        assert what in str(info.value)
