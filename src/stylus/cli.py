@@ -51,7 +51,6 @@ class RunConfig:
     n_bootstrap: int = 1000
     hop: float = corpus.CLIP_SECONDS
     min_chord_notes: int = representations.MIN_CHORD_NOTES
-    mask_by_pitch: bool = True
 
 
 def _setup_logging():
@@ -413,22 +412,22 @@ def cmd_concepts(args, config):
     exercises = concepts.read_concept_exercises(
         _require(Path(args.exercises), "concept exercise file"))
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    variants: dict = {}
+    by_concept: dict = {}
     for e in exercises:
-        variants.setdefault(e.concept_id, []).extend(
-            concepts.expand_concept(e, min_chord_notes=config.min_chord_notes))
-    held_out = {e.recording_id for e in manifest
-                if split_map.get(e.recording_id) in ("validation", "test")}
-    transcriptions = [t for t in _load_transcriptions(manifest)
-                      if t.recording_id in held_out]
-    clips_by_performer: dict = {}
-    for t in transcriptions:
-        for clip in corpus.segment_clips(t, corpus.CLIP_SECONDS):
-            clips_by_performer.setdefault(t.performer, []).append(
-                corpus.to_piano_roll(clip))
-    embedder = concepts.default_embedder()
+        by_concept.setdefault(e.concept_id, []).append(e)
+    by_performer: dict = {}
+    for t in _load_transcriptions(manifest):
+        if split_map.get(t.recording_id) in ("validation", "test"):
+            by_performer.setdefault(t.performer, []).append(t)
+    # each roll is rendered only when sign_count_experiment embeds it
+    variants = {c: (roll for e in es for roll in concepts.expand_concept(
+                        e, min_chord_notes=config.min_chord_notes))
+                for c, es in by_concept.items()}
+    clip_rolls = {p: (corpus.to_piano_roll(clip) for t in ts
+                      for clip in corpus.segment_clips(t, corpus.CLIP_SECONDS))
+                  for p, ts in by_performer.items()}
     matrix = concepts.sign_count_experiment(
-        clips_by_performer, variants, embedder,
+        clip_rolls, variants, concepts.default_embedder(),
         config.n_concept_iterations, args.seed)
     concepts.write_sign_counts(out / "sign_counts.csv", matrix)
     means, corrected = concepts.summarise_sign_counts(

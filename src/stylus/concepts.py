@@ -53,9 +53,10 @@ class Embedder:
 
 
 def _pool_embed(roll: np.ndarray) -> np.ndarray:
-    # 8x8 grid of average pools, windows of 11 rows x 375 columns
-    return np.asarray(roll, dtype=float).reshape(8, 11, 8, 375) \
-        .mean(axis=(1, 3)).ravel()
+    # 8x8 grid of average pools, windows of 11 rows x 375 columns; the
+    # float64 accumulator reads the roll in place instead of copying it
+    return np.asarray(roll).reshape(8, 11, 8, 375) \
+        .mean(axis=(1, 3), dtype=np.float64).ravel()
 
 
 def default_embedder() -> Embedder:
@@ -185,6 +186,10 @@ def sign_count_experiment(clip_rolls_by_performer: dict,
     Observed: the concept dataset is fixed while a new random dataset (drawn
     from every other concept's variants) is sampled each iteration. Null:
     both sides are non-overlapping random datasets.
+
+    Each value of both mappings is iterated exactly once, in order, and
+    only each roll's embedding is kept, so a generator of rolls is valid
+    input and its rolls are never held together.
     """
     performers = tuple(sorted(clip_rolls_by_performer))
     concepts = tuple(sorted(concept_variants))
@@ -443,23 +448,6 @@ def read_concept_exercises(path) -> list[ConceptExercise]:
                     ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad exercise: {exc}")
     return out
-
-
-def read_activations(matrix_path, sidecar_path):
-    """External activations: roll-format binary matrix plus a sidecar CSV of
-    clip ids giving the row order."""
-    from .corpus import read_roll
-    acts = read_roll(matrix_path)
-    ids = []
-    with open(sidecar_path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if row:
-                ids.append(row[0])
-    if ids and ids[0] in ("clip_id", "id"):
-        ids = ids[1:]
-    if len(ids) != acts.shape[0]:
-        raise ValueError("sidecar id count does not match activation rows")
-    return ids, acts
 
 
 def write_sign_counts(path, matrix: SignCountMatrix) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +46,9 @@ class NoteEvent:
     velocity: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.onset) and math.isfinite(self.offset)):
+            raise ValidationError(
+                f"onset {self.onset} and offset {self.offset} must be finite")
         if not self.offset > self.onset:
             raise ValidationError(
                 f"offset {self.offset} must exceed onset {self.onset}")
@@ -64,8 +68,9 @@ def _sort_notes(notes):
 
 
 def _valid_rows(onset, offset, pitch, velocity) -> np.ndarray:
-    """Per-row mask of the NoteEvent invariants (NaN rows are invalid)."""
-    return ((offset > onset) & ~(onset < 0)
+    """Per-row mask of the NoteEvent invariants."""
+    return (np.isfinite(onset) & np.isfinite(offset) & (offset > onset)
+            & (onset >= 0)
             & (PITCH_MIN <= pitch) & (pitch <= PITCH_MAX)
             & (VELOCITY_MIN <= velocity) & (velocity <= VELOCITY_MAX))
 
@@ -418,13 +423,14 @@ def to_piano_roll(c: Clip) -> np.ndarray:
 
 
 def write_roll(path, roll: np.ndarray) -> None:
-    roll = np.asarray(roll, dtype="<f4")
+    # a C-ordered little-endian float32 roll is written from its own buffer
+    roll = np.ascontiguousarray(roll, dtype="<f4")
     if roll.ndim != 2:
         raise ValidationError("roll must be 2-D")
     with open(path, "wb") as fh:
         fh.write(ROLL_MAGIC)
         fh.write(struct.pack("<III", roll.shape[0], roll.shape[1], 0))
-        fh.write(roll.tobytes(order="C"))
+        fh.write(roll)
 
 
 def read_roll(path) -> np.ndarray:

@@ -6,6 +6,7 @@ import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -196,13 +197,19 @@ def build_vocabulary(per_recording_counts, min_df: int = MIN_DF,
 
 
 def count_matrix(per_recording_counts, vocab: FeatureVocabulary) -> np.ndarray:
-    index = vocab.index
-    X = np.zeros((len(per_recording_counts), len(vocab)))
-    for i, counts in enumerate(per_recording_counts):
-        for feat, c in counts.items():
-            j = index.get(feat)
-            if j is not None:
-                X[i, j] = c
+    """Recording x vocabulary counts; features outside the vocabulary are
+    dropped. Keys map to columns in one pass and fill X in one assignment."""
+    sizes = [len(counts) for counts in per_recording_counts]
+    n = sum(sizes)
+    cols = np.fromiter(map(vocab.index.get, chain.from_iterable(
+        per_recording_counts), repeat(-1)), dtype=np.intp, count=n)
+    vals = np.fromiter(chain.from_iterable(
+        counts.values() for counts in per_recording_counts),
+        dtype=float, count=n)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    kept = cols >= 0
+    X = np.zeros((len(sizes), len(vocab)))
+    X[rows[kept], cols[kept]] = vals[kept]
     return X
 
 

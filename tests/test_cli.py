@@ -2,12 +2,13 @@ import hashlib
 import json
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
 
 import stylus
-from stylus import cli, corpus, features
+from stylus import cli, concepts, corpus, features
 from stylus.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         RunConfig)
 
@@ -58,6 +59,31 @@ class TestExitCodes:
         code = cli.main(["gen-synthetic", "--out", str(tmp_path),
                          "--config", str(cfg)])
         assert code == EXIT_VALIDATION
+
+    def test_mask_by_pitch_is_an_unknown_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mask_by_pitch": false}')
+        code = cli.main(["gen-synthetic", "--out", str(tmp_path),
+                         "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert "unknown config keys: ['mask_by_pitch']" in \
+            capsys.readouterr().err
+
+    def test_infinite_offset_rejected_by_ingest(self, capsys, tmp_path):
+        notes = tmp_path / "r1.jsonl"
+        notes.write_text(
+            '{"onset": 0.0, "offset": 0.5, "pitch": 60, "velocity": 64}\n'
+            '{"onset": 1.0, "offset": Infinity, "pitch": 62, '
+            '"velocity": 64}\n')
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("recording_id,performer,dataset_tag,path\n"
+                            f"r1,p,solo,{notes}\n")
+        code = cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"{notes}: invalid notes: line 2: " in err
+        assert "must be finite" in err and "Traceback" not in err
 
 
 class TestRunInfo:
@@ -219,6 +245,53 @@ class TestPipeline:
         for name in ("sign_counts.csv", "sign_counts_tested.csv",
                      "dendrogram.json"):
             assert (out / name).exists()
+
+    def test_concepts_renders_rolls_as_it_embeds_them(self, workspace,
+                                                      tmp_path, monkeypatch):
+        # two exercises per concept; each exercise's variants are one list
+        _, manifest, out = workspace
+        exercises = tmp_path / "ex.jsonl"
+        with open(exercises, "w") as fh:
+            for i in range(6):
+                fh.write(json.dumps({"concept_id": i % 3,
+                                     "chords": [[48 + i, 52 + i, 55 + i]]})
+                         + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"n_concept_iterations": 1, "bonferroni_m": 3}')
+        variant_rolls, clip_rolls = [], []     # weak references
+        live, sizes = [], []
+        expand, paint = concepts.expand_concept, corpus.to_piano_roll
+
+        def tracked_expand(*args, **kwargs):
+            rolls = expand(*args, **kwargs)
+            variant_rolls.extend(map(weakref.ref, rolls))
+            sizes.append(len(rolls))
+            return rolls
+
+        def tracked_paint(clip):
+            roll = paint(clip)
+            clip_rolls.append(weakref.ref(roll))
+            return roll
+
+        def embed(roll):
+            live.append(tuple(sum(r() is not None for r in refs)
+                              for refs in (variant_rolls, clip_rolls)))
+            return concepts._pool_embed(roll)
+
+        monkeypatch.setattr(concepts, "expand_concept", tracked_expand)
+        monkeypatch.setattr(corpus, "to_piano_roll", tracked_paint)
+        monkeypatch.setattr(concepts, "default_embedder",
+                            lambda: concepts.Embedder(fn=embed, dim=64))
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(out / "splits.csv", run / "splits.csv")
+        assert cli.main(["concepts", "--manifest", manifest,
+                         "--out", str(run), "--seed", "0",
+                         "--config", str(cfg),
+                         "--exercises", str(exercises)]) == EXIT_OK
+        assert len(sizes) == 6 and len(live) > sum(sizes)
+        assert max(n for n, _ in live) == max(sizes) < sum(sizes)
+        assert max(n for _, n in live) == 1
 
     def test_ingest_summary(self, workspace, tmp_path):
         _, manifest, _ = workspace

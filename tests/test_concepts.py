@@ -576,6 +576,20 @@ class TestSignCountExperiment:
                                            concepts.default_embedder(),
                                            n_iter=1, seed=0)
 
+    def test_generators_give_the_matrix_lists_give(self):
+        clips, variants = self._setup()
+        emb = concepts.default_embedder()
+        want = concepts.sign_count_experiment(clips, variants, emb,
+                                              n_iter=3, seed=4)
+        got = concepts.sign_count_experiment(
+            {p: iter(rolls) for p, rolls in clips.items()},
+            {c: (roll for roll in rolls) for c, rolls in variants.items()},
+            emb, n_iter=3, seed=4)
+        assert (got.performers, got.concepts) == (want.performers,
+                                                  want.concepts)
+        assert got.observed.tobytes() == want.observed.tobytes()
+        assert got.null.tobytes() == want.null.tobytes()
+
     def test_summary_and_io(self, tmp_path):
         clips, variants = self._setup()
         m = concepts.sign_count_experiment(clips, variants,
@@ -598,6 +612,24 @@ class TestDefaultEmbedder:
         assert emb.shape == (64,)
         assert emb[0] == pytest.approx(1.0)
         assert np.allclose(emb[1:], 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           density=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+           scale=st.sampled_from([1.0, 1 / 127, 1e-30, 3e38]),
+           layout=st.sampled_from(["C", "F", "float64"]))
+    def test_pool_equals_float64_copy_bit_for_bit(self, seed, density, scale,
+                                                  layout):
+        rng = np.random.default_rng(seed)
+        roll = (rng.random((88, 3000)) * (rng.random((88, 3000)) < density)
+                * scale).astype(np.float32)
+        roll = {"C": roll, "F": np.asfortranarray(roll),
+                "float64": roll.astype(np.float64) / 3}[layout]
+        want = np.asarray(roll, dtype=float).reshape(8, 11, 8, 375) \
+            .mean(axis=(1, 3)).ravel()
+        got = concepts._pool_embed(roll)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
     def test_dim_checked(self):
         bad = Embedder(fn=lambda roll: [1.0, 2.0], dim=3)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +29,9 @@ class TestNoteEvent:
         dict(onset=0.0, pitch=109, offset=0.5, velocity=64),
         dict(onset=0.0, pitch=60, offset=0.5, velocity=0),
         dict(onset=0.0, pitch=60, offset=0.5, velocity=128),
+        dict(onset=0.0, pitch=60, offset=float("inf"), velocity=64),
+        dict(onset=float("inf"), pitch=60, offset=float("inf"), velocity=64),
+        dict(onset=0.0, pitch=60, offset=float("nan"), velocity=64),
     ])
     def test_invalid_note(self, kwargs):
         with pytest.raises(ValidationError):
@@ -183,6 +188,21 @@ class TestParseParity:
         with pytest.raises(ParseError, match="cannot convert float infinity"):
             corpus.parse_note_events(path)
 
+    @pytest.mark.parametrize("offset", [
+        "Infinity",                # decodes, so the one-decode path sees it
+        '"inf"',                   # a string: only the per-line path reads it
+    ])
+    def test_infinite_offset_is_rejected_by_line(self, tmp_path, offset):
+        path = tmp_path / "r.jsonl"
+        path.write_text(V + '\n{"onset": 1.0, "offset": ' + offset
+                        + ', "pitch": 60, "velocity": 64}\n')
+        with pytest.raises(ValidationError) as err:
+            corpus.parse_note_events(path)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == (
+            f"{path}: invalid notes: "
+            "line 2: onset 1.0 and offset inf must be finite")
+
     def test_several_invalid_notes_reported_together(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text(
@@ -249,7 +269,8 @@ OBJECT_LINES = [
     '{"onset": 0.0, "offset": 0.5, "pitch": 60, "velocity": 64, "x": [1\n2]}',
 ]
 FRAGMENTS = OBJECT_LINES + [
-    V.replace("0.0", "-1.0"), V.replace("64", "1e400"), V + " " + W, "2]}",
+    V.replace("0.0", "-1.0"), V.replace("64", "1e400"),
+    V.replace("0.5", "Infinity"), V + " " + W, "2]}",
     "null", "[1, 2]", "5", '"text"', "", "{", "}",
     '{"onset": 2.0, "offset": 2.5, "pitch": 61}',
 ]
@@ -460,6 +481,24 @@ class TestRollFile:
         path = tmp_path / "a.roll"
         corpus.write_roll(path, roll)
         assert np.array_equal(corpus.read_roll(path), roll)
+
+    @staticmethod
+    def _reference_bytes(roll):
+        roll = np.asarray(roll, dtype="<f4")
+        return (corpus.ROLL_MAGIC + struct.pack("<III", *roll.shape, 0)
+                + roll.tobytes(order="C"))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "float64", "view"])
+    def test_bytes_equal_tobytes_writer(self, tmp_path, layout):
+        rng = np.random.default_rng(1)
+        roll = rng.random((88, 3000))
+        roll = {"C": roll.astype(np.float32),
+                "F": np.asfortranarray(roll.astype(np.float32)),
+                "float64": roll,
+                "view": roll.astype(">f4")[:, ::2]}[layout]
+        path = tmp_path / "a.roll"
+        corpus.write_roll(path, roll)
+        assert path.read_bytes() == self._reference_bytes(roll)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.roll"

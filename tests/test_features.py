@@ -290,6 +290,36 @@ class TestMatrixAndTfidf:
         X = features.count_matrix(counts, vocab)
         assert np.array_equal(X, [[3, 0], [0, 2]])   # unknown feature dropped
 
+    @staticmethod
+    def _reference_count_matrix(per_recording_counts, vocab):
+        # one item assignment per (recording, feature) pair
+        index = vocab.index
+        X = np.zeros((len(per_recording_counts), len(vocab)))
+        for i, counts in enumerate(per_recording_counts):
+            for feat, c in counts.items():
+                j = index.get(feat)
+                if j is not None:
+                    X[i, j] = c
+        return X
+
+    FEATS = [(kind, tuple(range(start, start + size)))
+             for kind in ("melody", "harmony") for start in range(3)
+             for size in (2, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(in_vocab=st.lists(st.sampled_from(FEATS), unique=True),
+           counts=st.lists(st.dictionaries(
+               st.sampled_from(FEATS),
+               st.integers(0, 2 ** 40) | st.floats(0, 1e6)), max_size=6))
+    def test_count_matrix_equals_per_item_loop(self, in_vocab, counts):
+        # recordings may be empty or hold features outside the vocabulary
+        vocab = features.FeatureVocabulary(
+            features=tuple(in_vocab), document_frequency=(1,) * len(in_vocab))
+        X = features.count_matrix(counts, vocab)
+        want = self._reference_count_matrix(counts, vocab)
+        assert X.dtype == want.dtype and X.shape == want.shape
+        assert X.tobytes() == want.tobytes()
+
     def test_tfidf_formula(self):
         counts = np.array([[2.0, 0.0], [1.0, 1.0], [3.0, 0.0]])
         X = features.tfidf(counts)
