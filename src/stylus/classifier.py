@@ -116,6 +116,12 @@ def _lbfgs_direction(g, history) -> np.ndarray:
     return -q
 
 
+def label_index(class_labels, y) -> np.ndarray:
+    """Each label of ``y`` as its position in ``class_labels``."""
+    position = {lab: i for i, lab in enumerate(class_labels)}
+    return np.array([position[v] for v in y])
+
+
 def fit(X, y, config: LRConfig = LRConfig(),
         max_iter: int = MAX_ITER, tol: float = GRAD_TOL) -> LRModel:
     """Deterministic full-batch L-BFGS with Armijo backtracking.
@@ -133,8 +139,7 @@ def fit(X, y, config: LRConfig = LRConfig(),
         raise ValueError("need at least two classes")
     if X.shape[0] != len(y):
         raise ValueError("row count of X must match len(y)")
-    label_idx = {lab: i for i, lab in enumerate(labels)}
-    y_idx = np.array([label_idx[v] for v in y])
+    y_idx = label_index(labels, y)
     n, d = X.shape
     k = len(labels)
     Y = np.zeros((n, k))
@@ -207,8 +212,7 @@ def top_k_accuracy(probs, y, class_labels, k: int = 1) -> float:
     probs = np.asarray(probs)
     if k > probs.shape[1]:
         raise ValueError("k exceeds the number of classes")
-    label_idx = {lab: i for i, lab in enumerate(class_labels)}
-    y_idx = np.array([label_idx[v] for v in y])
+    y_idx = label_index(class_labels, y)
     # stable sort on -prob keeps the lower class index first among ties
     order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
     hits = (order == y_idx[:, None]).any(axis=1)
@@ -254,21 +258,6 @@ def random_search(space: SearchSpace, X_train, y_train, X_val, y_val):
         if best is None or acc > best[2]:
             best = (i, config, acc)
     return best[1], best[2], trials
-
-
-def aggregate_track_probs(clip_probs, parent_ids):
-    """Average clip probabilities per parent recording.
-
-    Returns (sorted unique parent ids, row-stochastic matrix).
-    """
-    clip_probs = np.asarray(clip_probs, dtype=float)
-    parents = sorted(set(parent_ids))
-    parent_ids = list(parent_ids)
-    out = np.zeros((len(parents), clip_probs.shape[1]))
-    for i, pid in enumerate(parents):
-        rows = [j for j, p in enumerate(parent_ids) if p == pid]
-        out[i] = clip_probs[rows].mean(axis=0)
-    return parents, out
 
 
 def write_model(path, model: LRModel, vocabulary_hash: str = "") -> None:

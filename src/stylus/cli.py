@@ -78,19 +78,48 @@ def _write_run_info(out_dir: Path, command: str, args, config: RunConfig,
         json.dump(payload, fh, indent=2)
 
 
+_TYPE_NAMES = {int: "an int", float: "a float", str: "a str",
+               tuple: "a list of ints"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value may override a field whose default is a
+    ``kind``: a float field also takes an int, a tuple field takes a list
+    of ints, and no field takes a bool."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_fits(v, int) for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
 def _load_config(args) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
-        known = set(asdict(config))
-        unknown = set(overrides) - known
+        if not isinstance(overrides, dict):
+            raise corpus.ValidationError(
+                f"{args.config}: config must be a JSON object, "
+                f"got {type(overrides).__name__}")
+        defaults = asdict(config)
+        unknown = set(overrides) - set(defaults)
         if unknown:
             raise corpus.ValidationError(
                 f"unknown config keys: {sorted(unknown)}")
+        for key, value in overrides.items():
+            kind = type(defaults[key])
+            if not _fits(value, kind):
+                raise corpus.ValidationError(
+                    f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
+                    f"got {type(value).__name__}")
         config = replace(config, **{k: tuple(v) if isinstance(v, list) else v
                                     for k, v in overrides.items()})
     return config
+
+
+def _lr_config(config: RunConfig) -> classifier.LRConfig:
+    return classifier.LRConfig(C=config.C, class_weight=config.class_weight,
+                               penalty=config.penalty)
 
 
 def _load_transcriptions(manifest):
@@ -111,10 +140,6 @@ def _load_features(out_dir: Path):
     vocab = features.read_vocabulary(
         _require(out_dir / "vocabulary.csv", "vocabulary"))
     return rids, counts, vocab
-
-
-def _feature_matrix(counts, vocab):
-    return features.tfidf(features.count_matrix(counts, vocab))
 
 
 def _vocab_hash(vocab) -> str:
@@ -195,32 +220,32 @@ def _labels_for(rids, manifest):
             [by_id[r].dataset_tag for r in rids])
 
 
-def cmd_train(args, config):
+def _load_inputs(args):
+    """(out, rids, vocab, TF-IDF matrix, performers, dataset tags) of the
+    feature dump in --out, rows in its order, labelled from the manifest."""
     manifest = corpus.read_manifest(args.manifest)
     out = Path(args.out)
     rids, counts, vocab = _load_features(out)
+    y, tags = _labels_for(rids, manifest)
+    X = features.tfidf(features.count_matrix(counts, vocab))
+    return out, rids, vocab, X, y, tags
+
+
+def cmd_train(args, config):
+    out, rids, vocab, X, y, _ = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    X = _feature_matrix(counts, vocab)
-    y, _ = _labels_for(rids, manifest)
     rows = _split_rows(rids, split_map, "train")
     if not rows:
         raise corpus.ValidationError("no training recordings in split")
-    lr_config = classifier.LRConfig(C=config.C,
-                                    class_weight=config.class_weight,
-                                    penalty=config.penalty)
-    model = classifier.fit(X[rows], [y[i] for i in rows], lr_config)
+    model = classifier.fit(X[rows], [y[i] for i in rows], _lr_config(config))
     classifier.write_model(out / "model.json", model, _vocab_hash(vocab))
     print(f"trained on {len(rows)} recordings "
           f"({len(model.class_labels)} classes, converged={model.converged})")
 
 
 def cmd_search(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    rids, counts, vocab = _load_features(out)
+    out, rids, vocab, X, y, _ = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    X = _feature_matrix(counts, vocab)
-    y, _ = _labels_for(rids, manifest)
     tr = _split_rows(rids, split_map, "train")
     va = _split_rows(rids, split_map, "validation")
     space = classifier.SearchSpace(iterations=config.search_iterations,
@@ -236,13 +261,9 @@ def cmd_search(args, config):
 
 
 def cmd_evaluate(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    rids, counts, vocab = _load_features(out)
+    out, rids, vocab, X, y, _ = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
     model = _load_model(out, vocab)
-    X = _feature_matrix(counts, vocab)
-    y, _ = _labels_for(rids, manifest)
     rows = _split_rows(rids, split_map, "test")
     if not rows:
         raise corpus.ValidationError("no test recordings in split")
@@ -257,13 +278,9 @@ def cmd_evaluate(args, config):
 
 
 def cmd_importance(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    rids, counts, vocab = _load_features(out)
+    out, rids, vocab, X, y, _ = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
     model = _load_model(out, vocab)
-    X = _feature_matrix(counts, vocab)
-    y, _ = _labels_for(rids, manifest)
     rows = _split_rows(rids, split_map, "test")
     X_test, y_test = X[rows], [y[i] for i in rows]
     reports = []
@@ -288,14 +305,8 @@ def cmd_importance(args, config):
 
 
 def cmd_correlate(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    rids, counts, vocab = _load_features(out)
-    X = _feature_matrix(counts, vocab)
-    y, tags = _labels_for(rids, manifest)
-    lr_config = classifier.LRConfig(C=config.C,
-                                    class_weight=config.class_weight,
-                                    penalty=config.penalty)
+    out, _, vocab, X, y, tags = _load_inputs(args)
+    lr_config = _lr_config(config)
     full = classifier.fit(X, y, lr_config)
     rows_out = []
     for kind in (features.KIND_MELODY, features.KIND_HARMONY):
@@ -318,21 +329,18 @@ def cmd_correlate(args, config):
 
 
 def cmd_pca(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    rids, counts, vocab = _load_features(out)
-    y, _ = _labels_for(rids, manifest)
+    out, _, vocab, X, y, _ = _load_inputs(args)
     cols = np.array([i for i, (kind, feat) in enumerate(vocab.features)
                      if kind == features.KIND_MELODY and len(feat) == 4],
                     dtype=int)
     if cols.size < 2:
         raise corpus.ValidationError(
             "need at least two length-4 melody features for PCA")
-    X4 = _feature_matrix(counts, vocab)[:, cols]
-    model = interpret.pca_fit(X4)
+    X = X[:, cols]      # frees the full matrix
+    model = interpret.pca_fit(X)
     performers = sorted(set(y))
     means = np.vstack([
-        X4[[i for i, lab in enumerate(y) if lab == p]].mean(axis=0)
+        X[[i for i, lab in enumerate(y) if lab == p]].mean(axis=0)
         for p in performers])
     coords = interpret.pca_project(model, means)
     with open(out / "pca_components.csv", "w", newline="",
@@ -444,14 +452,8 @@ def cmd_concepts(args, config):
 
 
 def cmd_report(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    rids, counts, vocab = _load_features(out)
-    X = _feature_matrix(counts, vocab)
-    y, _ = _labels_for(rids, manifest)
-    lr_config = classifier.LRConfig(C=config.C,
-                                    class_weight=config.class_weight,
-                                    penalty=config.penalty)
+    out, _, vocab, X, y, _ = _load_inputs(args)
+    lr_config = _lr_config(config)
     model = classifier.fit(X, y, lr_config)
     sds = interpret.bootstrap_weight_sd(X, y, lr_config,
                                         config.n_bootstrap, args.seed)

@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -124,12 +125,30 @@ def render_chord_sequence(seq, concept_id: int = 0,
     return harmony_roll(clip, min_notes=min_chord_notes)
 
 
+@dataclass(frozen=True)
+class VariantRolls(Sequence):
+    """An exercise's variant rolls, each rendered when it is read, so a
+    reader that embeds and drops each roll holds one roll at a time."""
+    sequences: list
+    concept_id: int = 0
+    min_chord_notes: int = MIN_CHORD_NOTES
+
+    def __len__(self):
+        return len(self.sequences)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, sequences=self.sequences[i])
+        return render_chord_sequence(self.sequences[i], self.concept_id,
+                                     self.min_chord_notes)
+
+
 def expand_concept(e: ConceptExercise,
                    max_transposition: int = MAX_TRANSPOSITION,
-                   min_chord_notes: int = MIN_CHORD_NOTES) -> list[np.ndarray]:
-    return [render_chord_sequence(seq, e.concept_id, min_chord_notes)
-            for seq in exercise_variants(e, max_transposition,
-                                         min_chord_notes)]
+                   min_chord_notes: int = MIN_CHORD_NOTES) -> VariantRolls:
+    return VariantRolls(exercise_variants(e, max_transposition,
+                                          min_chord_notes),
+                        e.concept_id, min_chord_notes)
 
 
 def train_cav(concept_acts, random_acts, seed: int = 0,
@@ -414,20 +433,6 @@ def cluster(matrix, labels=None) -> Dendrogram:
         merges.append((a, b, height))
         next_id += 1
     return Dendrogram(merges=tuple(merges), labels=tuple(labels))
-
-
-def most_distinctive_clip(clips, scorer):
-    """Return the id of the clip maximising ``scorer``; ties go to the
-    earliest clip in the sequence."""
-    clips = list(clips)
-    if not clips:
-        raise ValueError("no clips")
-    best_id, best_score = None, None
-    for clip_id, clip in clips:
-        s = float(scorer(clip))
-        if best_score is None or s > best_score:
-            best_id, best_score = clip_id, s
-    return best_id
 
 
 def read_concept_exercises(path) -> list[ConceptExercise]:

@@ -279,16 +279,19 @@ def _parse_lines(path, lines) -> list[NoteEvent]:
 
 
 def write_note_events(path, notes) -> None:
-    """Write a NoteArray, or a NoteEvent sequence, as JSONL."""
+    """Write a NoteArray, or a NoteEvent sequence, as JSONL in one write:
+    per note, the line ``json.dumps`` writes, with times as floats and
+    pitch/velocity as ints (``json`` spells them with their ``__repr__``)."""
     if isinstance(notes, NoteArray):
         rows = zip(*(c.tolist() for c in notes.columns()))
     else:
-        rows = ((n.onset, n.offset, n.pitch, n.velocity) for n in notes)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for onset, offset, pitch, velocity in rows:
-            fh.write(json.dumps({"onset": onset, "offset": offset,
-                                 "pitch": pitch, "velocity": velocity})
-                     + "\n")
+        rows = ((float(n.onset), float(n.offset), int(n.pitch),
+                 int(n.velocity)) for n in notes)
+    fr, ir = float.__repr__, int.__repr__
+    Path(path).write_text("".join([
+        f'{{"onset": {fr(on)}, "offset": {fr(off)}, "pitch": {ir(p)}, '
+        f'"velocity": {ir(v)}}}\n' for on, off, p, v in rows]),
+        encoding="utf-8", newline="\n")
 
 
 def read_manifest(path) -> list[ManifestEntry]:

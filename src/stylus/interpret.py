@@ -9,7 +9,7 @@ import numpy as np
 
 from . import classifier
 from .classifier import (LRConfig, LRModel, decision_function, fit,
-                         top_k_accuracy)
+                         label_index)
 from .rng import derive_rng
 
 log = logging.getLogger("stylus")
@@ -23,12 +23,14 @@ class ImportanceReport:
     iterations: int
 
 
-def _accuracy(model, logits, y) -> float:
-    return top_k_accuracy(classifier._softmax(logits), y,
-                          model.class_labels, k=1)
+def _accuracy(logits, y_idx) -> float:
+    """Top-1 accuracy of ``top_k_accuracy``: ``argmax`` takes the first of
+    tied probabilities, the lower class index."""
+    return float((np.argmax(classifier._softmax(logits), axis=1)
+                  == y_idx).mean())
 
 
-def _permuted_accuracy(model, logits, partial, y, rng):
+def _permuted_accuracy(logits, partial, y_idx, rng):
     """Accuracy after one shared row permutation of a column group.
 
     The model is linear, so the group adds ``partial = X[:, cols] @
@@ -36,7 +38,7 @@ def _permuted_accuracy(model, logits, partial, y, rng):
     the rows of ``partial``.
     """
     perm = rng.permutation(partial.shape[0])
-    return _accuracy(model, logits - partial + partial[perm], y)
+    return _accuracy(logits - partial + partial[perm], y_idx)
 
 
 def permutation_importance(model: LRModel, X_test, y_test, columns,
@@ -50,7 +52,8 @@ def permutation_importance(model: LRModel, X_test, y_test, columns,
     X = np.asarray(X_test, dtype=float)
     logits = decision_function(model, X)
     columns = np.asarray(columns, dtype=int)
-    baseline = _accuracy(model, logits, y_test)
+    y_idx = label_index(model.class_labels, y_test)
+    baseline = _accuracy(logits, y_idx)
     partial = X[:, columns] @ model.W[:, columns].T
     losses = np.empty(n_iter)
     for i in range(n_iter):
@@ -58,8 +61,8 @@ def permutation_importance(model: LRModel, X_test, y_test, columns,
             losses[i] = 0.0
             continue
         rng = derive_rng(seed, "perm-importance", group, i)
-        losses[i] = baseline - _permuted_accuracy(model, logits, partial,
-                                                  y_test, rng)
+        losses[i] = baseline - _permuted_accuracy(
+            logits, partial, y_idx, rng)
     return ImportanceReport(group=group,
                             mean_accuracy_loss=float(losses.mean()),
                             sd=float(losses.std()), iterations=n_iter)
@@ -75,14 +78,15 @@ def subset_importance(model: LRModel, X_test, y_test, columns, k: int,
                          "of this group")
     X = np.asarray(X_test, dtype=float)
     logits = decision_function(model, X)
-    baseline = _accuracy(model, logits, y_test)
+    y_idx = label_index(model.class_labels, y_test)
+    baseline = _accuracy(logits, y_idx)
     losses = np.empty(n_iter)
     for i in range(n_iter):
         rng = derive_rng(seed, "subset-importance", group, i)
         subset = rng.choice(columns, size=k, replace=False)
         partial = X[:, subset] @ model.W[:, subset].T
-        losses[i] = baseline - _permuted_accuracy(model, logits, partial,
-                                                  y_test, rng)
+        losses[i] = baseline - _permuted_accuracy(
+            logits, partial, y_idx, rng)
     return ImportanceReport(group=group or f"subset-{k}",
                             mean_accuracy_loss=float(losses.mean()),
                             sd=float(losses.std()), iterations=n_iter)
@@ -270,13 +274,3 @@ def pca_project(model: PcaModel, vectors) -> np.ndarray:
     V = np.atleast_2d(np.asarray(vectors, dtype=float))
     S = _preprocess(V, model.means, model.sds, model.mins, model.maxs)
     return S @ model.components.T
-
-
-def scale_to_unit_interval(coords, lo: float = -1.0,
-                           hi: float = 1.0) -> np.ndarray:
-    """Presentation step: linearly rescale each dimension into (lo, hi)."""
-    coords = np.asarray(coords, dtype=float)
-    mn = coords.min(axis=0)
-    span = coords.max(axis=0) - mn
-    span = np.where(span == 0, 1.0, span)
-    return lo + (coords - mn) / span * (hi - lo)

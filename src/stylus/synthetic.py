@@ -8,11 +8,13 @@ desk-scale ground truth used by the acceptance suite.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import NoteEvent, Transcription, write_note_events
+from .corpus import NoteArray, Transcription, write_note_events
 from .rng import derive_rng
 
 EVENT_SPACING = 4.0     # leaves > 2 s of silence between events, so
@@ -81,37 +83,29 @@ def build_pools(config: SyntheticConfig):
 def _weighted_choice(rng, items, weights):
     total = sum(weights)
     r = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        acc += w
-        if r < acc:
-            return item
-    return items[-1]
+    i = bisect.bisect_right(list(itertools.accumulate(weights)), r)
+    return items[i] if i < len(items) else items[-1]
 
 
 def _melody_notes(deltas, start: float, rng):
+    """Onsets and pitches of one planted melodic pattern."""
     base = int(rng.integers(50, 70))
     lo, hi = min(deltas), max(deltas)
     base = max(21 - lo, min(base, 108 - hi))
-    notes = []
-    for i, d in enumerate(deltas):
-        onset = start + i * NOTE_SPACING
-        notes.append(NoteEvent(onset=onset, offset=onset + NOTE_DURATION,
-                               pitch=base + d,
-                               velocity=int(rng.integers(40, 101))))
-    return notes
+    return ([start + i * NOTE_SPACING for i in range(len(deltas))],
+            [base + d for d in deltas])
 
 
 def _voicing_notes(offsets, start: float, rng):
+    """Onsets and pitches of one planted chord voicing."""
     bass = int(rng.integers(36, 56))
     bass = min(bass, 108 - max(offsets))
-    return [NoteEvent(onset=start, offset=start + NOTE_DURATION,
-                      pitch=bass + o, velocity=int(rng.integers(40, 101)))
-            for o in offsets]
+    return [start] * len(offsets), [bass + o for o in offsets]
 
 
 def generate_recording(performer: int, index: int, pools,
                        config: SyntheticConfig) -> Transcription:
+    """One recording, built as note columns in draw order."""
     base_ngrams, base_voicings, signatures = pools
     sig_ngrams, sig_voicings = signatures[performer]
     rng = derive_rng(config.seed, "recording", performer, index)
@@ -121,19 +115,24 @@ def generate_recording(performer: int, index: int, pools,
     voicing_pool = base_voicings + sig_voicings
     voicing_weights = ([1.0] * len(base_voicings)
                        + [config.signature_rate] * len(sig_voicings))
-    notes = []
+    onset, offset, pitch, velocity = [], [], [], []
     for e in range(config.events_per_recording):
         start = e * EVENT_SPACING
         if rng.random() < 0.6:
             pattern = _weighted_choice(rng, ngram_pool, ngram_weights)
-            notes.extend(_melody_notes(pattern, start, rng))
+            onsets, pitches = _melody_notes(pattern, start, rng)
         else:
             voicing = _weighted_choice(rng, voicing_pool, voicing_weights)
-            notes.extend(_voicing_notes(voicing, start, rng))
+            onsets, pitches = _voicing_notes(voicing, start, rng)
+        onset += onsets
+        offset += [on + NOTE_DURATION for on in onsets]
+        pitch += pitches
+        velocity += [int(rng.integers(40, 101)) for _ in pitches]
     tag = "solo" if index < config.n_recordings // 2 else "trio"
     return Transcription(recording_id=f"p{performer:02d}r{index:03d}",
                          performer=f"performer_{performer:02d}",
-                         dataset_tag=tag, notes=tuple(notes))
+                         dataset_tag=tag,
+                         notes=NoteArray(onset, offset, pitch, velocity))
 
 
 def generate_corpus(config: SyntheticConfig = SyntheticConfig()):

@@ -326,12 +326,3 @@ class TestModelFile:
                     class_labels=("a", "b"), config=LRConfig())
         with pytest.raises(ValueError):
             classifier.predict_proba(m, np.zeros((1, 4)))
-
-
-class TestAggregation:
-    def test_track_average(self):
-        probs = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        parents, out = classifier.aggregate_track_probs(
-            probs, ["r1", "r1", "r2"])
-        assert parents == ["r1", "r2"]
-        assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -248,7 +249,7 @@ class TestPipeline:
 
     def test_concepts_renders_rolls_as_it_embeds_them(self, workspace,
                                                       tmp_path, monkeypatch):
-        # two exercises per concept; each exercise's variants are one list
+        # two exercises per concept
         _, manifest, out = workspace
         exercises = tmp_path / "ex.jsonl"
         with open(exercises, "w") as fh:
@@ -261,12 +262,17 @@ class TestPipeline:
         variant_rolls, clip_rolls = [], []     # weak references
         live, sizes = [], []
         expand, paint = concepts.expand_concept, corpus.to_piano_roll
+        render = concepts.render_chord_sequence
 
         def tracked_expand(*args, **kwargs):
             rolls = expand(*args, **kwargs)
-            variant_rolls.extend(map(weakref.ref, rolls))
             sizes.append(len(rolls))
             return rolls
+
+        def tracked_render(*args):
+            roll = render(*args)
+            variant_rolls.append(weakref.ref(roll))
+            return roll
 
         def tracked_paint(clip):
             roll = paint(clip)
@@ -279,6 +285,7 @@ class TestPipeline:
             return concepts._pool_embed(roll)
 
         monkeypatch.setattr(concepts, "expand_concept", tracked_expand)
+        monkeypatch.setattr(concepts, "render_chord_sequence", tracked_render)
         monkeypatch.setattr(corpus, "to_piano_roll", tracked_paint)
         monkeypatch.setattr(concepts, "default_embedder",
                             lambda: concepts.Embedder(fn=embed, dim=64))
@@ -290,7 +297,8 @@ class TestPipeline:
                          "--config", str(cfg),
                          "--exercises", str(exercises)]) == EXIT_OK
         assert len(sizes) == 6 and len(live) > sum(sizes)
-        assert max(n for n, _ in live) == max(sizes) < sum(sizes)
+        assert len(variant_rolls) == sum(sizes)   # each variant rendered once
+        assert max(n for n, _ in live) == 1
         assert max(n for _, n in live) == 1
 
     def test_ingest_summary(self, workspace, tmp_path):
@@ -382,6 +390,50 @@ class TestStaleArtifacts:
         assert code == EXIT_VALIDATION
         assert f"{path}:{line}: " in err and what in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("train", "null", "config must be a JSON object, got NoneType"),
+        ("train", '{"C": "1"}', "'C' must be a float, got str"),
+        ("report", '{"n_bootstrap": "5"}',
+         "'n_bootstrap' must be an int, got str"),
+        ("correlate", '{"n_permutations": 2.5}',
+         "'n_permutations' must be an int, got float"),
+    ])
+    def test_config_value_of_wrong_type_exits_1(self, workspace, tmp_path,
+                                                capsys, command, text,
+                                                message):
+        _, manifest, out = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = cli.main([command, "--manifest", manifest, "--out", str(out),
+                         "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides, ok", [
+        ({"C": 2, "grid": 0.05, "penalty": "none"}, True),
+        ({"n_values": [3, 4]}, True),
+        ({"top_k": True}, False),
+        ({"C": False}, False),
+        ({"n_values": [3, "4"]}, False),
+        ({"n_values": [3, True]}, False),
+        ({"n_values": 3}, False),
+        ({"class_weight": None}, False),
+        ([1, 2], False),
+    ])
+    def test_config_types_follow_the_defaults(self, tmp_path, overrides, ok):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        args = argparse.Namespace(config=str(cfg))
+        if ok:
+            config = cli._load_config(args)
+            assert all(getattr(config, k) == (tuple(v) if isinstance(v, list)
+                                              else v)
+                       for k, v in overrides.items())
+        else:
+            with pytest.raises(corpus.ValidationError, match="got "):
+                cli._load_config(args)
 
     @pytest.mark.parametrize("flag", ["--threads", "--format"])
     def test_removed_flags_rejected(self, flag):

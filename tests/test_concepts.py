@@ -106,6 +106,18 @@ class TestRendering:
         assert len(rolls) == 39
         assert all(r.shape == (88, 3000) for r in rolls)
 
+    def test_variant_rolls_render_each_read_like_the_eager_list(self):
+        e = ConceptExercise(concept_id=2, chords=((60, 64, 67), (62, 65, 69)))
+        rolls = concepts.expand_concept(e, min_chord_notes=2)
+        want = [concepts.render_chord_sequence(seq, 2, 2)
+                for seq in concepts.exercise_variants(e, min_chord_notes=2)]
+        assert len(rolls) == len(want)
+        for got in (list(rolls), [rolls[i] for i in range(len(rolls))],
+                    list(rolls[:5]) + list(rolls[5:])):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert np.array_equal(rolls[-1], want[-1])
+        assert rolls[0] is not rolls[0]     # rendered on each read
+
 
 class TestCav:
     def test_direction_separates_synthetic_clusters(self):
@@ -493,16 +505,6 @@ class TestClustering:
     def test_single_entity_rejected(self):
         with pytest.raises(ValueError):
             concepts.cluster(np.zeros((1, 3)))
-
-
-class TestMostDistinctiveClip:
-    def test_earliest_tie_wins(self):
-        clips = [("c1", 1.0), ("c2", 5.0), ("c3", 5.0)]
-        assert concepts.most_distinctive_clip(clips, lambda v: v) == "c2"
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            concepts.most_distinctive_clip([], lambda v: v)
 
 
 class TestIo:

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -131,6 +132,57 @@ class TestJsonlRoundTrip:
         path.write_text('\n{"onset": 0.0, "offset": 0.2, "pitch": 60, '
                         '"velocity": 64}\n\n')
         assert len(corpus.parse_note_events(path).notes) == 1
+
+
+AWKWARD_TIMES = (0.1 + 0.2, 1e-7, 1e16, 5e-324, -0.0)
+
+
+@st.composite
+def note_rows(draw):
+    onset = draw(st.sampled_from(AWKWARD_TIMES)
+                 | st.floats(min_value=0.0, max_value=1e17))
+    offset = draw(st.floats(min_value=float(np.nextafter(onset, np.inf)),
+                            max_value=2e17))
+    return (onset, offset, draw(st.integers(corpus.PITCH_MIN,
+                                            corpus.PITCH_MAX)),
+            draw(st.integers(corpus.VELOCITY_MIN, corpus.VELOCITY_MAX)))
+
+
+def json_text(rows) -> bytes:
+    """The reference writer: one ``json.dumps`` line per note."""
+    return "".join(json.dumps({"onset": on, "offset": off, "pitch": p,
+                               "velocity": v}) + "\n"
+                   for on, off, p, v in rows).encode()
+
+
+class TestWriteNoteEvents:
+    """The one-string writer writes what ``json.dumps`` writes per note."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(note_rows(), max_size=12))
+    @example([(0.1 + 0.2, 0.5, 60, 64), (1e-7, 2e-7, 21, 1),
+              (1e16, 1e16 + 2, 108, 127), (5e-324, 1e-323, 60, 64),
+              (-0.0, 0.2, 60, 64)])
+    def test_lines_match_json_dumps(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("w") / "r.jsonl"
+        events = [NoteEvent(onset=on, offset=off, pitch=p, velocity=v)
+                  for on, off, p, v in rows]
+        corpus.write_note_events(path, events)
+        assert path.read_bytes() == json_text(rows)
+        notes = NoteArray.from_events(events)
+        corpus.write_note_events(path, notes)
+        assert path.read_bytes() == json_text(
+            zip(*(c.tolist() for c in notes.columns())))
+
+    def test_numpy_scalar_fields_write_plain_numbers(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        event = NoteEvent(onset=np.float64(0.3), offset=np.float64(0.5),
+                          pitch=np.int64(60), velocity=np.int64(64))
+        with pytest.raises(TypeError):   # why the writer converts
+            json.dumps({"pitch": event.pitch})
+        corpus.write_note_events(path, [event])
+        assert path.read_text() == ('{"onset": 0.3, "offset": 0.5, '
+                                    '"pitch": 60, "velocity": 64}\n')
 
 
 V = '{"onset": 0.0, "offset": 0.5, "pitch": 60, "velocity": 64}'

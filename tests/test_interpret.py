@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stylus import classifier, interpret
 from stylus.classifier import LRConfig, LRModel
@@ -80,6 +83,30 @@ def brute_force_importance(model, X, y, draws):
         Xp[:, columns] = X[perm][:, columns]
         losses.append(baseline - accuracy(Xp))
     return float(np.mean(losses)), float(np.std(losses))
+
+
+@st.composite
+def logits_and_labels(draw):
+    n, k = draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    # few distinct values make tied logits, and so tied probabilities
+    values = (st.sampled_from([-1.0, 0.0, 0.5, 3.0])
+              | st.floats(-50.0, 50.0))
+    logits = draw(hnp.arrays(np.float64, (n, k), elements=values))
+    y = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return logits, [f"c{i}" for i in y], tuple(f"c{i}" for i in range(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=logits_and_labels())
+@example(case=(np.zeros((3, 3)), ["c0", "c1", "c2"], ("c0", "c1", "c2")))
+@example(case=(np.array([[2.0, 2.0, 1.0], [1.0, 3.0, 3.0]]), ["c1", "c1"],
+               ("c0", "c1", "c2")))
+def test_importance_accuracy_is_top_1_accuracy(case):
+    logits, y, labels = case
+    want = classifier.top_k_accuracy(classifier._softmax(logits), y,
+                                     labels, k=1)
+    got = interpret._accuracy(logits, classifier.label_index(labels, y))
+    assert got == want
 
 
 class TestImportanceOracle:
@@ -380,9 +407,3 @@ class TestPca:
     def test_needs_two_rows(self):
         with pytest.raises(ValueError):
             interpret.pca_fit(np.zeros((1, 3)))
-
-    def test_scale_to_unit_interval(self):
-        coords = np.array([[0.0, 10.0], [2.0, 20.0], [4.0, 30.0]])
-        out = interpret.scale_to_unit_interval(coords)
-        assert np.allclose(out[:, 0], [-1.0, 0.0, 1.0])
-        assert np.allclose(out[:, 1], [-1.0, 0.0, 1.0])

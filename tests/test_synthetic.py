@@ -1,6 +1,9 @@
+import hashlib
 from collections import Counter
+from types import SimpleNamespace
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stylus import corpus, features, synthetic
 from stylus.synthetic import SyntheticConfig
@@ -8,6 +11,72 @@ from stylus.synthetic import SyntheticConfig
 
 SMALL = SyntheticConfig(n_performers=3, n_recordings=6,
                         events_per_recording=30, seed=0)
+SIGNATURE_1_3 = SyntheticConfig(n_performers=2, n_recordings=4,
+                                events_per_recording=30,
+                                signature_rate=1.3, seed=7)
+
+# SHA-256 of every file write_corpus writes, as the per-note NoteEvent and
+# json.dumps writer wrote them; manifest paths are relative to the output.
+SMALL_SHA256 = {
+    "manifest.csv":
+        "cddaf34706918f549d02d400dc7e6914b44ec068b81ab7c8aa9c0b8b7dc83cfb",
+    "notes/p00r000.jsonl":
+        "2c96bc4d32a7ebfafd1bb8b0238c1d6f774f4a6ed8cbbfbfc5e7acc44b8e69eb",
+    "notes/p00r001.jsonl":
+        "d819c8c8e2ad1b022b0e2f944fad1409d436cb8f8d527a6678e3d64670331ffa",
+    "notes/p00r002.jsonl":
+        "b3eda386617004b5ae8a7eaf76a8c283163e5b1d77a226aeffda17bf7f454733",
+    "notes/p00r003.jsonl":
+        "5d6fe33e0d365a674a8c7463c52536df3eeeea4f18a193d0b1f7c8ec42d3b9a6",
+    "notes/p00r004.jsonl":
+        "edb946c79bdf9a0b4aedbcfe6a6f2a4747753444def5c9772779325efe27df9a",
+    "notes/p00r005.jsonl":
+        "6424c6d7246f863a0ea2c06786f7efc05712b4de9443d4d65a0d337b2159e66e",
+    "notes/p01r000.jsonl":
+        "a2fdd0019500485bc503107c50dafebae70857716bfa6da4c358e8e2dc9571fa",
+    "notes/p01r001.jsonl":
+        "b168fd2266d2b2509225188b23dfc41c40aa8a6324a05522038bc8da24dd9f40",
+    "notes/p01r002.jsonl":
+        "d28e963424dce86d9cc4e0b2933accc6ed1879571d188ca2443db0f125d9e7c0",
+    "notes/p01r003.jsonl":
+        "9fbb3dc836326ff08dac0ba5aa74e81a61fdc4c486a0fc2061ab67b1a11adb29",
+    "notes/p01r004.jsonl":
+        "6eb8a7fa1ebaadb6d08d2c3fbeaab1b15d343e09d0a6826ba340bc357e4cf907",
+    "notes/p01r005.jsonl":
+        "85850883e29afb3e4c41662720534ef8cd07be46d770f2de64f0379c2dd12128",
+    "notes/p02r000.jsonl":
+        "f206d58e63995e5a7845e5b07e939682b6b92168c8f6ebf130a7ee6d03794d6c",
+    "notes/p02r001.jsonl":
+        "583cf98f9ecd3c2a288661ae220fddfafa86db9ccde2abed5a7e4dd64d6ac1b3",
+    "notes/p02r002.jsonl":
+        "5f0b93b49ae2b227b42c0adbe105349b8b89035db377410044cfb1e9f1bbd7cc",
+    "notes/p02r003.jsonl":
+        "122f223a243de272c6966f2c0f94a20c063b2f91060f343cda883321a22b1651",
+    "notes/p02r004.jsonl":
+        "1831f806abdb55d3521df2a90d2ca300a7611930f7b36c8ac0e3fbf126b3e7e2",
+    "notes/p02r005.jsonl":
+        "f399c332ed81f0a8c35f8a4763621f98bf258a40fc181cdf05e13f08f11d9f48",
+}
+SIGNATURE_1_3_SHA256 = {
+    "manifest.csv":
+        "b60562aca0bbf224bd1ee57baf868cfffb52f5adaaa66f9f4f5ce5a7db9af1bd",
+    "notes/p00r000.jsonl":
+        "54f0ac97d49239b47f3fecccd53dc9984a839a10d17b5b9ad8eb994805240d67",
+    "notes/p00r001.jsonl":
+        "9b9717ef8aa54e96f529488d63ae580cc4048e967a97296fae57d9bf3d7b4304",
+    "notes/p00r002.jsonl":
+        "4dee82af6b0cc8067cce7bc1a13bebdbd83d303cbefcdbf5f8fc59ce7073fc93",
+    "notes/p00r003.jsonl":
+        "e7dc08c95982e30b5a601ab64c80a5fc7b38d2c991a3795469230f3897cc6c3b",
+    "notes/p01r000.jsonl":
+        "b048653b8a0c67376130c1e410d59f79e89e6f2d6e2414f8f7d284b3909a5820",
+    "notes/p01r001.jsonl":
+        "387468d0bea70d92fb8bf9e5388761612169de0e6b168439ff8b3148c7756f29",
+    "notes/p01r002.jsonl":
+        "a5cb306b3b0d83132540c2fc0d6e0c44a3869256e6de886c9a24af53613beb69",
+    "notes/p01r003.jsonl":
+        "5aee0d596e2cc8f6a28d62741e284bc3a710cdaa4a2ecbd5b0811698eae8e97a",
+}
 
 
 class TestPools:
@@ -108,3 +177,38 @@ class TestWriteCorpus:
         e2 = corpus.read_manifest(p2)
         for a, b in zip(e1, e2):
             assert open(a.path).read() == open(b.path).read()
+
+    def test_files_pinned_per_seed(self, tmp_path):
+        for config, want in ((SMALL, SMALL_SHA256),
+                             (SIGNATURE_1_3, SIGNATURE_1_3_SHA256)):
+            out = tmp_path / str(config.seed)
+            manifest = synthetic.write_corpus(out, config)
+            got = {}
+            for path in sorted(out.rglob("*.*")):
+                data = path.read_bytes()
+                if path == manifest:
+                    data = data.replace(f"{out}/".encode(), b"")
+                got[path.relative_to(out).as_posix()] = \
+                    hashlib.sha256(data).hexdigest()
+            assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.sampled_from([0.0, 1.0, 1.3, 3.0])
+                        | st.floats(0.0, 10.0), min_size=1, max_size=30),
+       u=st.floats(0.0, 1.0, exclude_max=True))
+@example(weights=[0.1] * 10, u=1 - 2 ** -53)
+@example(weights=[0.0, 0.0], u=0.0)
+def test_weighted_choice_matches_linear_scan(weights, u):
+    def reference():
+        r = u * sum(weights)
+        acc = 0.0
+        for i, w in enumerate(weights):
+            acc += w
+            if r < acc:
+                return i
+        return len(weights) - 1
+
+    items = list(range(len(weights)))
+    rng = SimpleNamespace(random=lambda: u)
+    assert synthetic._weighted_choice(rng, items, weights) == reference()
