@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .corpus import (CLIP_SECONDS, PITCH_MAX, PITCH_MIN, VELOCITY_MAX,
-                     VELOCITY_MIN, Clip, Transcription)
+                     VELOCITY_MIN, Clip, NoteArray, Transcription)
 from .rng import derive_rng
 
 log = logging.getLogger("stylus")
@@ -46,25 +46,14 @@ class AugmentResult:
 def pitch_shift(c: Clip, rng, max_shift: int = MAX_PITCH_SHIFT) -> Clip:
     """Shift every pitch by one uniform integer draw, bounded so the whole
     clip stays on the keyboard. Intervals are preserved."""
-    p_min = min(n.pitch for n in c.notes)
-    p_max = max(n.pitch for n in c.notes)
-    bound = min(max_shift, p_min - PITCH_MIN, PITCH_MAX - p_max)
+    n = c.notes
+    bound = min(max_shift, int(n.pitch.min()) - PITCH_MIN,
+                PITCH_MAX - int(n.pitch.max()))
     s = int(rng.integers(-bound, bound + 1)) if bound > 0 else 0
     if s == 0:
         return c
-    return replace(c, notes=tuple(replace(n, pitch=n.pitch + s)
-                                  for n in c.notes))
-
-
-def _dilate_notes(notes, t: float):
-    out = []
-    for n in notes:
-        onset = n.onset * t
-        offset = n.offset * t
-        if onset >= CLIP_SECONDS or (t > 1 and offset > CLIP_SECONDS):
-            continue
-        out.append(replace(n, onset=onset, offset=offset))
-    return out
+    return replace(c, notes=NoteArray(n.onset, n.offset, n.pitch + s,
+                                      n.velocity))
 
 
 def time_dilate(c: Clip, rng, parent: Transcription | None = None,
@@ -76,7 +65,10 @@ def time_dilate(c: Clip, rng, parent: Transcription | None = None,
     inside the window are pulled in. Returns (clip, t, refill_missing).
     """
     t = float(rng.uniform(*dilation_range))
-    notes = _dilate_notes(c.notes, t)
+    n = c.notes
+    onset, offset = n.onset * t, n.offset * t
+    kept = (onset < CLIP_SECONDS) & ((t <= 1) | (offset <= CLIP_SECONDS))
+    parts = [(onset[kept], offset[kept], n.pitch[kept], n.velocity[kept])]
     refill_missing = False
     if t < 1:
         if parent is None:
@@ -86,20 +78,21 @@ def time_dilate(c: Clip, rng, parent: Transcription | None = None,
             rel = parent.notes.onset - c.start
             pulled = parent.notes[(rel >= CLIP_SECONDS)
                                   & (rel * t < CLIP_SECONDS)]
-            for n in pulled:
-                notes.append(replace(n, onset=(n.onset - c.start) * t,
-                                     offset=(n.offset - c.start) * t))
-    return replace(c, notes=tuple(notes)), t, refill_missing
+            parts.append(((pulled.onset - c.start) * t,
+                          (pulled.offset - c.start) * t,
+                          pulled.pitch, pulled.velocity))
+    notes = NoteArray(*map(np.concatenate, zip(*parts)))
+    return replace(c, notes=notes), t, refill_missing
 
 
 def velocity_jitter(c: Clip, rng, delta: int = VELOCITY_DELTA) -> Clip:
     """Perturb every velocity independently by U(-delta, delta), clamped to
     the valid MIDI range [1, 127]."""
-    draws = rng.integers(-delta, delta + 1, size=len(c.notes))
-    notes = tuple(replace(n, velocity=int(np.clip(n.velocity + d,
-                                                  VELOCITY_MIN, VELOCITY_MAX)))
-                  for n, d in zip(c.notes, draws))
-    return replace(c, notes=notes)
+    n = c.notes
+    draws = rng.integers(-delta, delta + 1, size=len(n))
+    return replace(c, notes=NoteArray(
+        n.onset, n.offset, n.pitch,
+        np.clip(n.velocity + draws, VELOCITY_MIN, VELOCITY_MAX)))
 
 
 def augment(c: Clip, config: AugmentConfig = AugmentConfig(),
@@ -117,7 +110,7 @@ def augment(c: Clip, config: AugmentConfig = AugmentConfig(),
     if rng.random() >= config.apply_probability:
         return AugmentResult(clip=c, applied=False)
     out = pitch_shift(c, rng, config.max_shift)
-    shift = (out.notes[0].pitch - c.notes[0].pitch) if c.notes else 0
+    shift = int(out.notes.pitch[0] - c.notes.pitch[0])
     out, t, refill_missing = time_dilate(out, rng, parent,
                                          config.dilation_range)
     out = velocity_jitter(out, rng, config.velocity_delta)

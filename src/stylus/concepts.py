@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import classifier
-from .corpus import (CLIP_SECONDS, PITCH_MAX, PITCH_MIN, ROLL_HEIGHT,
-                     ROLL_WIDTH, Clip, NoteEvent, paint_roll, time_to_column)
+from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
+                     NoteArray, paint_roll, time_to_column)
 from .representations import MIN_CHORD_NOTES, harmony_roll
 from .rng import derive_rng
 
@@ -113,15 +113,13 @@ def exercise_variants(e: ConceptExercise,
 
 def render_chord_sequence(seq, concept_id: int = 0,
                           min_chord_notes: int = MIN_CHORD_NOTES) -> np.ndarray:
-    """Render a chord sequence through the harmony-roll conventions."""
-    notes = []
-    for i, pitches in enumerate(seq):
-        onset = i * 0.5
-        for p in pitches:
-            notes.append(NoteEvent(onset=onset, offset=onset + 0.4,
-                                   pitch=p, velocity=64))
+    """Render a chord sequence through the harmony-roll conventions: chord
+    i sounds from i * 0.5 s for 0.4 s at velocity 64."""
+    onset = np.repeat(np.arange(len(seq)) * 0.5, [len(ch) for ch in seq])
+    notes = NoteArray(onset, onset + 0.4, [p for ch in seq for p in ch],
+                      np.full(onset.size, 64))
     clip = Clip(parent_id=f"concept-{concept_id}", performer="",
-                start=0.0, notes=tuple(notes))
+                start=0.0, notes=notes)
     return harmony_roll(clip, min_notes=min_chord_notes)
 
 
@@ -336,14 +334,13 @@ def _interp_grid(values: np.ndarray, row_centres, col_centres) -> np.ndarray:
 
 def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
                        kernel: tuple = MASK_KERNEL,
-                       stride: tuple = MASK_STRIDE,
-                       mask_by_pitch: bool = True) -> np.ndarray:
-    """Relative concept-score change when notes under a sliding kernel are
-    removed, interpolated back to an 88x3000 heatmap.
+                       stride: tuple = MASK_STRIDE) -> np.ndarray:
+    """Relative concept-score change when the notes whose onset cell lies
+    under a sliding kernel are removed, interpolated back to an 88x3000
+    heatmap.
 
-    ``mask_by_pitch=False`` removes notes by onset time alone, ignoring the
-    kernel's pitch span. Kernel positions that remove the same notes share
-    one score, so each distinct masked roll is painted and embedded once.
+    Kernel positions that remove the same notes share one score, so each
+    distinct masked roll is painted and embedded once.
     """
     kh, kw = kernel
     if not (1 <= kh <= ROLL_HEIGHT and 1 <= kw <= ROLL_WIDTH):
@@ -351,27 +348,26 @@ def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
     if min(stride) < 1:
         raise ValueError(f"stride {stride} has a step below 1")
     notes = clip.notes
-    if not notes:
+    if not len(notes):
         raise ValueError("clip has no notes")
-    max_velocity = max(n.velocity for n in notes)
+    max_velocity = notes.velocity.max()
     s0 = concept_score(paint_roll(notes, max_velocity), embedder, cav)
     if s0 == 0:
         raise ValueError("original concept score is zero; use the "
                          "unnormalised difference instead")
     row_starts = np.arange(0, ROLL_HEIGHT - kh + 1, stride[0])
     col_starts = np.arange(0, ROLL_WIDTH - kw + 1, stride[1])
-    cols = np.array([time_to_column(n.onset) for n in notes])
-    rows = np.array([n.pitch - PITCH_MIN for n in notes])
+    cols = time_to_column(notes.onset)
+    rows = notes.pitch - PITCH_MIN
     in_time = (col_starts[:, None] <= cols) & (cols < col_starts[:, None] + kw)
-    in_pitch = ((row_starts[:, None] <= rows)
-                & (rows < row_starts[:, None] + kh)) | (not mask_by_pitch)
+    in_pitch = (row_starts[:, None] <= rows) & (rows < row_starts[:, None] + kh)
     removed = (in_pitch[:, None] & in_time).reshape(-1, len(notes))
     sets, inverse = np.unique(removed, axis=0, return_inverse=True)
     scores = np.zeros(len(sets))    # removing no note changes nothing: 0
     for k, drop in enumerate(sets):
         if drop.any():
-            kept = [n for n, d in zip(notes, drop) if not d]
-            s1 = concept_score(paint_roll(kept, max_velocity), embedder, cav)
+            s1 = concept_score(paint_roll(notes[~drop], max_velocity),
+                               embedder, cav)
             scores[k] = (s0 - s1) / s0
     return _interp_grid(scores[inverse].reshape(len(row_starts), -1),
                         row_starts + (kh - 1) / 2, col_starts + (kw - 1) / 2)

@@ -39,7 +39,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class NoteEvent:
-    """One note: the row view of a NoteArray, and the unit clips hold."""
+    """One note: the row view of a NoteArray."""
     onset: float
     pitch: int
     offset: float
@@ -61,10 +61,6 @@ class NoteEvent:
             raise ValidationError(
                 f"velocity {self.velocity} outside "
                 f"[{VELOCITY_MIN}, {VELOCITY_MAX}]")
-
-
-def _sort_notes(notes):
-    return tuple(sorted(notes, key=lambda n: (n.onset, n.pitch)))
 
 
 def _valid_rows(onset, offset, pitch, velocity) -> np.ndarray:
@@ -111,6 +107,9 @@ class NoteArray:
 
     @classmethod
     def from_events(cls, events) -> NoteArray:
+        """The notes of a NoteEvent sequence; a NoteArray is returned as is."""
+        if isinstance(events, NoteArray):
+            return events
         events = list(events)
         return cls([n.onset for n in events], [n.offset for n in events],
                    [n.pitch for n in events], [n.velocity for n in events])
@@ -157,9 +156,7 @@ class Transcription:
     def __post_init__(self):
         if self.dataset_tag not in DATASET_TAGS:
             raise ValidationError(f"unknown dataset_tag {self.dataset_tag!r}")
-        if not isinstance(self.notes, NoteArray):
-            object.__setattr__(self, "notes",
-                               NoteArray.from_events(self.notes))
+        object.__setattr__(self, "notes", NoteArray.from_events(self.notes))
         if not len(self.notes):
             raise ValidationError(f"{self.recording_id}: no notes")
 
@@ -170,19 +167,21 @@ class Transcription:
 
 @dataclass(frozen=True)
 class Clip:
+    """A 30 s window of a recording, its note times re-based to ``start``;
+    built from a NoteArray or a NoteEvent sequence. Every onset lies in
+    [0, 30); an offset may run past the window."""
     parent_id: str
     performer: str
     start: float
-    notes: tuple = ()
-    duration: float = CLIP_SECONDS
+    notes: NoteArray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "notes", _sort_notes(self.notes))
-        for n in self.notes:
-            if not 0 <= n.onset < CLIP_SECONDS:
-                raise ValidationError(
-                    f"{self.parent_id}: clip note onset {n.onset} "
-                    f"outside [0, {CLIP_SECONDS})")
+        object.__setattr__(self, "notes", NoteArray.from_events(self.notes))
+        outside = np.flatnonzero(self.notes.onset >= CLIP_SECONDS)
+        if outside.size:
+            raise ValidationError(
+                f"{self.parent_id}: clip note onset "
+                f"{self.notes.onset[outside[0]]} outside [0, {CLIP_SECONDS})")
 
 
 @dataclass(frozen=True)
@@ -383,41 +382,55 @@ def segment_clips(t: Transcription, hop: float = CLIP_SECONDS) -> list[Clip]:
                              [(s, s + CLIP_SECONDS) for s in starts])
     clips = []
     for start, (lo, hi) in zip(starts, bounds.tolist()):
-        members = _events(notes.onset[lo:hi] - start,
-                          notes.offset[lo:hi] - start,
-                          notes.pitch[lo:hi], notes.velocity[lo:hi])
+        part = notes[lo:hi]
         clips.append(Clip(parent_id=t.recording_id, performer=t.performer,
-                          start=start, notes=tuple(members)))
+                          start=start,
+                          notes=NoteArray(part.onset - start,
+                                          part.offset - start, part.pitch,
+                                          part.velocity)))
     return clips
 
 
-def time_to_column(seconds: float) -> int:
+def time_to_column(seconds):
+    """Roll column of a time, or of each time in an array, in seconds."""
     # round to integer milliseconds first so values such as 29.9 land on
     # the intended column despite binary float representation
-    return int(round(seconds * 1000)) // FRAME_MS
+    return np.rint(np.multiply(seconds, 1000)).astype(np.int64) // FRAME_MS
+
+
+def note_columns(notes: NoteArray) -> tuple[np.ndarray, np.ndarray]:
+    """First and past-the-end roll column of each note: the onset's column
+    to the column of the offset cut at the clip end, at least one column,
+    within the roll."""
+    c0 = time_to_column(notes.onset)
+    c1 = np.maximum(time_to_column(np.minimum(notes.offset, CLIP_SECONDS)),
+                    c0 + 1)
+    return np.minimum(c0, ROLL_WIDTH - 1), np.minimum(c1, ROLL_WIDTH)
 
 
 def paint_roll(notes, max_velocity: int | None = None) -> np.ndarray:
-    """Paint notes into an 88x3000 roll with velocity / max-velocity values.
+    """Paint a NoteArray (or NoteEvent sequence) into an 88x3000 roll with
+    velocity / max-velocity values; where notes overlap, the largest value
+    wins.
 
     ``max_velocity`` overrides the normalisation ceiling; by default the
     largest velocity among the painted notes is used.
     """
     roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
-    notes = [n for n in notes if n.onset < CLIP_SECONDS]
-    if not notes:
+    notes = NoteArray.from_events(notes)
+    notes = notes[notes.onset < CLIP_SECONDS]
+    if not len(notes):
         return roll
     if max_velocity is None:
-        max_velocity = max(n.velocity for n in notes)
-    for n in notes:
-        row = n.pitch - PITCH_MIN
-        c0 = time_to_column(n.onset)
-        c1 = time_to_column(min(n.offset, CLIP_SECONDS))
-        c1 = max(c1, c0 + 1)  # a valid note always paints >= 1 column
-        c0 = min(c0, ROLL_WIDTH - 1)
-        c1 = min(c1, ROLL_WIDTH)
-        value = n.velocity / max_velocity
-        roll[row, c0:c1] = np.maximum(roll[row, c0:c1], value)
+        max_velocity = notes.velocity.max()
+    c0, c1 = note_columns(notes)
+    width = c1 - c0
+    first = (notes.pitch - PITCH_MIN) * ROLL_WIDTH + c0
+    # flat index of every painted cell: each note's first cell plus 0..width
+    cells = (np.repeat(first - np.cumsum(width) + width, width)
+             + np.arange(width.sum()))
+    np.maximum.at(roll.reshape(-1), cells, np.repeat(
+        (notes.velocity / max_velocity).astype(np.float32), width))
     return roll
 
 

@@ -61,27 +61,18 @@ class Frames:
         return self.index[self.starts] * self.grid
 
 
-def _frame_index(onset: float, grid: float) -> int:
-    """The frame rule of ``quantise`` for one onset (the clip path uses it)."""
-    # integer milliseconds avoid float artefacts; ties round away from zero
-    ms = int(round(onset * 1000))
-    grid_ms = int(round(grid * 1000))
-    return (ms + grid_ms // 2) // grid_ms
-
-
 def quantise(t, grid: float = GRID_SECONDS) -> Frames:
-    """Group the notes of ``t`` (a Transcription or Clip) into frames by
+    """Group the notes of ``t`` (a Transcription or a Clip) into frames by
     snapping onsets to the nearest grid point, in integer milliseconds:
-    frame = (rint(onset * 1000) + g // 2) // g with g the grid in ms."""
+    frame = (rint(onset * 1000) + g // 2) // g with g the grid in ms. Both
+    the feature and the clip path group notes here."""
     if grid <= 0:
         raise ValueError("grid must be positive")
     grid_ms = int(round(grid * 1000))
     if grid_ms == 0:
         raise ValueError("grid must be at least 1 ms")
-    notes = (t.notes if isinstance(t.notes, NoteArray)
-             else NoteArray.from_events(t.notes))
-    ms = np.rint(notes.onset * 1000).astype(np.int64)
-    return Frames(notes=notes, index=(ms + grid_ms // 2) // grid_ms,
+    ms = np.rint(t.notes.onset * 1000).astype(np.int64)
+    return Frames(notes=t.notes, index=(ms + grid_ms // 2) // grid_ms,
                   grid=grid)
 
 
@@ -128,17 +119,24 @@ def extract_ngrams(melody: NoteArray, n_values=NGRAM_SIZES) -> Counter:
     return counts
 
 
+def frame_pitches(frames: Frames):
+    """The distinct pitches of each frame, ascending, frame after frame, as
+    (pitch, starts, sizes): frame k's pitches are
+    ``pitch[starts[k]:starts[k] + sizes[k]]``."""
+    # distinct (frame, pitch) pairs, by frame then pitch
+    pairs = np.unique(frames.index * (PITCH_MAX + 1) + frames.notes.pitch)
+    frame, pitch = np.divmod(pairs, PITCH_MAX + 1)
+    starts = _run_starts(frame)
+    return pitch, starts, np.diff(starts, append=frame.size)
+
+
 def extract_voicings(frames: Frames, n_values=VOICING_SIZES) -> Counter:
     """Count chord voicings as semitone offsets above the lowest note.
 
     Frame size counts distinct pitches; frames with two or more adjacent
     gaps above 15 semitones are discarded as transcription errors.
     """
-    # distinct (frame, pitch) pairs, by frame then pitch
-    pairs = np.unique(frames.index * (PITCH_MAX + 1) + frames.notes.pitch)
-    frame, pitch = np.divmod(pairs, PITCH_MAX + 1)
-    starts = _run_starts(frame)
-    sizes = np.diff(starts, append=frame.size)
+    pitch, starts, sizes = frame_pitches(frames)
     counts: Counter = Counter()
     for n in set(n_values):
         chords = pitch[starts[sizes == n, None] + np.arange(n)]

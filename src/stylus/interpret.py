@@ -49,6 +49,8 @@ def permutation_importance(model: LRModel, X_test, y_test, columns,
     Each iteration applies one shared row permutation to every selected
     column, preserving within-group covariance.
     """
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
     X = np.asarray(X_test, dtype=float)
     logits = decision_function(model, X)
     columns = np.asarray(columns, dtype=int)
@@ -72,6 +74,8 @@ def subset_importance(model: LRModel, X_test, y_test, columns, k: int,
                       n_iter: int = 1000, seed: int = 0,
                       group: str = "") -> ImportanceReport:
     """Mean accuracy loss over random K-column subsets of a feature group."""
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
     columns = np.asarray(columns, dtype=int)
     if k > columns.size:
         raise ValueError(f"K={k} exceeds the {columns.size} features "
@@ -152,6 +156,8 @@ def dataset_weight_correlation(X, y, tags, columns, config: LRConfig,
     performer's count of rows per tag, so each null refit sees the same
     classes as the observed fits.
     """
+    if n_perm < 1:
+        raise ValueError(f"n_perm must be >= 1, got {n_perm}")
     X = np.asarray(X, dtype=float)
     y = list(y)
     tags = list(tags)

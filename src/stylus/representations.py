@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (CLIP_SECONDS, PITCH_MAX, PITCH_MIN, ROLL_HEIGHT,
-                     ROLL_WIDTH, Clip, time_to_column)
-from .features import GRID_SECONDS, _frame_index, quantise, skyline
+from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
+                     note_columns)
+from .features import frame_pitches, quantise, skyline
 from .rng import derive_rng
 
 MIN_CHORD_NOTES = 3
@@ -40,14 +40,6 @@ def equal_spans(total: int, parts: int) -> list[tuple[int, int]]:
     return spans
 
 
-def _clip_frames(c: Clip, grid: float = GRID_SECONDS):
-    """Onset bins of a clip: list of (frame index, notes)."""
-    frames: dict[int, list] = {}
-    for n in c.notes:
-        frames.setdefault(_frame_index(n.onset, grid), []).append(n)
-    return sorted(frames.items())
-
-
 def melody_roll(c: Clip) -> np.ndarray:
     """Skyline notes laid left-to-right with equal spacing, binary values."""
     roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
@@ -64,16 +56,14 @@ def harmony_roll(c: Clip, min_notes: int = MIN_CHORD_NOTES) -> np.ndarray:
     """Chords (onset bins with >= min_notes distinct pitches), equal spacing,
     binary values. No upper bound on chord size."""
     roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
-    chords = []
-    for _, notes in _clip_frames(c):
-        pitches = sorted({n.pitch for n in notes})
-        if len(pitches) >= min_notes:
-            chords.append(pitches)
-    if not chords:
+    pitch, starts, sizes = frame_pitches(quantise(c))
+    chords = sizes >= min_notes
+    if not chords.any():
         return roll
-    for (c0, c1), pitches in zip(equal_spans(ROLL_WIDTH, len(chords)), chords):
-        for p in pitches:
-            roll[p - PITCH_MIN, c0:c1] = 1.0
+    for (c0, c1), start, size in zip(
+            equal_spans(ROLL_WIDTH, int(chords.sum())),
+            starts[chords].tolist(), sizes[chords].tolist()):
+        roll[pitch[start:start + size] - PITCH_MIN, c0:c1] = 1.0
     return roll
 
 
@@ -96,11 +86,7 @@ def rhythm_roll(c: Clip, seed: int = 0) -> np.ndarray:
     roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
     rng = derive_rng(seed, "rhythm", c.parent_id, repr(c.start))
     occupancy = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=bool)
-    for n in c.notes:
-        c0 = time_to_column(n.onset)
-        c1 = max(time_to_column(min(n.offset, CLIP_SECONDS)), c0 + 1)
-        c0 = min(c0, ROLL_WIDTH - 1)
-        c1 = min(c1, ROLL_WIDTH)
+    for c0, c1 in zip(*(col.tolist() for col in note_columns(c.notes))):
         row = _random_free_row(rng, c0, c1, occupancy)
         occupancy[row, c0:c1] = True
         roll[row, c0:c1] = 1.0
@@ -111,16 +97,20 @@ def dynamics_roll(c: Clip, seed: int = 0) -> np.ndarray:
     """Onset bins (no minimum size) with equal spacing, random pitches and
     velocity / 127 values."""
     roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
-    bins = _clip_frames(c)
-    if not bins:
+    if not len(c.notes):
         return roll
+    frames = quantise(c)
+    starts = frames.starts
+    # each note takes its frame's span; a frame's notes keep their order
+    spans = np.repeat(equal_spans(ROLL_WIDTH, starts.size),
+                      np.diff(starts, append=len(frames.notes)), axis=0)
     rng = derive_rng(seed, "dynamics", c.parent_id, repr(c.start))
     occupancy = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=bool)
-    for (c0, c1), (_, notes) in zip(equal_spans(ROLL_WIDTH, len(bins)), bins):
-        for n in notes:
-            row = _random_free_row(rng, c0, c1, occupancy)
-            occupancy[row, c0:c1] = True
-            roll[row, c0:c1] = n.velocity / VELOCITY_CEILING
+    for (c0, c1), velocity in zip(spans.tolist(),
+                                  frames.notes.velocity.tolist()):
+        row = _random_free_row(rng, c0, c1, occupancy)
+        occupancy[row, c0:c1] = True
+        roll[row, c0:c1] = velocity / VELOCITY_CEILING
     return roll
 
 

@@ -411,6 +411,21 @@ class TestStaleArtifacts:
         assert code == EXIT_VALIDATION
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("importance", '{"n_importance": 0}', "n_iter must be >= 1, got 0"),
+        ("correlate", '{"n_permutations": 0}', "n_perm must be >= 1, got 0"),
+    ])
+    def test_count_below_one_exits_1(self, workspace, tmp_path, capsys,
+                                     command, text, message):
+        _, manifest, out = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = cli.main([command, "--manifest", manifest, "--out", str(out),
+                         "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("overrides, ok", [
         ({"C": 2, "grid": 0.05, "penalty": "none"}, True),
         ({"n_values": [3, 4]}, True),

@@ -256,15 +256,6 @@ class TestMaskedSensitivity:
         assert heat[10, 200] == 0.0
         assert heat.min() >= 0.0
 
-    def test_time_only_masking_ignores_pitch_rows(self):
-        cav = concepts.ConceptVector(y=np.ones(1))
-        by_pitch = concepts.masked_sensitivity(self._clip(), sum_embedder(),
-                                               cav, mask_by_pitch=True)
-        by_time = concepts.masked_sensitivity(self._clip(), sum_embedder(),
-                                              cav, mask_by_pitch=False)
-        assert by_pitch[0, 1000] == 0.0
-        assert by_time[0, 1000] == pytest.approx(1.0)
-
     def test_zero_score_rejected(self):
         cav = concepts.ConceptVector(y=np.zeros(1))
         with pytest.raises(ValueError):
@@ -303,7 +294,7 @@ def reference_interp_grid(values, row_centres, col_centres, height, width):
     return out
 
 
-def reference_sensitivity(clip, embedder, cav, kernel, stride, mask_by_pitch):
+def reference_sensitivity(clip, embedder, cav, kernel, stride):
     """Repaint and re-embed at every kernel position that removes a note.
 
     Returns the heat map and the number of distinct non-empty removed note
@@ -323,7 +314,7 @@ def reference_sensitivity(clip, embedder, cav, kernel, stride, mask_by_pitch):
             for i, n in enumerate(notes):
                 in_time = c0 <= time_to_column(n.onset) < c0 + kw
                 in_pitch = r0 <= n.pitch - PITCH_MIN < r0 + kh
-                if in_time and (in_pitch or not mask_by_pitch):
+                if in_time and in_pitch:
                     removed.append(i)
                 else:
                     keep.append(n)
@@ -386,17 +377,14 @@ class TestSensitivityOracle:
     @given(clip=sensitivity_clips(),
            kernel=st.sampled_from([(24, 250), (88, 250), (24, 3000),
                                    (88, 3000), (7, 600)]),
-           stride=st.sampled_from([(2, 200), (5, 450)]),
-           mask_by_pitch=st.booleans())
-    def test_equals_per_position_loop(self, clip, kernel, stride,
-                                      mask_by_pitch):
+           stride=st.sampled_from([(2, 200), (5, 450)]))
+    def test_equals_per_position_loop(self, clip, kernel, stride):
         ref_calls, calls = [], []
         want, n_sets = reference_sensitivity(
-            clip, squared_pool_embedder(ref_calls), self.CAV, kernel, stride,
-            mask_by_pitch)
+            clip, squared_pool_embedder(ref_calls), self.CAV, kernel, stride)
         got = concepts.masked_sensitivity(
             clip, squared_pool_embedder(calls), self.CAV, kernel=kernel,
-            stride=stride, mask_by_pitch=mask_by_pitch)
+            stride=stride)
         assert np.array_equal(got, want)
         assert len(calls) == 1 + n_sets
 

@@ -66,6 +66,17 @@ class TestPermutationImportance:
         r = interpret.permutation_importance(model, X, y, [], 10, 0)
         assert r.mean_accuracy_loss == 0.0 and r.sd == 0.0
 
+    @pytest.mark.parametrize("n_iter", [0, -3])
+    def test_no_iterations_rejected(self, n_iter):
+        model = identity_model(3)
+        X, y = np.eye(3)[:2], ["a", "b"]
+        for call in (lambda: interpret.permutation_importance(
+                         model, X, y, [0], n_iter),
+                     lambda: interpret.subset_importance(
+                         model, X, y, [0, 1], 1, n_iter)):
+            with pytest.raises(ValueError, match=f"got {n_iter}"):
+                call()
+
 
 def brute_force_importance(model, X, y, draws):
     """Reference: copy X, shuffle the rows of the drawn columns, predict.
@@ -311,6 +322,12 @@ class TestDatasetCorrelation:
             interpret.dataset_weight_correlation(
                 np.zeros((4, 2)), ["a", "a", "b", "b"], ["solo"] * 4,
                 [0, 1], LRConfig())
+
+    def test_no_permutations_rejected(self):
+        X, y, tags = self._data(np.random.default_rng(7))
+        with pytest.raises(ValueError, match="n_perm must be >= 1, got 0"):
+            interpret.dataset_weight_correlation(X, y, tags, [0, 1],
+                                                 LRConfig(), n_perm=0)
 
 
 class TestBootstrap:
