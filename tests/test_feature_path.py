@@ -1,0 +1,51 @@
+"""The feature path, pinned end to end.
+
+Pins the SHA-256 of what ``ingest``, ``split``, ``extract`` and ``train``
+write for a small fixed-seed synthetic corpus, so a change to parsing,
+extraction, the feature dump or the solver that moves a byte shows here.
+"""
+
+import hashlib
+
+import pytest
+
+from stylus import cli, synthetic
+from stylus.cli import EXIT_OK
+
+CORPUS = synthetic.SyntheticConfig(n_performers=4, n_recordings=6,
+                                   events_per_recording=20, seed=5)
+
+# min_df 3 keeps a vocabulary of 148 features on this corpus
+OUTPUT_SHA256 = {
+    "ingest.csv":
+        "88737c506a4042cb6d176ebbf5056201d805510c23d695003e3dcfc48c427d86",
+    "splits.csv":
+        "f8919c1cd57dadaf18e4309886d9b785b40e67dc8e3195e848b8d8fc2019bb68",
+    "features.csv":
+        "864292f81a7b3ceb0764c6b417a488d1840aca2573f1c65571a7bf03f9240b52",
+    "vocabulary.csv":
+        "9f0ed55fe663e07ebba8dd43c3e7ef2403ae09205cd91eaf5cb17b6b331d72b8",
+    "model.json":
+        "a3dd722c38149c0af8fb659f0f40bd4c869a7504c05d08ed8de7893ab7465a0f",
+}
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """An ingest, split, extract and train run over the pinned corpus."""
+    root = tmp_path_factory.mktemp("feature_path")
+    manifest = synthetic.write_corpus(root / "corpus", CORPUS)
+    cfg = root / "cfg.json"
+    cfg.write_text('{"min_df": 3}')
+    out = root / "run"
+    for command in ("ingest", "split", "extract", "train"):
+        assert cli.main([command, "--manifest", str(manifest),
+                         "--out", str(out), "--seed", "0",
+                         "--config", str(cfg)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
+def test_output_pinned(run_dir, name):
+    data = (run_dir / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]
