@@ -114,7 +114,25 @@ def _load_config(args) -> RunConfig:
                     f"got {type(value).__name__}")
         config = replace(config, **{k: tuple(v) if isinstance(v, list) else v
                                     for k, v in overrides.items()})
+        _check_ranges(config)
     return config
+
+
+def _check_ranges(config: RunConfig) -> None:
+    """Refuse feature settings of the right type that would make extract
+    keep every feature, none, or count an n-gram size twice."""
+    sizes = config.n_values
+    if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+        raise corpus.ValidationError(
+            f"config key 'n_values' must be a non-empty list of distinct "
+            f"sizes >= 1, got {list(sizes)}")
+    if config.min_df < 1:
+        raise corpus.ValidationError(
+            f"config key 'min_df' must be >= 1, got {config.min_df}")
+    if config.max_df < config.min_df:
+        raise corpus.ValidationError(
+            f"config key 'max_df' must be >= min_df ({config.min_df}), "
+            f"got {config.max_df}")
 
 
 def _lr_config(config: RunConfig) -> classifier.LRConfig:
@@ -123,8 +141,15 @@ def _lr_config(config: RunConfig) -> classifier.LRConfig:
 
 
 def _load_transcriptions(manifest):
-    return [corpus.parse_note_events(e.path, e.recording_id, e.performer,
-                                     e.dataset_tag) for e in manifest]
+    """The manifest's recordings, parsed one at a time in manifest order.
+
+    A generator, so a pass that drops each Transcription before taking the
+    next holds one parsed recording at a time, and an invalid recording
+    raises only when the pass reaches it: a subcommand writes its index
+    file after the loop, so an invalid recording leaves none behind.
+    """
+    return (corpus.parse_note_events(e.path, e.recording_id, e.performer,
+                                     e.dataset_tag) for e in manifest)
 
 
 def _require(path: Path, what: str):
@@ -174,16 +199,15 @@ def cmd_gen_synthetic(args, config):
 
 def cmd_ingest(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest)
+    rows = [[t.recording_id, t.performer, t.dataset_tag, len(t.notes),
+             repr(t.duration)] for t in _load_transcriptions(manifest)]
     out = Path(args.out)
     with open(out / "ingest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["recording_id", "performer", "dataset_tag",
                          "n_notes", "duration"])
-        for t in transcriptions:
-            writer.writerow([t.recording_id, t.performer, t.dataset_tag,
-                             len(t.notes), repr(t.duration)])
-    print(f"ingested {len(transcriptions)} recordings")
+        writer.writerows(rows)
+    print(f"ingested {len(rows)} recordings")
 
 
 def cmd_split(args, config):
@@ -197,10 +221,13 @@ def cmd_split(args, config):
 
 def cmd_extract(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest)
-    counts = [features.extract_recording(t, config.grid, config.n_values)
-              for t in transcriptions]
-    rids = [t.recording_id for t in transcriptions]
+    keys: dict = {}     # one shared key object per distinct feature
+    rids, counts = [], []
+    for t in _load_transcriptions(manifest):
+        rids.append(t.recording_id)
+        counts.append({keys.setdefault(k, k): c for k, c in
+                       features.extract_recording(t, config.grid,
+                                                  config.n_values).items()})
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
     out = Path(args.out)
     features.write_feature_counts(out / "features.csv", rids, counts)
@@ -367,12 +394,11 @@ def cmd_pca(args, config):
 
 def cmd_rolls(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest)
     out = Path(args.out)
     roll_dir = out / "rolls"
     roll_dir.mkdir(parents=True, exist_ok=True)
     index = {}
-    for t in transcriptions:
+    for t in _load_transcriptions(manifest):
         for clip in corpus.segment_clips(t, config.hop):
             key = f"{clip.parent_id}_{int(clip.start)}"
             paths = {"unified": str(roll_dir / f"{key}.roll")}
@@ -391,13 +417,12 @@ def cmd_rolls(args, config):
 
 def cmd_augment(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    transcriptions = _load_transcriptions(manifest)
     out = Path(args.out)
     preview_dir = out / "augment_preview"
     preview_dir.mkdir(parents=True, exist_ok=True)
     aconfig = augment_mod.AugmentConfig(seed=args.seed)
     audit = []
-    for t in transcriptions:
+    for t in _load_transcriptions(manifest):
         for clip in corpus.segment_clips(t, config.hop):
             key = f"{clip.parent_id}_{int(clip.start)}"
             result = augment_mod.augment(clip, aconfig, parent=t)

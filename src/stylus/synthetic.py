@@ -80,10 +80,16 @@ def build_pools(config: SyntheticConfig):
     return base_ngrams, base_voicings, signatures
 
 
-def _weighted_choice(rng, items, weights):
-    total = sum(weights)
+def _weighted_table(items, weights):
+    """``items`` with the running sums and the total of their weights, as
+    ``_weighted_choice`` takes them; built once per recording."""
+    return items, list(itertools.accumulate(weights)), sum(weights)
+
+
+def _weighted_choice(rng, table):
+    items, cumulative, total = table
     r = rng.random() * total
-    i = bisect.bisect_right(list(itertools.accumulate(weights)), r)
+    i = bisect.bisect_right(cumulative, r)
     return items[i] if i < len(items) else items[-1]
 
 
@@ -109,25 +115,27 @@ def generate_recording(performer: int, index: int, pools,
     base_ngrams, base_voicings, signatures = pools
     sig_ngrams, sig_voicings = signatures[performer]
     rng = derive_rng(config.seed, "recording", performer, index)
-    ngram_pool = base_ngrams + sig_ngrams
-    ngram_weights = ([1.0] * len(base_ngrams)
-                     + [config.signature_rate] * len(sig_ngrams))
-    voicing_pool = base_voicings + sig_voicings
-    voicing_weights = ([1.0] * len(base_voicings)
-                       + [config.signature_rate] * len(sig_voicings))
+    ngrams = _weighted_table(base_ngrams + sig_ngrams,
+                             [1.0] * len(base_ngrams)
+                             + [config.signature_rate] * len(sig_ngrams))
+    voicings = _weighted_table(base_voicings + sig_voicings,
+                               [1.0] * len(base_voicings)
+                               + [config.signature_rate] * len(sig_voicings))
     onset, offset, pitch, velocity = [], [], [], []
     for e in range(config.events_per_recording):
         start = e * EVENT_SPACING
         if rng.random() < 0.6:
-            pattern = _weighted_choice(rng, ngram_pool, ngram_weights)
+            pattern = _weighted_choice(rng, ngrams)
             onsets, pitches = _melody_notes(pattern, start, rng)
         else:
-            voicing = _weighted_choice(rng, voicing_pool, voicing_weights)
+            voicing = _weighted_choice(rng, voicings)
             onsets, pitches = _voicing_notes(voicing, start, rng)
         onset += onsets
         offset += [on + NOTE_DURATION for on in onsets]
         pitch += pitches
-        velocity += [int(rng.integers(40, 101)) for _ in pitches]
+        # under PCG64 one sized draw yields the values of len(pitches)
+        # scalar draws, so corpora stay byte-identical per seed
+        velocity += rng.integers(40, 101, size=len(pitches)).tolist()
     tag = "solo" if index < config.n_recordings // 2 else "trio"
     return Transcription(recording_id=f"p{performer:02d}r{index:03d}",
                          performer=f"performer_{performer:02d}",

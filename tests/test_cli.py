@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stylus
-from stylus import cli, concepts, corpus, features
+from stylus import cli, concepts, corpus, features, synthetic
 from stylus.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         RunConfig)
 
@@ -311,6 +311,57 @@ class TestPipeline:
         assert len(lines) == 401
 
 
+class TestStreamedRecordings:
+    """Corpus subcommands parse one recording at a time and write their
+    index file only after every recording is read."""
+    CORPUS = synthetic.SyntheticConfig(n_performers=2, n_recordings=2,
+                                       events_per_recording=5, seed=1)
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return synthetic.write_corpus(tmp_path / "corpus", self.CORPUS)
+
+    @pytest.mark.parametrize("command",
+                             ["ingest", "extract", "rolls", "augment"])
+    def test_one_earlier_recording_alive_at_each_parse(self, manifest,
+                                                       tmp_path, monkeypatch,
+                                                       command):
+        parsed, alive = [], []      # weak references; live count per call
+        parse = corpus.parse_note_events
+
+        def tracked_parse(*args, **kwargs):
+            alive.append(sum(r() is not None for r in parsed))
+            t = parse(*args, **kwargs)
+            parsed.append(weakref.ref(t))
+            return t
+
+        monkeypatch.setattr(corpus, "parse_note_events", tracked_parse)
+        assert cli.main([command, "--manifest", str(manifest),
+                         "--out", str(tmp_path / "run")]) == EXIT_OK
+        assert len(alive) == 4 and max(alive) <= 1
+
+    @pytest.mark.parametrize("command, index", [
+        ("ingest", ["ingest.csv"]),
+        ("extract", ["features.csv", "vocabulary.csv"]),
+        ("rolls", ["rolls.json"]),
+        ("augment", ["augment_audit.json"]),
+    ])
+    def test_invalid_last_recording_writes_no_index(self, manifest, tmp_path,
+                                                    capsys, command, index):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"onset": 1.0, "offset": 0.5, "pitch": 60, '
+                       '"velocity": 64}\n')
+        with open(manifest, "a") as fh:
+            fh.write(f"bad,performer_00,solo,{bad}\n")
+        out = tmp_path / "run"
+        code = cli.main([command, "--manifest", str(manifest),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert str(bad) in err and "Traceback" not in err
+        assert not any((out / name).exists() for name in index)
+
+
 class TestStaleArtifacts:
     def _copy(self, workspace, tmp_path):
         _, manifest, out = workspace
@@ -425,6 +476,27 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"min_df": -5}', "'min_df' must be >= 1, got -5"),
+        ('{"n_values": []}', "'n_values' must be a non-empty list of "
+                             "distinct sizes >= 1, got []"),
+        ('{"max_df": 3, "min_df": 10}',
+         "'max_df' must be >= min_df (10), got 3"),
+        ('{"n_values": [3, 4, 3]}', "got [3, 4, 3]"),
+    ])
+    def test_feature_setting_out_of_range_exits_1(self, workspace, tmp_path,
+                                                  capsys, text, message):
+        _, manifest, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        code = cli.main(["extract", "--manifest", manifest,
+                         "--out", str(out), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert message in err and "Traceback" not in err
+        assert not (out / "vocabulary.csv").exists()
 
     @pytest.mark.parametrize("overrides, ok", [
         ({"C": 2, "grid": 0.05, "penalty": "none"}, True),

@@ -211,4 +211,5 @@ def test_weighted_choice_matches_linear_scan(weights, u):
 
     items = list(range(len(weights)))
     rng = SimpleNamespace(random=lambda: u)
-    assert synthetic._weighted_choice(rng, items, weights) == reference()
+    table = synthetic._weighted_table(items, weights)
+    assert synthetic._weighted_choice(rng, table) == reference()
