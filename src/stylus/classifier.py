@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from collections import deque
@@ -10,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import ValidationError, write_table
 from .rng import derive_rng
 
 C_RANGE = (0.001, 1000.0)
@@ -278,23 +278,26 @@ def write_model(path, model: LRModel, vocabulary_hash: str = "") -> None:
 
 
 def read_model(path) -> LRModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    labels = tuple(payload["class_labels"])
-    d = payload["n_features"]
-    W = np.array(payload["W"], dtype=float).reshape(len(labels), d)
-    return LRModel(W=W, b=np.array(payload["b"], dtype=float),
-                   class_labels=labels,
-                   config=LRConfig(**payload["config"]),
-                   n_iter=payload.get("n_iter", 0),
-                   converged=payload.get("converged", False),
-                   vocabulary_hash=payload.get("vocabulary_hash", ""))
+    """The model ``write_model`` wrote. A missing key, or a value of the
+    wrong type or shape, is a ValidationError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        labels = tuple(payload["class_labels"])
+        d = payload["n_features"]
+        W = np.array(payload["W"], dtype=float).reshape(len(labels), d)
+        return LRModel(W=W, b=np.array(payload["b"], dtype=float),
+                       class_labels=labels,
+                       config=LRConfig(**payload["config"]),
+                       n_iter=payload.get("n_iter", 0),
+                       converged=payload.get("converged", False),
+                       vocabulary_hash=payload.get("vocabulary_hash", ""))
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{path}: {reason}") from None
 
 
 def write_trial_log(path, trials) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "C", "class_weight", "penalty", "val_top1"])
-        for i, config, acc in trials:
-            writer.writerow([i, repr(config.C), config.class_weight,
-                             config.penalty, repr(acc)])
+    write_table(path, ["trial", "C", "class_weight", "penalty", "val_top1"],
+                ([i, repr(config.C), config.class_weight, config.penalty,
+                  repr(acc)] for i, config, acc in trials))

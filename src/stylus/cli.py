@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -201,12 +200,9 @@ def cmd_ingest(args, config):
     manifest = corpus.read_manifest(args.manifest)
     rows = [[t.recording_id, t.performer, t.dataset_tag, len(t.notes),
              repr(t.duration)] for t in _load_transcriptions(manifest)]
-    out = Path(args.out)
-    with open(out / "ingest.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["recording_id", "performer", "dataset_tag",
-                         "n_notes", "duration"])
-        writer.writerows(rows)
+    corpus.write_table(Path(args.out) / "ingest.csv",
+                       ["recording_id", "performer", "dataset_tag",
+                        "n_notes", "duration"], rows)
     print(f"ingested {len(rows)} recordings")
 
 
@@ -320,13 +316,11 @@ def cmd_importance(args, config):
         reports.append(interpret.subset_importance(
             model, X_test, y_test, cols, k, config.n_importance, args.seed,
             group=f"{kind}-subset-{k}"))
-    with open(out / "importance.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "mean_accuracy_loss", "sd", "iterations"])
-        for r in reports:
-            writer.writerow([r.group, repr(r.mean_accuracy_loss),
-                             repr(r.sd), r.iterations])
+    corpus.write_table(
+        out / "importance.csv",
+        ["group", "mean_accuracy_loss", "sd", "iterations"],
+        ([r.group, repr(r.mean_accuracy_loss), repr(r.sd), r.iterations]
+         for r in reports))
     for r in reports:
         print(f"{r.group}: loss {r.mean_accuracy_loss:.3f} (sd {r.sd:.3f})")
 
@@ -346,12 +340,9 @@ def cmd_correlate(args, config):
             rows_out.append([kind, performer, repr(report.r[performer]),
                              repr(report.p[performer]),
                              report.corrected_alpha_factor])
-    with open(out / "correlations.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature_kind", "performer", "r", "p",
-                         "corrected_alpha_factor"])
-        writer.writerows(rows_out)
+    corpus.write_table(out / "correlations.csv",
+                       ["feature_kind", "performer", "r", "p",
+                        "corrected_alpha_factor"], rows_out)
     print(f"wrote correlations for {len(rows_out)} performer/kind pairs")
 
 
@@ -370,24 +361,19 @@ def cmd_pca(args, config):
         X[[i for i, lab in enumerate(y) if lab == p]].mean(axis=0)
         for p in performers])
     coords = interpret.pca_project(model, means)
-    with open(out / "pca_components.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["component", "explained_variance"]
-                        + [features.feature_string(vocab.features[c][1])
-                           for c in cols])
-        for i, (var, comp) in enumerate(zip(model.explained_variance,
-                                            model.components)):
-            writer.writerow([i, repr(float(var))]
-                            + [repr(float(v)) for v in comp])
-    with open(out / "pca_projection.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        n_dims = min(4, coords.shape[1])
-        writer.writerow(["performer"]
-                        + [f"component_{i}" for i in range(n_dims)])
-        for p, row in zip(performers, coords):
-            writer.writerow([p] + [repr(float(v)) for v in row[:n_dims]])
+    corpus.write_table(
+        out / "pca_components.csv",
+        ["component", "explained_variance"]
+        + [features.feature_string(vocab.features[c][1]) for c in cols],
+        ([i, repr(float(var))] + [repr(float(v)) for v in comp]
+         for i, (var, comp) in enumerate(zip(model.explained_variance,
+                                             model.components))))
+    n_dims = min(4, coords.shape[1])
+    corpus.write_table(
+        out / "pca_projection.csv",
+        ["performer"] + [f"component_{i}" for i in range(n_dims)],
+        ([p] + [repr(float(v)) for v in row[:n_dims]]
+         for p, row in zip(performers, coords)))
     print(f"PCA over {cols.size} length-4 melody features, "
           f"{len(performers)} performers projected")
 
@@ -483,23 +469,19 @@ def cmd_report(args, config):
     sds = interpret.bootstrap_weight_sd(X, y, lr_config,
                                         config.n_bootstrap, args.seed)
     melody_cols = vocab.columns_of_kind(features.KIND_MELODY)
-    with open(out / "weights_topbottom.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["performer", "rank", "feature_string", "weight",
-                         "sd"])
-        for ci, performer in enumerate(model.class_labels):
-            weights = model.W[ci, melody_cols]
-            order = np.argsort(-weights, kind="stable")
-            picks = ([("top", i) for i in order[:5]]
-                     + [("bottom", i) for i in order[-5:]])
-            for label, i in picks:
-                col = melody_cols[i]
-                writer.writerow([performer, label,
-                                 features.feature_string(
-                                     vocab.features[col][1]),
-                                 repr(float(model.W[ci, col])),
-                                 repr(float(sds[ci, col]))])
+    rows = []
+    for ci, performer in enumerate(model.class_labels):
+        order = np.argsort(-model.W[ci, melody_cols], kind="stable")
+        for label, i in ([("top", i) for i in order[:5]]
+                         + [("bottom", i) for i in order[-5:]]):
+            col = melody_cols[i]
+            rows.append([performer, label,
+                         features.feature_string(vocab.features[col][1]),
+                         repr(float(model.W[ci, col])),
+                         repr(float(sds[ci, col]))])
+    corpus.write_table(out / "weights_topbottom.csv",
+                       ["performer", "rank", "feature_string", "weight", "sd"],
+                       rows)
     print(f"wrote top/bottom melody weights for "
           f"{len(model.class_labels)} performers")
 

@@ -3,7 +3,6 @@ and clustering."""
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from collections.abc import Sequence
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import classifier
 from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
-                     NoteArray, paint_roll, time_to_column)
+                     NoteArray, paint_roll, time_to_column, write_table)
 from .representations import MIN_CHORD_NOTES, harmony_roll
 from .rng import derive_rng
 
@@ -452,16 +451,13 @@ def read_concept_exercises(path) -> list[ConceptExercise]:
 
 
 def write_sign_counts(path, matrix: SignCountMatrix) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["performer", "concept", "iteration", "ratio",
-                         "null_ratio"])
-        for pi, p in enumerate(matrix.performers):
-            for ci, c in enumerate(matrix.concepts):
-                for i in range(matrix.observed.shape[2]):
-                    writer.writerow([p, c, i,
-                                     repr(matrix.observed[pi, ci, i]),
-                                     repr(matrix.null[pi, ci, i])])
+    write_table(path, ["performer", "concept", "iteration", "ratio",
+                       "null_ratio"],
+                ([p, c, i, repr(matrix.observed[pi, ci, i]),
+                  repr(matrix.null[pi, ci, i])]
+                 for pi, p in enumerate(matrix.performers)
+                 for ci, c in enumerate(matrix.concepts)
+                 for i in range(matrix.observed.shape[2])))
 
 
 def summarise_sign_counts(matrix: SignCountMatrix,
@@ -482,13 +478,10 @@ def summarise_sign_counts(matrix: SignCountMatrix,
 
 def write_tested_sign_counts(path, matrix: SignCountMatrix, means,
                              corrected) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["performer", "concept", "mean_ratio", "corrected_p"])
-        for pi, p in enumerate(matrix.performers):
-            for ci, c in enumerate(matrix.concepts):
-                writer.writerow([p, c, repr(means[pi, ci]),
-                                 repr(corrected[pi, ci])])
+    write_table(path, ["performer", "concept", "mean_ratio", "corrected_p"],
+                ([p, c, repr(means[pi, ci]), repr(corrected[pi, ci])]
+                 for pi, p in enumerate(matrix.performers)
+                 for ci, c in enumerate(matrix.concepts)))
 
 
 def write_dendrogram(path, dendrogram: Dendrogram) -> None:

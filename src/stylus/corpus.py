@@ -6,7 +6,9 @@ import csv
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,8 @@ ROLL_MAGIC = b"PROL"
 
 DATASET_TAGS = ("solo", "trio")
 SPLITS = ("train", "validation", "test")
+MANIFEST_COLUMNS = ("recording_id", "performer", "dataset_tag", "path")
+SPLIT_COLUMNS = ("recording_id", "split")
 
 
 class ValidationError(ValueError):
@@ -35,6 +39,41 @@ class ValidationError(ValueError):
 
 class ParseError(ValueError):
     """Input file is malformed."""
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: UTF-8, ``"\n"`` line ends, ``header`` first, then
+    each of ``rows``. Every CSV artifact is written here."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@contextmanager
+def open_table(path, columns, header_error=ValidationError):
+    """Yield the non-blank rows of a CSV table as tuples of their fields in
+    ``columns`` (two or more). A header that does not parse or lacks a
+    column raises ``header_error``; a short row, a csv error or a ValueError
+    raised in the block becomes a ValidationError naming the file and line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            raise header_error(f"{path}:{reader.line_num}: {exc}") from None
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise header_error(f"{path}:{reader.line_num}: header lacks "
+                               f"column(s) {', '.join(missing)}")
+        pick = itemgetter(*(header.index(c) for c in columns))
+        try:
+            yield map(pick, filter(None, reader))
+        except (csv.Error, IndexError, ValueError) as exc:
+            reason = ("too few fields" if isinstance(exc, IndexError)
+                      else str(exc))
+            raise ValidationError(
+                f"{path}:{reader.line_num}: {reason}") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -203,37 +242,37 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     errors name the offending lines.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = [(lineno, stripped) for lineno, line
-                 in enumerate(fh.read().split("\n"), start=1)
-                 if (stripped := line.strip())]
-    notes = _decode_notes([line for _, line in lines])
+    text = path.read_text(encoding="utf-8")
+    notes = _decode_notes(text.strip())
     if notes is None:
+        lines = [(lineno, stripped) for lineno, line
+                 in enumerate(text.split("\n"), start=1)
+                 if (stripped := line.strip())]
         notes = NoteArray.from_events(_parse_lines(path, lines))
     return Transcription(recording_id=recording_id or path.stem,
                          performer=performer, dataset_tag=dataset_tag,
                          notes=notes)
 
 
-def _decode_notes(lines) -> NoteArray | None:
-    """Decode note lines with one ``json.loads``, or None to fall back.
+def _decode_notes(text: str) -> NoteArray | None:
+    """Decode stripped note text in one ``json.loads``, or None to fall back.
 
     Lines are joined with a ``null`` sentinel between them. When no line
     contains ``null`` and every sentinel decodes as a top-level element
     between two others, each line is exactly one JSON value, as a per-line
-    decode would find. Anything else (a line that is not one object, a
-    missing key, a field that is not a number, an invalid note) returns
-    None.
+    decode would find. Anything else (a blank line, a line that is not one
+    object, a missing key, a field that is not a number, an invalid note)
+    returns None.
     """
-    body = ",null,".join(lines)
-    if body.count("null") != len(lines) - 1:
+    if "null" in text:
         return None
+    n_lines = text.count("\n") + 1
     try:
-        values = json.loads("[" + body + "]")
+        values = json.loads("[" + text.replace("\n", ",null,") + "]")
     except (ValueError, RecursionError):
         return None
-    if (len(values) != 2 * len(lines) - 1
-            or values[1::2].count(None) != len(lines) - 1):
+    if (len(values) != 2 * n_lines - 1
+            or values[1::2].count(None) != n_lines - 1):
         return None
     rows = values[0::2]
     try:
@@ -294,21 +333,14 @@ def write_note_events(path, notes) -> None:
 
 
 def read_manifest(path) -> list[ManifestEntry]:
+    """The manifest's entries in file order. A header lacking a column is a
+    ParseError; a short row or an unknown dataset_tag a ValidationError."""
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"recording_id", "performer", "dataset_tag", "path"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ParseError(f"{path}: manifest header must contain "
-                             f"{sorted(required)}")
-        for row in reader:
-            if row["dataset_tag"] not in DATASET_TAGS:
-                raise ValidationError(
-                    f"{path}: unknown dataset_tag {row['dataset_tag']!r} "
-                    f"for {row['recording_id']}")
-            entries.append(ManifestEntry(row["recording_id"],
-                                         row["performer"],
-                                         row["dataset_tag"], row["path"]))
+    with open_table(path, MANIFEST_COLUMNS, ParseError) as rows:
+        for rid, performer, tag, notes_path in rows:
+            if tag not in DATASET_TAGS:
+                raise ValueError(f"unknown dataset_tag {tag!r} for {rid}")
+            entries.append(ManifestEntry(rid, performer, tag, notes_path))
     if not entries:
         raise ValidationError(f"{path}: empty manifest")
     return entries
@@ -345,20 +377,18 @@ def assign_splits(manifest, seed: int) -> dict[str, str]:
 
 
 def write_splits(path, assignment: dict[str, str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["recording_id", "split"])
-        for rid in sorted(assignment):
-            writer.writerow([rid, assignment[rid]])
+    write_table(path, SPLIT_COLUMNS, sorted(assignment.items()))
 
 
 def read_splits(path) -> dict[str, str]:
+    """Recording id to split; a missing column, a short row or an unknown
+    split is a ValidationError naming the line."""
     out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["split"] not in SPLITS:
-                raise ValidationError(f"{path}: unknown split {row['split']!r}")
-            out[row["recording_id"]] = row["split"]
+    with open_table(path, SPLIT_COLUMNS) as rows:
+        for rid, split in rows:
+            if split not in SPLITS:
+                raise ValueError(f"unknown split {split!r}")
+            out[rid] = split
     return out
 
 

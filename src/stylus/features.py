@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import (PITCH_MAX, PITCH_MIN, NoteArray, Transcription,
-                     ValidationError)
+                     open_table, write_table)
 
 log = logging.getLogger("stylus")
 
@@ -237,32 +235,11 @@ def parse_feature_string(s: str) -> tuple:
 def write_feature_counts(path, recording_ids, per_recording_counts) -> None:
     text = {key: feature_string(key[1])
             for key in set().union(*per_recording_counts)}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FEATURE_COLUMNS)
-        for rid, counts in zip(recording_ids, per_recording_counts):
-            if not counts:
-                # presence row so featureless recordings survive a re-read
-                writer.writerow([rid, "", "", 0])
-            writer.writerows([rid, kind, text[kind, feat], c]
-                             for (kind, feat), c in sorted(counts.items()))
-
-
-def _open_table(fh, path, columns):
-    """A csv reader of ``fh`` past its header, and an itemgetter that picks
-    ``columns``, in that order, from a row."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ValidationError(f"{path}:{reader.line_num}: header lacks "
-                              f"column(s) {', '.join(missing)}")
-    return reader, itemgetter(*(header.index(c) for c in columns))
-
-
-def _row_error(path, reader, exc) -> ValidationError:
-    reason = "too few fields" if isinstance(exc, IndexError) else str(exc)
-    return ValidationError(f"{path}:{reader.line_num}: {reason}")
+    # a featureless recording gets a presence row so it survives a re-read
+    write_table(path, FEATURE_COLUMNS, chain.from_iterable(
+        [[rid, kind, text[kind, feat], c]
+         for (kind, feat), c in sorted(counts.items())] or [[rid, "", "", 0]]
+        for rid, counts in zip(recording_ids, per_recording_counts)))
 
 
 def read_feature_counts(path):
@@ -276,49 +253,33 @@ def read_feature_counts(path):
     """
     by_rid: dict[str, dict] = {}
     keys: dict[tuple, tuple] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, pick = _open_table(fh, path, FEATURE_COLUMNS)
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                rid, kind, text, count = pick(row)
-                counts = by_rid.get(rid)
-                if counts is None:
-                    counts = by_rid[rid] = {}
-                if not kind:
-                    continue
-                key = keys.get((kind, text))
-                if key is None:
-                    key = keys[kind, text] = (kind, parse_feature_string(text))
-                counts[key] = int(count)
-        except (csv.Error, IndexError, ValueError) as exc:
-            raise _row_error(path, reader, exc) from None
+    with open_table(path, FEATURE_COLUMNS) as rows:
+        for rid, kind, text, count in rows:
+            counts = by_rid.get(rid)
+            if counts is None:
+                counts = by_rid[rid] = {}
+            if not kind:
+                continue
+            key = keys.get((kind, text))
+            if key is None:
+                key = keys[kind, text] = (kind, parse_feature_string(text))
+            counts[key] = int(count)
     return list(by_rid), list(by_rid.values())
 
 
 def write_vocabulary(path, vocab: FeatureVocabulary) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(VOCABULARY_COLUMNS)
-        for i, ((kind, feat), df) in enumerate(
-                zip(vocab.features, vocab.document_frequency)):
-            writer.writerow([i, kind, feature_string(feat), df])
+    write_table(path, VOCABULARY_COLUMNS, (
+        [i, kind, feature_string(feat), df] for i, ((kind, feat), df)
+        in enumerate(zip(vocab.features, vocab.document_frequency))))
 
 
 def read_vocabulary(path) -> FeatureVocabulary:
     """Vocabulary from ``write_vocabulary``'s file; malformed rows are
     ValidationErrors as in ``read_feature_counts``."""
     feats, dfs = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader, pick = _open_table(fh, path, VOCABULARY_COLUMNS[1:])
-        try:
-            for row in reader:
-                if row:
-                    kind, text, df = pick(row)
-                    feats.append((kind, parse_feature_string(text)))
-                    dfs.append(int(df))
-        except (csv.Error, IndexError, ValueError) as exc:
-            raise _row_error(path, reader, exc) from None
+    with open_table(path, VOCABULARY_COLUMNS[1:]) as rows:
+        for kind, text, df in rows:
+            feats.append((kind, parse_feature_string(text)))
+            dfs.append(int(df))
     return FeatureVocabulary(features=tuple(feats),
                              document_frequency=tuple(dfs))

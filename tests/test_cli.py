@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,7 +405,7 @@ class TestStaleArtifacts:
     def test_recording_missing_from_manifest(self, workspace, tmp_path,
                                              capsys):
         manifest, run = self._copy(workspace, tmp_path)
-        lines = open(manifest).read().splitlines()
+        lines = Path(manifest).read_text().splitlines()
         short = tmp_path / "manifest.csv"
         short.write_text("\n".join(lines[:-1]) + "\n")
         missing = lines[-1].split(",")[0]
@@ -428,6 +429,11 @@ class TestStaleArtifacts:
         ("vocabulary.csv", 2,
          lambda rows: rows[:1] + ['0,melody,"0,1"'] + rows[2:],
          "too few fields"),
+        ("splits.csv", 1,
+         lambda rows: ["recording_id,fold"] + rows[1:], "split"),
+        ("splits.csv", 3,
+         lambda rows: rows[:2] + [rows[2].split(",")[0]] + rows[3:],
+         "too few fields"),
     ])
     def test_malformed_feature_files_exit_1(self, workspace, tmp_path,
                                             capsys, name, line, edit, what):
@@ -441,6 +447,32 @@ class TestStaleArtifacts:
         assert code == EXIT_VALIDATION
         assert f"{path}:{line}: " in err and what in err
         assert "Traceback" not in err
+
+    def test_manifest_row_missing_fields_exits_1(self, workspace, tmp_path,
+                                                 capsys):
+        manifest, run = self._copy(workspace, tmp_path)
+        lines = Path(manifest).read_text().splitlines()
+        short = tmp_path / "manifest.csv"
+        lines[2] = lines[2].rsplit(",", 1)[0]       # no path
+        short.write_text("\n".join(lines) + "\n")
+        code = cli.main(["train", "--manifest", str(short),
+                         "--out", str(run), "--seed", "0"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {short}:3: too few fields"]
+
+    @pytest.mark.parametrize("key", ["n_features", "W", "config"])
+    def test_model_missing_key_exits_1(self, workspace, tmp_path, capsys,
+                                       key):
+        manifest, run = self._copy(workspace, tmp_path)
+        payload = json.loads((run / "model.json").read_text())
+        del payload[key]
+        (run / "model.json").write_text(json.dumps(payload))
+        code = cli.main(["evaluate", "--manifest", manifest,
+                         "--out", str(run), "--seed", "0"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {run / 'model.json'}: missing key '{key}'"]
 
     @pytest.mark.parametrize("command, text, message", [
         ("train", "null", "config must be a JSON object, got NoneType"),

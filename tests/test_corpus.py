@@ -381,6 +381,11 @@ class TestManifest:
         with pytest.raises(ParseError):
             corpus.read_manifest(path)
 
+    def test_unparseable_header_rejected(self, tmp_path):
+        path = self._write(tmp_path, [], header='"' + "x" * 200_000)
+        with pytest.raises(ParseError, match="field larger than field limit"):
+            corpus.read_manifest(path)
+
     def test_bad_tag_rejected(self, tmp_path):
         path = self._write(tmp_path, ["r1,alice,duet,n.jsonl"])
         with pytest.raises(ValidationError):

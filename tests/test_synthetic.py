@@ -1,5 +1,7 @@
 import hashlib
+import weakref
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings
@@ -176,7 +178,23 @@ class TestWriteCorpus:
         e1 = corpus.read_manifest(p1)
         e2 = corpus.read_manifest(p2)
         for a, b in zip(e1, e2):
-            assert open(a.path).read() == open(b.path).read()
+            assert Path(a.path).read_text() == Path(b.path).read_text()
+
+    def test_at_most_two_batches_alive(self, tmp_path, monkeypatch):
+        generated, alive = [], []   # weak references; live count per call
+        generate = synthetic.generate_recording
+
+        def tracked_generate(*args, **kwargs):
+            alive.append(sum(r() is not None for r in generated))
+            t = generate(*args, **kwargs)
+            generated.append(weakref.ref(t))
+            return t
+
+        monkeypatch.setattr(synthetic, "generate_recording", tracked_generate)
+        monkeypatch.setattr(synthetic, "WRITE_BATCH", 4)
+        synthetic.write_corpus(tmp_path, SMALL)
+        # the batch being written and the one being generated
+        assert len(alive) == 18 and max(alive) < 2 * 4
 
     def test_files_pinned_per_seed(self, tmp_path):
         for config, want in ((SMALL, SMALL_SHA256),
