@@ -118,8 +118,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _check_ranges(config: RunConfig) -> None:
-    """Refuse feature settings of the right type that would make extract
-    keep every feature, none, or count an n-gram size twice."""
+    """Refuse settings of the right type that would make extract keep every
+    feature, none, or count an n-gram size twice, or leave importance and
+    correlate fewer than one top feature."""
     sizes = config.n_values
     if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
         raise corpus.ValidationError(
@@ -132,6 +133,9 @@ def _check_ranges(config: RunConfig) -> None:
         raise corpus.ValidationError(
             f"config key 'max_df' must be >= min_df ({config.min_df}), "
             f"got {config.max_df}")
+    if config.top_k < 1:
+        raise corpus.ValidationError(
+            f"config key 'top_k' must be >= 1, got {config.top_k}")
 
 
 def _lr_config(config: RunConfig) -> classifier.LRConfig:

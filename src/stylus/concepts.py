@@ -453,8 +453,8 @@ def read_concept_exercises(path) -> list[ConceptExercise]:
 def write_sign_counts(path, matrix: SignCountMatrix) -> None:
     write_table(path, ["performer", "concept", "iteration", "ratio",
                        "null_ratio"],
-                ([p, c, i, repr(matrix.observed[pi, ci, i]),
-                  repr(matrix.null[pi, ci, i])]
+                ([p, c, i, repr(float(matrix.observed[pi, ci, i])),
+                  repr(float(matrix.null[pi, ci, i]))]
                  for pi, p in enumerate(matrix.performers)
                  for ci, c in enumerate(matrix.concepts)
                  for i in range(matrix.observed.shape[2])))
@@ -479,7 +479,8 @@ def summarise_sign_counts(matrix: SignCountMatrix,
 def write_tested_sign_counts(path, matrix: SignCountMatrix, means,
                              corrected) -> None:
     write_table(path, ["performer", "concept", "mean_ratio", "corrected_p"],
-                ([p, c, repr(means[pi, ci]), repr(corrected[pi, ci])]
+                ([p, c, repr(float(means[pi, ci])),
+                  repr(float(corrected[pi, ci]))]
                  for pi, p in enumerate(matrix.performers)
                  for ci, c in enumerate(matrix.concepts)))
 

@@ -12,6 +12,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .rng import derive_rng
 
@@ -26,6 +27,11 @@ FRAME_MS = 10  # one roll column per 10 ms (100 fps)
 CLIP_SECONDS = 30.0
 
 ROLL_MAGIC = b"PROL"
+
+# orjson 3.8 decodes without a nesting limit, and about 130k levels overflow
+# an 8 MB C stack. Nesting cannot exceed the count of "[" and "{", so note
+# text with more than this many is left to the per-line reader.
+MAX_OPENERS = 1 << 16
 
 DATASET_TAGS = ("solo", "trio")
 SPLITS = ("train", "validation", "test")
@@ -239,10 +245,20 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     blank lines are skipped. Fields convert as ``float()`` (times) and
     ``int()`` (pitch, velocity). The whole file is decoded at once; the
     per-line reader runs only when that decode or a row check fails, so
-    errors name the offending lines.
+    errors name the offending lines. A file that is not UTF-8 is refused
+    with the line of its first bad byte.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at "\n", "\r\n" and a lone "\r"
+        lineno = len((data[:exc.start] + b".").splitlines())
+        raise ParseError(f"{path}:{lineno}: not UTF-8: byte "
+                         f"0x{data[exc.start]:02x}: {exc.reason}") from None
+    # universal newlines, as text-mode reading translates them
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     notes = _decode_notes(text.strip())
     if notes is None:
         lines = [(lineno, stripped) for lineno, line
@@ -255,21 +271,23 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
 
 
 def _decode_notes(text: str) -> NoteArray | None:
-    """Decode stripped note text in one ``json.loads``, or None to fall back.
+    """Decode stripped note text in one ``orjson.loads``, or None to fall back.
 
     Lines are joined with a ``null`` sentinel between them. When no line
     contains ``null`` and every sentinel decodes as a top-level element
     between two others, each line is exactly one JSON value, as a per-line
     decode would find. Anything else (a blank line, a line that is not one
     object, a missing key, a field that is not a number, an invalid note)
-    returns None.
+    returns None, as do text with more than ``MAX_OPENERS`` brackets and
+    ``NaN``, ``Infinity``, a lone surrogate or a double that overflows, which
+    orjson refuses. orjson reads an integer past 2**64 as ``float()`` does.
     """
-    if "null" in text:
+    if "null" in text or text.count("[") + text.count("{") > MAX_OPENERS:
         return None
     n_lines = text.count("\n") + 1
     try:
-        values = json.loads("[" + text.replace("\n", ",null,") + "]")
-    except (ValueError, RecursionError):
+        values = orjson.loads("[" + text.replace("\n", ",null,") + "]")
+    except ValueError:
         return None
     if (len(values) != 2 * n_lines - 1
             or values[1::2].count(None) != n_lines - 1):
@@ -304,7 +322,7 @@ def _parse_lines(path, lines) -> list[NoteEvent]:
             pitch = int(obj["pitch"])
             velocity = int(obj["velocity"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OverflowError) as exc:
+                OverflowError, RecursionError) as exc:
             raise ParseError(f"{path}:{lineno}: malformed note: {exc}")
         try:
             notes.append(NoteEvent(onset=onset, offset=offset,

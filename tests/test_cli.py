@@ -87,6 +87,21 @@ class TestExitCodes:
         assert f"{notes}: invalid notes: line 2: " in err
         assert "must be finite" in err and "Traceback" not in err
 
+    def test_note_file_not_utf8_names_file_and_line(self, capsys, tmp_path):
+        notes = tmp_path / "r1.jsonl"
+        notes.write_bytes(
+            b'{"onset": 0.0, "offset": 0.5, "pitch": 60, "velocity": 64}\n'
+            b'{"onset": 1.0, "offset": 1.5, "pitch": 62, "velocity": \xff}\n')
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("recording_id,performer,dataset_tag,path\n"
+                            f"r1,p,solo,{notes}\n")
+        code = cli.main(["ingest", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {notes}:2: not UTF-8: byte 0xff: invalid start byte"]
+        assert not (tmp_path / "run" / "ingest.csv").exists()
+
 
 class TestRunInfo:
     def test_run_json_written(self, workspace):
@@ -508,6 +523,21 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, output", [
+        ("importance", "importance.csv"), ("correlate", "correlations.csv")])
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_top_k_below_one_exits_1(self, workspace, tmp_path, capsys,
+                                     command, output, top_k):
+        manifest, run = self._copy(workspace, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_k": top_k}))
+        code = cli.main([command, "--manifest", manifest, "--out", str(run),
+                         "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: config key 'top_k' must be >= 1, got {top_k}"]
+        assert not (run / output).exists()
 
     @pytest.mark.parametrize("text, message", [
         ('{"min_df": -5}', "'min_df' must be >= 1, got -5"),

@@ -7,6 +7,7 @@ hypothesis tests compare the columnar rolls and augmentation with the
 per-note implementations they replaced, kept here as references.
 """
 
+import csv
 import hashlib
 import json
 import random
@@ -97,6 +98,17 @@ class TestPinnedOutputs:
     def test_masked_sensitivity_heat_maps(self, run_dir):
         assert heat_map_digests(run_dir[1]) == HEAT_MAP_SHA256
 
+    @pytest.mark.parametrize("name", ["sign_counts.csv",
+                                      "sign_counts_tested.csv"])
+    def test_sign_count_cells_are_plain_numbers(self, run_dir, name):
+        with open(run_dir[2] / name, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows
+        for performer, *cells in rows:
+            assert performer.startswith("performer_")
+            for cell in cells:
+                float(cell)
+
 
 # recorded from the per-note clip path
 OUTPUT_SHA256 = {
@@ -110,10 +122,11 @@ OUTPUT_SHA256 = {
         "755ba331348aa16ffb9e6bc78804cda9fb3119d7f3e07171c6191b22d41bcff8",
     "rolls.json":
         "a530aefa532ea28dc6d4f7f17b2f561a7998c56423f27eb730e4e743ef32e728",
+    # the two sign-count files as written with plain float cells
     "sign_counts.csv":
-        "f37f206b96634ed9d41b81588c307fe9b587fd5aed3c42207588782d7f17f7ae",
+        "fda82ffab5a374152d9173ed06d36c8619019487eaa449990caf68f11a86a9c4",
     "sign_counts_tested.csv":
-        "0e7406935d0b6f0096621d64f36b084d2823d8acfd3fb09ef112142a789f080b",
+        "8171cde7839dcc41ff6de4002aa81af56df05caebad8c2fe215ff826e4dbd42c",
     "splits.csv":
         "594f3c2db3b4321a36c7fd3c97572ec511c7edc74dad526a1971c60c1a89e189",
 }

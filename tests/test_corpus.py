@@ -1,5 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +301,65 @@ class TestParseParity:
         assert str(err.value) == (f"{path}: invalid notes: "
                                   "line 4: pitch 5 outside [21, 108]")
 
+    def test_lone_cr_line_endings(self, tmp_path):
+        _, t = self._parse(tmp_path, V + "\r" + W + "\r")
+        assert len(t.notes) == 2
+
+    @pytest.mark.parametrize("raw, lineno, reason", [
+        (b"\xff", 1, "byte 0xff: invalid start byte"),
+        (b"\r\n" + V.encode() + b"\r\n\xc3(", 3,
+         "byte 0xc3: invalid continuation byte"),
+        (b"\r\r" + V.encode() + b"\xe2\x82", 3,
+         "byte 0xe2: invalid continuation byte"),
+    ], ids=["start", "crlf", "lone-cr"])
+    def test_not_utf8_names_line_of_first_bad_byte(self, tmp_path, raw,
+                                                   lineno, reason):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(V.encode() + b"\n" + raw + b"\n" + W.encode())
+        with pytest.raises(ParseError) as err:
+            corpus.parse_note_events(path)
+        assert str(err.value) == f"{path}:{lineno + 1}: not UTF-8: {reason}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200_000 + "]" * 200_000 + "\n",
+         "maximum recursion depth exceeded while decoding a JSON array "
+         "from a unicode string"),
+        # only the joined document nests: "[1,null,[1,null,...1],null,1]"
+        ("[1\n" * 200_000 + "1]\n" * 200_000,
+         "Expecting ',' delimiter: line 1 column 3 (char 2)"),
+    ], ids=["one-line", "across-lines"])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, text, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text(text)
+        # in a child process: a decode without a depth limit would overflow
+        # the C stack and kill it
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys\n"
+             "from stylus import corpus\n"
+             "try:\n    corpus.parse_note_events(sys.argv[1])\n"
+             "except corpus.ParseError as exc:\n    print(exc)",
+             str(path)], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(corpus.__file__)
+                                                 .parents[1])})
+        assert (child.returncode, child.stdout) == (
+            0, f"{path}:1: malformed note: {message}\n")
+
+    def test_many_brackets_take_the_per_line_reader(self, tmp_path,
+                                                    monkeypatch):
+        text = V + "\n" + V.replace("}", ', "x": [[1]]}') + "\n" + W + "\n"
+        path, want = self._parse(tmp_path, text)
+        calls = []
+        parse_lines = corpus._parse_lines
+
+        def counted(*args):
+            calls.append(args)
+            return parse_lines(*args)
+
+        monkeypatch.setattr(corpus, "MAX_OPENERS", 4)
+        monkeypatch.setattr(corpus, "_parse_lines", counted)
+        assert corpus.parse_note_events(path).notes == want.notes
+        assert len(calls) == 1
+
     def test_only_blank_lines_rejected(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text("\n  \n")
@@ -325,7 +389,44 @@ FRAGMENTS = OBJECT_LINES + [
     V.replace("0.5", "Infinity"), V + " " + W, "2]}",
     "null", "[1, 2]", "5", '"text"', "", "{", "}",
     '{"onset": 2.0, "offset": 2.5, "pitch": 61}',
+    # json accepts these; orjson refuses them or reads a float
+    V.replace("60", "NaN"), V.replace("}", ', "extra": "\\ud800"}'),
+    V.replace("60", "18446744073709551616"),
 ]
+
+
+@st.composite
+def number_spellings(draw):
+    """A JSON number: a sign, 1-25 significant digits with the decimal point
+    anywhere, and an exponent in [-330, 310]; or an edge spelling."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(1, len(digits)))
+    spelling = (draw(st.sampled_from(["", "-"]))
+                + (digits[:point].lstrip("0") or "0")
+                + ("." + digits[point:] if point < len(digits) else ""))
+    exponent = draw(st.none() | st.integers(-330, 310))
+    if exponent is not None:
+        spelling += draw(st.sampled_from(["e", "E", "e+"])) + str(exponent)
+    return draw(st.just(spelling) | st.sampled_from(
+        ["-0", "-0.0", "5e-324", "1e400", "-1e400", str(2 ** 53 + 1),
+         str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(2 ** 64 + 1)])
+        | st.integers(2 ** 53, 2 ** 70).map(str))
+
+
+def in_range_spellings(lo, hi):
+    """A number in [lo, hi + 1) spelled with its point shifted by an
+    exponent, e.g. 60.7 as ``0.0607e3``."""
+    return st.builds(
+        lambda whole, frac, shift: format(
+            Decimal(f"{whole}.{frac}").scaleb(-shift), "f") + f"e{shift}",
+        st.integers(lo, hi), st.text("0123456789", max_size=20),
+        st.integers(-4, 4))
+
+
+def field_spellings(lo, hi):
+    """Mostly in range, so that many files are accepted."""
+    return st.integers(0, 3).flatmap(
+        lambda i: number_spellings() if i == 0 else in_range_spellings(lo, hi))
 
 
 def _outcome(fn):
@@ -333,6 +434,15 @@ def _outcome(fn):
         return tuple(fn())
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
+
+
+def _reference_notes(path, text):
+    """The per-line ``json`` reader over every non-blank line of ``text``."""
+    lines = [(i, line.strip()) for i, line
+             in enumerate(text.replace("\r\n", "\n").split("\n"), start=1)
+             if line.strip()]
+    notes = NoteArray.from_events(corpus._parse_lines(path, lines))
+    return Transcription("r", "", "solo", notes).notes
 
 
 class TestParsePathsAgree:
@@ -349,16 +459,34 @@ class TestParsePathsAgree:
         path = tmp_path_factory.mktemp("parse") / "r.jsonl"
         text = newline.join(picks)
         path.write_bytes(text.encode())
-        lines = [(i, line.strip()) for i, line
-                 in enumerate(text.replace("\r\n", "\n").split("\n"),
-                              start=1) if line.strip()]
-
-        def reference():
-            notes = NoteArray.from_events(corpus._parse_lines(path, lines))
-            return Transcription("r", "", "solo", notes).notes
-
         assert _outcome(lambda: corpus.parse_note_events(path).notes) == \
-            _outcome(reference)
+            _outcome(lambda: _reference_notes(path, text))
+
+    @settings(max_examples=300, deadline=None)
+    @example(rows=[("5e-324", "1e400", "18446744073709551616", "64")])
+    # either side of the midpoint between 1 and the next double
+    @example(rows=[("1.000000000000000111022303", "2", "60", "64"),
+                   ("1.000000000000000111022302", "2", "61", "64")])
+    @example(rows=[("-0", "9007199254740993", "60", "-0"),
+                   ("0.5", "18446744073709551617", "6.07e1", "1E2")])
+    @given(rows=st.lists(st.tuples(*[field_spellings(lo, hi) for lo, hi in
+                                     ((0, 1000), (1001, 10 ** 6),
+                                      (corpus.PITCH_MIN, corpus.PITCH_MAX),
+                                      (corpus.VELOCITY_MIN,
+                                       corpus.VELOCITY_MAX))]),
+                         min_size=1, max_size=4))
+    def test_number_spellings_convert_alike(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("numbers") / "r.jsonl"
+        text = "".join('{"onset": %s, "offset": %s, "pitch": %s, '
+                       '"velocity": %s}\n' % row for row in rows)
+        path.write_bytes(text.encode())
+
+        def column_bytes(parse):
+            return lambda: (c.tobytes() for c in parse().columns())
+
+        assert _outcome(column_bytes(
+            lambda: corpus.parse_note_events(path).notes)) == \
+            _outcome(column_bytes(lambda: _reference_notes(path, text)))
 
 
 class TestManifest:

@@ -172,6 +172,20 @@ class TestWriteCorpus:
                                      entries[0].dataset_tag)
         assert len(t.notes) > 0
 
+    def test_every_written_file_takes_the_one_decode(self, tmp_path,
+                                                     monkeypatch):
+        entries = corpus.read_manifest(synthetic.write_corpus(tmp_path, SMALL))
+        per_line = [corpus.NoteArray.from_events(corpus._parse_lines(
+            e.path, enumerate(Path(e.path).read_text().splitlines(), 1)))
+            for e in entries]
+
+        def refuse(path, lines):
+            raise AssertionError(f"{path} fell back to the per-line reader")
+
+        monkeypatch.setattr(corpus, "_parse_lines", refuse)
+        assert [corpus.parse_note_events(e.path).notes
+                for e in entries] == per_line
+
     def test_write_deterministic(self, tmp_path):
         p1 = synthetic.write_corpus(tmp_path / "a", SMALL)
         p2 = synthetic.write_corpus(tmp_path / "b", SMALL)
