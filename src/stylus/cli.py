@@ -94,8 +94,12 @@ def _fits(value, kind) -> bool:
 def _load_config(args) -> RunConfig:
     config = RunConfig()
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+        try:
+            overrides = json.loads(corpus.read_utf8(args.config))
+        except json.JSONDecodeError as exc:
+            raise corpus.ValidationError(
+                f"{args.config}:{exc.lineno}: not JSON: {exc.msg} "
+                f"(column {exc.colno})") from None
         if not isinstance(overrides, dict):
             raise corpus.ValidationError(
                 f"{args.config}: config must be a JSON object, "
@@ -126,6 +130,11 @@ def _check_ranges(config: RunConfig) -> None:
         raise corpus.ValidationError(
             f"config key 'n_values' must be a non-empty list of distinct "
             f"sizes >= 1, got {list(sizes)}")
+    if max(sizes) > features.MAX_FEATURE_SIZE:
+        raise corpus.ValidationError(
+            f"config key 'n_values' must hold sizes <= "
+            f"{features.MAX_FEATURE_SIZE} (larger codes overflow int64), "
+            f"got {list(sizes)}")
     if config.min_df < 1:
         raise corpus.ValidationError(
             f"config key 'min_df' must be >= 1, got {config.min_df}")
@@ -223,11 +232,10 @@ def cmd_extract(args, config):
     manifest = corpus.read_manifest(args.manifest)
     keys: dict = {}     # one shared key object per distinct feature
     rids, counts = [], []
-    for t in _load_transcriptions(manifest):
-        rids.append(t.recording_id)
-        counts.append({keys.setdefault(k, k): c for k, c in
-                       features.extract_recording(t, config.grid,
-                                                  config.n_values).items()})
+    for rid, feats in features.extract_recordings(
+            _load_transcriptions(manifest), config.grid, config.n_values):
+        rids.append(rid)
+        counts.append({keys.setdefault(k, k): c for k, c in feats.items()})
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
     out = Path(args.out)
     features.write_feature_counts(out / "features.csv", rids, counts)

@@ -3,6 +3,7 @@ and clustering."""
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 from collections.abc import Sequence
@@ -13,7 +14,8 @@ import numpy as np
 
 from . import classifier
 from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
-                     NoteArray, paint_roll, time_to_column, write_table)
+                     NoteArray, paint_roll, read_utf8, time_to_column,
+                     write_table)
 from .representations import MIN_CHORD_NOTES, harmony_roll
 from .rng import derive_rng
 
@@ -433,20 +435,21 @@ def cluster(matrix, labels=None) -> Dendrogram:
 def read_concept_exercises(path) -> list[ConceptExercise]:
     """JSONL, one exercise per line: {"concept_id": int, "chords": [[...]]}."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(ConceptExercise(
-                    concept_id=int(obj["concept_id"]),
-                    chords=tuple(tuple(int(p) for p in ch)
-                                 for ch in obj["chords"])))
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad exercise: {exc}")
+    # newline=None reads universal newlines, as text mode does
+    lines = io.StringIO(read_utf8(path), newline=None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            out.append(ConceptExercise(
+                concept_id=int(obj["concept_id"]),
+                chords=tuple(tuple(int(p) for p in ch)
+                             for ch in obj["chords"])))
+        except (json.JSONDecodeError, KeyError, TypeError,
+                ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad exercise: {exc}")
     return out
 
 

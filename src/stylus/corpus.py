@@ -56,18 +56,35 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def read_utf8(path, error=ValidationError) -> str:
+    """The text of a UTF-8 file, line ends untranslated. A byte that is not
+    UTF-8 raises ``error`` naming the file and the byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at "\n", "\r\n" and a lone "\r"
+        lineno = len((data[:exc.start] + b".").splitlines())
+        raise error(f"{path}:{lineno}: not UTF-8: byte "
+                    f"0x{data[exc.start]:02x}: {exc.reason}") from None
+
+
 @contextmanager
 def open_table(path, columns, header_error=ValidationError):
     """Yield the non-blank rows of a CSV table as tuples of their fields in
     ``columns`` (two or more). A header that does not parse or lacks a
     column raises ``header_error``; a short row, a csv error or a ValueError
-    raised in the block becomes a ValidationError naming the file and line."""
+    raised in the block becomes a ValidationError naming the file and line,
+    as does a byte that is not UTF-8 (``read_utf8`` finds its line)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
         except csv.Error as exc:
             raise header_error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            read_utf8(path)
+            raise
         missing = [c for c in columns if c not in header]
         if missing:
             raise header_error(f"{path}:{reader.line_num}: header lacks "
@@ -75,6 +92,9 @@ def open_table(path, columns, header_error=ValidationError):
         pick = itemgetter(*(header.index(c) for c in columns))
         try:
             yield map(pick, filter(None, reader))
+        except UnicodeDecodeError:
+            read_utf8(path)
+            raise
         except (csv.Error, IndexError, ValueError) as exc:
             reason = ("too few fields" if isinstance(exc, IndexError)
                       else str(exc))
@@ -158,6 +178,14 @@ class NoteArray:
         events = list(events)
         return cls([n.onset for n in events], [n.offset for n in events],
                    [n.pitch for n in events], [n.velocity for n in events])
+
+    @classmethod
+    def concatenate(cls, arrays) -> NoteArray:
+        """NoteArrays' rows one after another, each keeping its order."""
+        out = object.__new__(cls)
+        out.onset, out.offset, out.pitch, out.velocity = map(
+            np.concatenate, zip(*(a.columns() for a in arrays)))
+        return out
 
     def columns(self) -> tuple:
         return self.onset, self.offset, self.pitch, self.velocity
@@ -249,16 +277,9 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     with the line of its first bad byte.
     """
     path = Path(path)
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # bytes.splitlines breaks at "\n", "\r\n" and a lone "\r"
-        lineno = len((data[:exc.start] + b".").splitlines())
-        raise ParseError(f"{path}:{lineno}: not UTF-8: byte "
-                         f"0x{data[exc.start]:02x}: {exc.reason}") from None
-    # universal newlines, as text-mode reading translates them
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = read_utf8(path, ParseError)
+    if "\r" in text:   # universal newlines, as text-mode reading translates
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     notes = _decode_notes(text.strip())
     if notes is None:
         lines = [(lineno, stripped) for lineno, line
@@ -282,7 +303,8 @@ def _decode_notes(text: str) -> NoteArray | None:
     ``NaN``, ``Infinity``, a lone surrogate or a double that overflows, which
     orjson refuses. orjson reads an integer past 2**64 as ``float()`` does.
     """
-    if "null" in text or text.count("[") + text.count("{") > MAX_OPENERS:
+    if "null" in text or (len(text) > MAX_OPENERS and
+                          text.count("[") + text.count("{") > MAX_OPENERS):
         return None
     n_lines = text.count("\n") + 1
     try:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import (PITCH_MAX, PITCH_MIN, NoteArray, Transcription,
                      open_table, write_table)
@@ -23,6 +22,16 @@ MAX_MELODY_GAP = 2.0     # seconds between successive offset and onset
 MAX_VOICING_LEAP = 15    # adjacent-pitch gap in semitones
 MIN_DF = 10
 MAX_DF = 1000
+# A feature is counted as one int64 code. Melody digits lie in [0, 25), the
+# first 12, and 13 * 25**13 > 2**63; voicing digits lie in [0, 88), the first
+# 0, and 88**10 > 2**63. Melody codes overflow from size 14 and voicing
+# codes from size 11, so one limit below both serves every size.
+MAX_FEATURE_SIZE = 10
+# A batch of recordings closes at this many notes. Extraction runs as fast
+# at 2**13 notes a batch as at 2**15, while a batch's arrays at 2**15 take
+# a few MB, so the smaller bound keeps extract's peak memory near that of
+# extracting one recording at a time.
+EXTRACT_BATCH_NOTES = 1 << 13
 
 KIND_MELODY = "melody"
 KIND_HARMONY = "harmony"
@@ -36,17 +45,29 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
 
 
+def _grid_frames(onset: np.ndarray, grid: float) -> np.ndarray:
+    """Each onset's frame, (rint(onset * 1000) + g // 2) // g, g in ms."""
+    if grid <= 0:
+        raise ValueError("grid must be positive")
+    grid_ms = int(round(grid * 1000))
+    if grid_ms == 0:
+        raise ValueError("grid must be at least 1 ms")
+    return (np.rint(onset * 1000).astype(np.int64) + grid_ms // 2) // grid_ms
+
+
 @dataclass(frozen=True, eq=False)
 class Frames:
     """Notes grouped by quantised onset.
 
-    ``notes`` keeps (onset, pitch) order and the frame index is monotone in
-    the onset, so each frame is one contiguous run; ``index[i]`` is the
-    frame of note ``i``.
+    ``notes`` holds one recording, or a batch of recordings one after
+    another with ``recording[i]`` the batch position of note ``i``'s. Each
+    keeps (onset, pitch) order; ``index[i]``, the frame of note ``i``, never
+    falls and no two recordings share a frame, so a frame is one run.
     """
     notes: NoteArray
     index: np.ndarray
     grid: float
+    recording: np.ndarray | None = None
 
     @property
     def starts(self) -> np.ndarray:
@@ -55,23 +76,26 @@ class Frames:
 
     @property
     def time(self) -> np.ndarray:
-        """Grid time of each frame."""
-        return self.index[self.starts] * self.grid
+        """Grid time of each frame in its recording."""
+        return _grid_frames(self.notes.onset[self.starts],
+                            self.grid) * self.grid
 
 
 def quantise(t, grid: float = GRID_SECONDS) -> Frames:
-    """Group the notes of ``t`` (a Transcription or a Clip) into frames by
-    snapping onsets to the nearest grid point, in integer milliseconds:
-    frame = (rint(onset * 1000) + g // 2) // g with g the grid in ms. Both
-    the feature and the clip path group notes here."""
-    if grid <= 0:
-        raise ValueError("grid must be positive")
-    grid_ms = int(round(grid * 1000))
-    if grid_ms == 0:
-        raise ValueError("grid must be at least 1 ms")
-    ms = np.rint(t.notes.onset * 1000).astype(np.int64)
-    return Frames(notes=t.notes, index=(ms + grid_ms // 2) // grid_ms,
-                  grid=grid)
+    """Group notes into frames by snapping onsets to the nearest grid point
+    in integer milliseconds. ``t`` is one recording (a Transcription or a
+    Clip) or a batch (a list of Transcriptions). Both the feature and the
+    clip path group notes here."""
+    if hasattr(t, "notes"):
+        return Frames(t.notes, _grid_frames(t.notes.onset, grid), grid)
+    notes = NoteArray.concatenate([r.notes for r in t])
+    recording = np.repeat(np.arange(len(t)), [len(r.notes) for r in t])
+    frame = _grid_frames(notes.onset, grid)
+    # a recording's first frame follows the previous recording's last one
+    first = np.flatnonzero(np.diff(recording)) + 1
+    shift = np.zeros_like(frame)
+    shift[first] = frame[first - 1] + 1 - frame[first]
+    return Frames(notes, frame + np.cumsum(shift), grid, recording)
 
 
 def skyline(frames: Frames) -> NoteArray:
@@ -79,42 +103,81 @@ def skyline(frames: Frames) -> NoteArray:
 
     Of equal highest pitches the first in (onset, pitch) order wins.
     """
-    # stable: by frame, then pitch descending, then original position
-    order = np.lexsort((-frames.notes.pitch, frames.index))
+    # stable: by frame, then pitch descending, then original position; as
+    # pitches lie in [PITCH_MIN, PITCH_MAX], each frame's keys lie below the
+    # next frame's
+    order = np.argsort(frames.index * (PITCH_MAX + 1) - frames.notes.pitch,
+                       kind="stable")
     return frames.notes[order[frames.starts]]
 
 
-def _count_rows(rows: np.ndarray, base: int, lo: int) -> Counter:
-    """Count the distinct rows of a small-integer matrix with values in
-    [lo, lo + base), as tuples of Python ints."""
-    if rows.shape[0] == 0:
-        return Counter()
-    powers = base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
-    codes, counts = np.unique((rows - lo) @ powers, return_counts=True)
-    digits = codes[:, None] // powers % base + lo
-    return Counter(dict(zip(map(tuple, digits.tolist()), counts.tolist())))
+def _sizes(n_values) -> set:
+    """The distinct feature sizes, refused outside [1, MAX_FEATURE_SIZE]."""
+    sizes = set(n_values)
+    if not sizes <= set(range(1, MAX_FEATURE_SIZE + 1)):
+        raise ValueError(f"feature sizes must lie in [1, {MAX_FEATURE_SIZE}]"
+                         f", got {sorted(sizes)}")
+    return sizes
 
 
-def extract_ngrams(melody: NoteArray, n_values=NGRAM_SIZES) -> Counter:
+def _counters(recording, size: int):
+    """Each of ``size`` items' recording (None: all one recording's), and
+    an empty Counter per recording."""
+    if recording is None:
+        return np.zeros(size, dtype=np.int64), [Counter()]
+    return recording, [Counter() for _ in range(recording[-1] + 1)]
+
+
+def _count_codes(recording, codes, base: int, n: int, lo: int,
+                 counts) -> None:
+    """Set ``counts[r][feature]`` to the number of times each code occurs
+    for recording ``r``. A code holds the feature's n values minus ``lo`` as
+    base-``base`` digits; the feature is their tuple of ints."""
+    order = np.lexsort((codes, recording))
+    recording, codes = recording[order], codes[order]
+    first = np.flatnonzero((np.diff(recording, prepend=-1) != 0)
+                           | (np.diff(codes, prepend=-1) != 0))
+    digits = codes[first, None] // base ** np.arange(n - 1, -1, -1) % base
+    for r, feat, c in zip(recording[first].tolist(),
+                          map(tuple, (digits + lo).tolist()),
+                          np.diff(first, append=codes.size).tolist()):
+        counts[r][feat] = c
+
+
+def extract_ngrams(melody: NoteArray, n_values=NGRAM_SIZES, recording=None):
     """Count transposition-invariant n-grams over the melody.
 
     Windows spanning more than 12 semitones, or containing a silence longer
     than 2 s between successive notes (pre-quantisation times), are skipped.
+    For a batch, ``recording`` holds each note's recording (nondecreasing,
+    every recording present): no window crosses from one recording into the
+    next, and each recording gets a Counter. Without it the melody is one
+    recording's and gets one Counter.
     """
+    sizes = _sizes(n_values)
     pitch = melody.pitch
-    gap = melody.onset[1:] - melody.offset[:-1] > MAX_MELODY_GAP
-    gaps_before = np.concatenate(([0], np.cumsum(gap)))  # gaps in [0, i)
-    counts: Counter = Counter()
-    for n in n_values:
-        if pitch.size < n:
-            continue
-        windows = sliding_window_view(pitch, n)
-        span = windows.max(axis=1) - windows.min(axis=1)
-        no_gap = gaps_before[n - 1:] == gaps_before[:windows.shape[0]]
-        kept = windows[(span <= MAX_NGRAM_SPAN) & no_gap]
-        counts.update(_count_rows(kept - kept[:, :1], 2 * MAX_NGRAM_SPAN + 1,
-                                  -MAX_NGRAM_SPAN))
-    return counts
+    rec, counts = _counters(recording, pitch.size)
+    # a window breaks between notes at a silence or a recording boundary
+    breaks = melody.onset[1:] - melody.offset[:-1] > MAX_MELODY_GAP
+    breaks |= np.diff(rec) != 0
+    base = 2 * MAX_NGRAM_SPAN + 1
+    # per window: lowest and highest pitch, whether it holds no break, and
+    # the code of its pitches above the first, plus 12, in base 25
+    low = high = pitch
+    whole = np.ones(pitch.size, dtype=bool)
+    code = np.full(pitch.size, MAX_NGRAM_SPAN, dtype=np.int64)
+    for n in range(1, max(sizes, default=0) + 1):
+        if n > 1:    # extend each window of n - 1 notes by the next note
+            last = pitch[n - 1:]
+            low, high = np.minimum(low[:-1], last), np.maximum(high[:-1], last)
+            whole = whole[:-1] & ~breaks[n - 2:]
+            code = code[:-1] * base + (last - pitch[:last.size]
+                                       + MAX_NGRAM_SPAN)
+        if n in sizes:
+            kept = whole & (high - low <= MAX_NGRAM_SPAN)
+            _count_codes(rec[:kept.size][kept], code[kept], base, n,
+                         -MAX_NGRAM_SPAN, counts)
+    return counts if recording is not None else counts[0]
 
 
 def frame_pitches(frames: Frames):
@@ -122,40 +185,69 @@ def frame_pitches(frames: Frames):
     (pitch, starts, sizes): frame k's pitches are
     ``pitch[starts[k]:starts[k] + sizes[k]]``."""
     # distinct (frame, pitch) pairs, by frame then pitch
-    pairs = np.unique(frames.index * (PITCH_MAX + 1) + frames.notes.pitch)
-    frame, pitch = np.divmod(pairs, PITCH_MAX + 1)
+    pairs = np.sort(frames.index * (PITCH_MAX + 1) + frames.notes.pitch)
+    frame, pitch = np.divmod(pairs[_run_starts(pairs)], PITCH_MAX + 1)
     starts = _run_starts(frame)
     return pitch, starts, np.diff(starts, append=frame.size)
 
 
-def extract_voicings(frames: Frames, n_values=VOICING_SIZES) -> Counter:
+def extract_voicings(frames: Frames, n_values=VOICING_SIZES):
     """Count chord voicings as semitone offsets above the lowest note.
 
     Frame size counts distinct pitches; frames with two or more adjacent
-    gaps above 15 semitones are discarded as transcription errors.
+    gaps above 15 semitones are discarded as transcription errors. A batch
+    gets one Counter per recording, one recording a Counter.
     """
-    pitch, starts, sizes = frame_pitches(frames)
-    counts: Counter = Counter()
-    for n in set(n_values):
-        chords = pitch[starts[sizes == n, None] + np.arange(n)]
-        leaps = (np.diff(chords, axis=1) > MAX_VOICING_LEAP).sum(axis=1)
-        kept = chords[leaps < 2]
-        counts.update(_count_rows(kept - kept[:, :1],
-                                  PITCH_MAX - PITCH_MIN + 1, 0))
-    return counts
+    sizes = _sizes(n_values)
+    pitch, starts, widths = frame_pitches(frames)
+    rec, counts = _counters(None if frames.recording is None
+                            else frames.recording[frames.starts], starts.size)
+    base = PITCH_MAX - PITCH_MIN + 1
+    for n in sizes:
+        chosen = widths == n
+        chords = pitch[starts[chosen, None] + np.arange(n)]
+        kept = (np.diff(chords, axis=1) > MAX_VOICING_LEAP).sum(axis=1) < 2
+        codes = (chords[kept] - chords[kept, :1]) @ base ** np.arange(
+            n - 1, -1, -1)
+        _count_codes(rec[chosen][kept], codes, base, n, 0, counts)
+    return counts if frames.recording is not None else counts[0]
+
+
+def extract_batch(recordings, grid: float = GRID_SECONDS,
+                  n_values=NGRAM_SIZES) -> list[tuple]:
+    """(recording_id, feature counts keyed by (kind, feature tuple)) for
+    each of a non-empty list of Transcriptions, extracted as one batch."""
+    frames = quantise(recordings, grid)
+    melody = extract_ngrams(skyline(frames), n_values,
+                            frames.recording[frames.starts])
+    harmony = extract_voicings(frames, n_values)
+    return [(t.recording_id, {**{(KIND_MELODY, f): c for f, c in m.items()},
+                              **{(KIND_HARMONY, f): c for f, c in h.items()}})
+            for t, m, h in zip(recordings, melody, harmony)]
 
 
 def extract_recording(t: Transcription, grid: float = GRID_SECONDS,
                       n_values=NGRAM_SIZES) -> dict:
     """Per-recording feature counts keyed by (kind, feature tuple)."""
-    frames = quantise(t, grid)
-    melody = skyline(frames)
-    out = {}
-    for feat, c in extract_ngrams(melody, n_values).items():
-        out[(KIND_MELODY, feat)] = c
-    for feat, c in extract_voicings(frames, n_values).items():
-        out[(KIND_HARMONY, feat)] = c
-    return out
+    return extract_batch([t], grid, n_values)[0][1]
+
+
+def extract_recordings(recordings, grid: float = GRID_SECONDS,
+                       n_values=NGRAM_SIZES):
+    """Yield ``extract_batch``'s pairs for each recording, in order, batch
+    by batch. A batch closes once it holds ``EXTRACT_BATCH_NOTES`` notes and
+    is dropped once extracted, so an iterator's recordings are held at most
+    one batch at a time."""
+    batch, notes = [], 0
+    for t in recordings:
+        batch.append(t)
+        notes += len(t.notes)
+        if notes >= EXTRACT_BATCH_NOTES:
+            del t       # the batch goes whole, its last recording too
+            yield from extract_batch(batch, grid, n_values)
+            batch, notes = [], 0
+    if batch:
+        yield from extract_batch(batch, grid, n_values)
 
 
 @dataclass(frozen=True)

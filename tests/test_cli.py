@@ -102,6 +102,48 @@ class TestExitCodes:
             f"stylus: {notes}:2: not UTF-8: byte 0xff: invalid start byte"]
         assert not (tmp_path / "run" / "ingest.csv").exists()
 
+    # the bad byte in the first text chunk, read with the header, or past it
+    @pytest.mark.parametrize("rows_before", [1, 400])
+    def test_manifest_not_utf8_names_file_and_line(self, capsys, tmp_path,
+                                                   rows_before):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(
+            b"recording_id,performer,dataset_tag,path\n"
+            + b"".join(b"r%d,p,solo,r%d.jsonl\n" % (i, i)
+                       for i in range(rows_before))
+            + b"bad,p\xff,solo,bad.jsonl\n")
+        code = cli.main(["split", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {manifest}:{rows_before + 2}: not UTF-8: byte 0xff: "
+            "invalid start byte"]
+
+    def test_exercises_not_utf8_names_file_and_line(self, capsys, tmp_path):
+        exercises = tmp_path / "ex.jsonl"
+        exercises.write_bytes(b'{"concept_id": 0, "chords": [[48, 52, 55]]}'
+                              b'\r\n{"concept_id": 1, "chords": \xfe}\n')
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("recording_id,performer,dataset_tag,path\n"
+                            "r1,p,solo,r1.jsonl\n")
+        code = cli.main(["concepts", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "run"),
+                         "--exercises", str(exercises)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {exercises}:2: not UTF-8: byte 0xfe: invalid start byte"]
+
+    def test_config_not_json_names_file_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{\n  "min_df": 3,\n}\n')
+        code = cli.main(["gen-synthetic", "--out", str(tmp_path / "run"),
+                         "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {cfg}:3: not JSON: Expecting property name enclosed in "
+            "double quotes (column 1)"]
+        assert not (tmp_path / "run" / "manifest.csv").exists()
+
 
 class TestRunInfo:
     def test_run_json_written(self, workspace):
@@ -342,19 +384,38 @@ class TestStreamedRecordings:
     def test_one_earlier_recording_alive_at_each_parse(self, manifest,
                                                        tmp_path, monkeypatch,
                                                        command):
-        parsed, alive = [], []      # weak references; live count per call
-        parse = corpus.parse_note_events
+        """ingest, rolls and augment hold at most the previous recording at
+        each parse. extract holds only its open batch, the recordings
+        parsed since the last extracted batch: here the first two, then the
+        last two, so each batch is released once extracted."""
+        parsed, alive, opened = [], [], []  # weak references; per parse:
+        batches = []                        # live count, open batch size
+        parse, extract_batch = corpus.parse_note_events, features.extract_batch
 
         def tracked_parse(*args, **kwargs):
             alive.append(sum(r() is not None for r in parsed))
+            opened.append(len(parsed) - sum(batches))
             t = parse(*args, **kwargs)
             parsed.append(weakref.ref(t))
             return t
 
+        def tracked_extract_batch(batch, *args):
+            batches.append(len(batch))
+            return extract_batch(batch, *args)
+
+        first = corpus.read_manifest(manifest)[0]
+        monkeypatch.setattr(features, "EXTRACT_BATCH_NOTES",
+                            len(parse(first.path).notes) + 1)
         monkeypatch.setattr(corpus, "parse_note_events", tracked_parse)
+        monkeypatch.setattr(features, "extract_batch", tracked_extract_batch)
         assert cli.main([command, "--manifest", str(manifest),
                          "--out", str(tmp_path / "run")]) == EXIT_OK
-        assert len(alive) == 4 and max(alive) <= 1
+        assert len(alive) == 4
+        if command == "extract":
+            assert batches == [2, 2] and opened == [0, 1, 0, 1]
+            assert alive == opened
+        else:
+            assert max(alive) <= 1
 
     @pytest.mark.parametrize("command, index", [
         ("ingest", ["ingest.csv"]),
@@ -546,6 +607,8 @@ class TestStaleArtifacts:
         ('{"max_df": 3, "min_df": 10}',
          "'max_df' must be >= min_df (10), got 3"),
         ('{"n_values": [3, 4, 3]}', "got [3, 4, 3]"),
+        ('{"n_values": [3, 11]}', "'n_values' must hold sizes <= 10 (larger "
+                                  "codes overflow int64), got [3, 11]"),
     ])
     def test_feature_setting_out_of_range_exits_1(self, workspace, tmp_path,
                                                   capsys, text, message):

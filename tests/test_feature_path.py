@@ -3,13 +3,16 @@
 Pins the SHA-256 of what ``ingest``, ``split``, ``extract`` and ``train``
 write for a small fixed-seed synthetic corpus, so a change to parsing,
 extraction, the feature dump or the solver that moves a byte shows here.
+The pins hold when extract takes the whole corpus as one batch, at the
+default bound, and when it closes a batch every 7 notes, after each
+recording.
 """
 
 import hashlib
 
 import pytest
 
-from stylus import cli, synthetic
+from stylus import cli, features, synthetic
 from stylus.cli import EXIT_OK
 
 CORPUS = synthetic.SyntheticConfig(n_performers=4, n_recordings=6,
@@ -30,8 +33,7 @@ OUTPUT_SHA256 = {
 }
 
 
-@pytest.fixture(scope="module")
-def run_dir(tmp_path_factory):
+def _run(tmp_path_factory):
     """An ingest, split, extract and train run over the pinned corpus."""
     root = tmp_path_factory.mktemp("feature_path")
     manifest = synthetic.write_corpus(root / "corpus", CORPUS)
@@ -45,7 +47,25 @@ def run_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    return _run(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def small_batch_run_dir(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "EXTRACT_BATCH_NOTES", 7)
+        return _run(tmp_path_factory)
+
+
 @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
 def test_output_pinned(run_dir, name):
     data = (run_dir / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
+def test_output_pinned_in_small_batches(small_batch_run_dir, name):
+    data = (small_batch_run_dir / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]

@@ -1,14 +1,19 @@
 import csv
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stylus import features
-from stylus.corpus import NoteArray, NoteEvent, Transcription, ValidationError
+from stylus.corpus import (PITCH_MAX, PITCH_MIN, NoteArray, NoteEvent,
+                           Transcription, ValidationError)
+from stylus.features import (GRID_SECONDS, KIND_HARMONY, KIND_MELODY,
+                             MAX_MELODY_GAP, MAX_NGRAM_SPAN, MAX_VOICING_LEAP,
+                             NGRAM_SIZES, VOICING_SIZES)
 
 
 def note(onset, pitch, offset=None, velocity=64):
@@ -232,6 +237,228 @@ class TestColumnarOracle:
         want.update({(features.KIND_HARMONY, f): c
                      for f, c in voicings.items()})
         assert features.extract_recording(t) == want
+
+
+# The per-recording extraction that batched extraction replaced, copied
+# verbatim as an oracle: one recording at a time, no batch.
+# ---------------------------------------------------------------------------
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Position of the first element of each run of equal values."""
+    return np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
+
+
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Notes grouped by quantised onset.
+
+    ``notes`` keeps (onset, pitch) order and the frame index is monotone in
+    the onset, so each frame is one contiguous run; ``index[i]`` is the
+    frame of note ``i``.
+    """
+    notes: NoteArray
+    index: np.ndarray
+    grid: float
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Position of each frame's first note."""
+        return _run_starts(self.index)
+
+    @property
+    def time(self) -> np.ndarray:
+        """Grid time of each frame."""
+        return self.index[self.starts] * self.grid
+
+
+def quantise(t, grid: float = GRID_SECONDS) -> Frames:
+    """Group the notes of ``t`` (a Transcription or a Clip) into frames by
+    snapping onsets to the nearest grid point, in integer milliseconds:
+    frame = (rint(onset * 1000) + g // 2) // g with g the grid in ms. Both
+    the feature and the clip path group notes here."""
+    if grid <= 0:
+        raise ValueError("grid must be positive")
+    grid_ms = int(round(grid * 1000))
+    if grid_ms == 0:
+        raise ValueError("grid must be at least 1 ms")
+    ms = np.rint(t.notes.onset * 1000).astype(np.int64)
+    return Frames(notes=t.notes, index=(ms + grid_ms // 2) // grid_ms,
+                  grid=grid)
+
+
+def skyline(frames: Frames) -> NoteArray:
+    """One melody note per frame: the highest pitch, raw times preserved.
+
+    Of equal highest pitches the first in (onset, pitch) order wins.
+    """
+    # stable: by frame, then pitch descending, then original position
+    order = np.lexsort((-frames.notes.pitch, frames.index))
+    return frames.notes[order[frames.starts]]
+
+
+def _count_rows(rows: np.ndarray, base: int, lo: int) -> Counter:
+    """Count the distinct rows of a small-integer matrix with values in
+    [lo, lo + base), as tuples of Python ints."""
+    if rows.shape[0] == 0:
+        return Counter()
+    powers = base ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes, counts = np.unique((rows - lo) @ powers, return_counts=True)
+    digits = codes[:, None] // powers % base + lo
+    return Counter(dict(zip(map(tuple, digits.tolist()), counts.tolist())))
+
+
+def extract_ngrams(melody: NoteArray, n_values=NGRAM_SIZES) -> Counter:
+    """Count transposition-invariant n-grams over the melody.
+
+    Windows spanning more than 12 semitones, or containing a silence longer
+    than 2 s between successive notes (pre-quantisation times), are skipped.
+    """
+    pitch = melody.pitch
+    gap = melody.onset[1:] - melody.offset[:-1] > MAX_MELODY_GAP
+    gaps_before = np.concatenate(([0], np.cumsum(gap)))  # gaps in [0, i)
+    counts: Counter = Counter()
+    for n in n_values:
+        if pitch.size < n:
+            continue
+        windows = sliding_window_view(pitch, n)
+        span = windows.max(axis=1) - windows.min(axis=1)
+        no_gap = gaps_before[n - 1:] == gaps_before[:windows.shape[0]]
+        kept = windows[(span <= MAX_NGRAM_SPAN) & no_gap]
+        counts.update(_count_rows(kept - kept[:, :1], 2 * MAX_NGRAM_SPAN + 1,
+                                  -MAX_NGRAM_SPAN))
+    return counts
+
+
+def frame_pitches(frames: Frames):
+    """The distinct pitches of each frame, ascending, frame after frame, as
+    (pitch, starts, sizes): frame k's pitches are
+    ``pitch[starts[k]:starts[k] + sizes[k]]``."""
+    # distinct (frame, pitch) pairs, by frame then pitch
+    pairs = np.unique(frames.index * (PITCH_MAX + 1) + frames.notes.pitch)
+    frame, pitch = np.divmod(pairs, PITCH_MAX + 1)
+    starts = _run_starts(frame)
+    return pitch, starts, np.diff(starts, append=frame.size)
+
+
+def extract_voicings(frames: Frames, n_values=VOICING_SIZES) -> Counter:
+    """Count chord voicings as semitone offsets above the lowest note.
+
+    Frame size counts distinct pitches; frames with two or more adjacent
+    gaps above 15 semitones are discarded as transcription errors.
+    """
+    pitch, starts, sizes = frame_pitches(frames)
+    counts: Counter = Counter()
+    for n in set(n_values):
+        chords = pitch[starts[sizes == n, None] + np.arange(n)]
+        leaps = (np.diff(chords, axis=1) > MAX_VOICING_LEAP).sum(axis=1)
+        kept = chords[leaps < 2]
+        counts.update(_count_rows(kept - kept[:, :1],
+                                  PITCH_MAX - PITCH_MIN + 1, 0))
+    return counts
+
+
+def extract_recording(t: Transcription, grid: float = GRID_SECONDS,
+                      n_values=NGRAM_SIZES) -> dict:
+    """Per-recording feature counts keyed by (kind, feature tuple)."""
+    frames = quantise(t, grid)
+    melody = skyline(frames)
+    out = {}
+    for feat, c in extract_ngrams(melody, n_values).items():
+        out[(KIND_MELODY, feat)] = c
+    for feat, c in extract_voicings(frames, n_values).items():
+        out[(KIND_HARMONY, feat)] = c
+    return out
+# ---------------------------------------------------------------------------
+
+
+def _drawn_recording(draw, start, count, pitch, chord=False):
+    """``count`` notes from ``start`` s: at one onset, or spread over 5 s."""
+    onsets = ([0] * count if chord else
+              draw(st.lists(st.integers(0, 5000), min_size=count,
+                            max_size=count)))
+    return [note(start + ms / 1000, draw(pitch), offset=start
+                 + (ms + draw(st.integers(50, 2500))) / 1000)
+            for ms in onsets]
+
+
+@st.composite
+def recording_batches(draw):
+    """Recordings for batches, each always holding: recordings of one or
+    two notes (fewer than most sizes), a single-frame recording, a recording
+    starting within 2 s of the previous one's last offset, and one whose
+    onsets lie past 10^4 s, shuffled, plus a few random ones.
+
+    Melody pitches lie within a 12-semitone span, so a window that crossed
+    a recording boundary would pass the span filter.
+    """
+    melodic = st.integers(55, 67)
+    groups = [[_drawn_recording(draw, 0.0, draw(st.integers(1, 2)),
+                                melodic)] for _ in range(2)]
+    groups.append([_drawn_recording(draw, draw(st.sampled_from([0.0, 0.35])),
+                                    draw(st.integers(1, 9)),
+                                    st.integers(PITCH_MIN, PITCH_MAX),
+                                    chord=True)])
+    # the second starts at most 1 s in, the first ends at least 1 s in
+    groups.append([_drawn_recording(draw, 1.0, draw(st.integers(3, 12)),
+                                    melodic),
+                   _drawn_recording(draw, draw(st.sampled_from([0.0, 1.0])),
+                                    draw(st.integers(3, 12)), melodic)])
+    groups.append([_drawn_recording(
+        draw, draw(st.sampled_from([10_000.0, 123_456.789])),
+        draw(st.integers(1, 20)), melodic)])
+    for _ in range(draw(st.integers(0, 3))):
+        groups.append([_drawn_recording(draw, 0.0, draw(st.integers(1, 30)),
+                                        st.integers(30, 100))])
+    return [Transcription(f"r{i}", "p", "solo", notes=tuple(notes))
+            for i, notes in enumerate(
+                r for g in draw(st.permutations(groups)) for r in g)]
+
+
+class TestBatchOracle:
+    @settings(max_examples=120, deadline=None)
+    @given(recordings=recording_batches(),
+           bound=st.integers(1, 80),
+           grid=st.sampled_from([0.1, 0.05, 0.25]),
+           n_values=st.sampled_from([NGRAM_SIZES, (1, 2), (8, 9, 10)])
+           | st.sets(st.integers(1, features.MAX_FEATURE_SIZE), min_size=1,
+                     max_size=4).map(sorted).map(tuple))
+    def test_every_recording_matches_the_per_recording_reference(
+            self, recordings, bound, grid, n_values):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "EXTRACT_BATCH_NOTES", bound)
+            got = list(features.extract_recordings(iter(recordings), grid,
+                                                   n_values))
+        assert got == [(t.recording_id, extract_recording(t, grid, n_values))
+                       for t in recordings]
+
+    def test_frame_times_are_each_recordings_own(self):
+        a = transcription([note(0.0, 60), note(0.44, 62), note(5.0, 64)])
+        b = transcription([note(0.06, 60), note(0.3, 62)])
+        frames = features.quantise([a, b])
+        assert np.array_equal(frames.time, np.concatenate(
+            [features.quantise(a).time, features.quantise(b).time]))
+        assert frames.index.tolist() == [0, 4, 50, 51, 53]
+        assert frames.recording.tolist() == [0, 0, 0, 1, 1]
+
+
+class TestFeatureSizeLimit:
+    def test_melody_codes_past_the_limit_refused(self):
+        # at size 14 the int64 code overflowed into (-12, 3, -12, 9, ...)
+        m = NoteArray.from_events(note(0.5 * i, 60 + 12 * (i % 2))
+                                  for i in range(14))
+        with pytest.raises(ValueError, match=r"\[1, 10\], got \[11, 14\]"):
+            features.extract_ngrams(m, n_values=(14, 11))
+        assert features.extract_ngrams(m, n_values=(10,)) == {
+            (0, 12) * 5: 3, (0, -12) * 5: 2}
+
+    def test_voicing_codes_past_the_limit_refused(self):
+        pitches = [21, 36, 51, 66, 81, 96, 97, 98, 99, 108]
+        frames = features.quantise(transcription(note(0.0, p)
+                                                 for p in pitches))
+        assert features.extract_voicings(frames, n_values=(10,)) == {
+            tuple(p - 21 for p in pitches): 1}
+        for sizes in [(11,), (0, 3)]:
+            with pytest.raises(ValueError, match="feature sizes"):
+                features.extract_voicings(frames, n_values=sizes)
 
 
 class TestVocabulary:
