@@ -61,7 +61,7 @@ def _setup_logging():
 
 
 def _write_run_info(out_dir: Path, command: str, args, config: RunConfig,
-                    started: float) -> None:
+                    started: float, extra: dict) -> None:
     payload = {
         "command": command,
         "seed": args.seed,
@@ -72,6 +72,7 @@ def _write_run_info(out_dir: Path, command: str, args, config: RunConfig,
             if command in NEEDS_MANIFEST else None),
         "version": __version__,
         "wall_time_seconds": time.time() - started,
+        **extra,
     }
     with open(out_dir / "run.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -152,16 +153,25 @@ def _lr_config(config: RunConfig) -> classifier.LRConfig:
                                penalty=config.penalty)
 
 
-def _load_transcriptions(manifest):
+def _note_store(args) -> corpus.NoteStore:
+    """The note store ``ingest`` wrote in --out; empty if there is none."""
+    return corpus.NoteStore(Path(args.out) / corpus.STORE_NAME)
+
+
+def _load_transcriptions(manifest, store: corpus.NoteStore):
     """The manifest's recordings, parsed one at a time in manifest order.
 
     A generator, so a pass that drops each Transcription before taking the
     next holds one parsed recording at a time, and an invalid recording
     raises only when the pass reaches it: a subcommand writes its index
     file after the loop, so an invalid recording leaves none behind.
+    Each is parsed through ``store`` (``corpus.parse_note_events``):
+    ``ingest`` fills a new one, and the other corpus subcommands read the
+    store in --out, which holds each file unchanged since ``ingest``.
+    ``store.counts``, which run.json records, says where the notes came from.
     """
     return (corpus.parse_note_events(e.path, e.recording_id, e.performer,
-                                     e.dataset_tag) for e in manifest)
+                                     e.dataset_tag, store) for e in manifest)
 
 
 def _require(path: Path, what: str):
@@ -211,12 +221,16 @@ def cmd_gen_synthetic(args, config):
 
 def cmd_ingest(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    rows = [[t.recording_id, t.performer, t.dataset_tag, len(t.notes),
-             repr(t.duration)] for t in _load_transcriptions(manifest)]
-    corpus.write_table(Path(args.out) / "ingest.csv",
+    out = Path(args.out)
+    with corpus.NoteStore.create(out / corpus.STORE_NAME) as store:
+        rows = [[t.recording_id, t.performer, t.dataset_tag, len(t.notes),
+                 repr(t.duration)]
+                for t in _load_transcriptions(manifest, store)]
+    corpus.write_table(out / "ingest.csv",
                        ["recording_id", "performer", "dataset_tag",
                         "n_notes", "duration"], rows)
     print(f"ingested {len(rows)} recordings")
+    return {"notes": store.counts}
 
 
 def cmd_split(args, config):
@@ -230,18 +244,20 @@ def cmd_split(args, config):
 
 def cmd_extract(args, config):
     manifest = corpus.read_manifest(args.manifest)
-    keys: dict = {}     # one shared key object per distinct feature
+    store = _note_store(args)
     rids, counts = [], []
     for rid, feats in features.extract_recordings(
-            _load_transcriptions(manifest), config.grid, config.n_values):
+            _load_transcriptions(manifest, store), config.grid,
+            config.n_values):
         rids.append(rid)
-        counts.append({keys.setdefault(k, k): c for k, c in feats.items()})
+        counts.append(feats)
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
     out = Path(args.out)
     features.write_feature_counts(out / "features.csv", rids, counts)
     features.write_vocabulary(out / "vocabulary.csv", vocab)
     print(f"extracted {len(vocab)} vocabulary features "
           f"from {len(rids)} recordings")
+    return {"notes": store.counts}
 
 
 def _labels_for(rids, manifest):
@@ -396,7 +412,8 @@ def cmd_rolls(args, config):
     roll_dir = out / "rolls"
     roll_dir.mkdir(parents=True, exist_ok=True)
     index = {}
-    for t in _load_transcriptions(manifest):
+    store = _note_store(args)
+    for t in _load_transcriptions(manifest, store):
         for clip in corpus.segment_clips(t, config.hop):
             key = f"{clip.parent_id}_{int(clip.start)}"
             paths = {"unified": str(roll_dir / f"{key}.roll")}
@@ -411,6 +428,7 @@ def cmd_rolls(args, config):
     with open(out / "rolls.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)
     print(f"wrote {len(index)} clips x 5 rolls to {roll_dir}")
+    return {"notes": store.counts}
 
 
 def cmd_augment(args, config):
@@ -420,7 +438,8 @@ def cmd_augment(args, config):
     preview_dir.mkdir(parents=True, exist_ok=True)
     aconfig = augment_mod.AugmentConfig(seed=args.seed)
     audit = []
-    for t in _load_transcriptions(manifest):
+    store = _note_store(args)
+    for t in _load_transcriptions(manifest, store):
         for clip in corpus.segment_clips(t, config.hop):
             key = f"{clip.parent_id}_{int(clip.start)}"
             result = augment_mod.augment(clip, aconfig, parent=t)
@@ -435,6 +454,7 @@ def cmd_augment(args, config):
     with open(out / "augment_audit.json", "w", encoding="utf-8") as fh:
         json.dump(audit, fh, indent=2)
     print(f"previewed augmentation for {len(audit)} clips")
+    return {"notes": store.counts}
 
 
 def cmd_concepts(args, config):
@@ -447,7 +467,8 @@ def cmd_concepts(args, config):
     for e in exercises:
         by_concept.setdefault(e.concept_id, []).append(e)
     by_performer: dict = {}
-    for t in _load_transcriptions(manifest):
+    store = _note_store(args)
+    for t in _load_transcriptions(manifest, store):
         if split_map.get(t.recording_id) in ("validation", "test"):
             by_performer.setdefault(t.performer, []).append(t)
     # each roll is rendered only when sign_count_experiment embeds it
@@ -472,6 +493,7 @@ def cmd_concepts(args, config):
     print(f"concept analysis: {len(matrix.performers)} performers x "
           f"{len(matrix.concepts)} concepts x "
           f"{matrix.observed.shape[2]} iterations")
+    return {"notes": store.counts}
 
 
 def cmd_report(args, config):
@@ -557,8 +579,8 @@ def main(argv=None) -> int:
         if args.command in NEEDS_MANIFEST and not args.manifest:
             raise corpus.ValidationError(
                 f"{args.command} requires --manifest")
-        HANDLERS[args.command](args, config)
-        _write_run_info(out_dir, args.command, args, config, started)
+        extra = HANDLERS[args.command](args, config) or {}
+        _write_run_info(out_dir, args.command, args, config, started, extra)
     except (corpus.ValidationError, corpus.ParseError, ValueError) as exc:
         print(f"stylus: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

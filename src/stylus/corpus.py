@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -25,8 +27,21 @@ ROLL_HEIGHT = 88
 ROLL_WIDTH = 3000
 FRAME_MS = 10  # one roll column per 10 ms (100 fps)
 CLIP_SECONDS = 30.0
+# Longer recordings are refused: past about 9.2e15 s a time's millisecond
+# overflows int64, and a recording's clip list grows by one per 30 s.
+MAX_RECORDING_SECONDS = 86_400.0
 
 ROLL_MAGIC = b"PROL"
+
+# A note store is a header (magic, entry count, index offset), a block per
+# entry (onset and offset as float64, pitch and velocity as uint8: 18 bytes a
+# note), then the index: per entry its key, the SHA-256 of a note file's
+# bytes, and its block's offset and note count.
+STORE_NAME = "notes.store"
+_STORE_HEADER = struct.Struct("<4sQQ")
+_STORE_MAGIC = b"NST1"
+_STORE_INDEX = np.dtype([("key", "V32"), ("start", "<u8"), ("count", "<u8")])
+_STORE_NOTE_BYTES = 18
 
 # orjson 3.8 decodes without a nesting limit, and about 130k levels overflow
 # an 8 MB C stack. Nesting cannot exceed the count of "[" and "{", so note
@@ -56,10 +71,12 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_utf8(path, error=ValidationError) -> str:
-    """The text of a UTF-8 file, line ends untranslated. A byte that is not
-    UTF-8 raises ``error`` naming the file and the byte's line."""
-    data = Path(path).read_bytes()
+def read_utf8(path, error=ValidationError, data=None) -> str:
+    """The text of a UTF-8 file, or of ``data``, its bytes already read, line
+    ends untranslated. A byte that is not UTF-8 raises ``error`` naming the
+    file and the byte's line."""
+    if data is None:
+        data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -232,6 +249,10 @@ class Transcription:
         object.__setattr__(self, "notes", NoteArray.from_events(self.notes))
         if not len(self.notes):
             raise ValidationError(f"{self.recording_id}: no notes")
+        if self.duration > MAX_RECORDING_SECONDS:
+            raise ValidationError(
+                f"{self.recording_id}: duration {self.duration} s exceeds "
+                f"{MAX_RECORDING_SECONDS} s")
 
     @property
     def duration(self) -> float:
@@ -266,7 +287,8 @@ class ManifestEntry:
 
 
 def parse_note_events(path, recording_id: str = "", performer: str = "",
-                      dataset_tag: str = "solo") -> Transcription:
+                      dataset_tag: str = "solo",
+                      store: NoteStore | None = None) -> Transcription:
     """Read a JSONL note-event file into a Transcription.
 
     Each line holds one object: {"onset", "offset", "pitch", "velocity"};
@@ -275,20 +297,116 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     per-line reader runs only when that decode or a row check fails, so
     errors name the offending lines. A file that is not UTF-8 is refused
     with the line of its first bad byte.
+
+    With a ``store``, the SHA-256 of the file's bytes is looked up first. On
+    a hit the notes are the stored columns, checked and sorted again by
+    NoteArray, and nothing is decoded; on a miss the file is decoded and
+    its notes go to ``store.put``. Either way the columns are the same.
     """
     path = Path(path)
-    text = read_utf8(path, ParseError)
-    if "\r" in text:   # universal newlines, as text-mode reading translates
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    notes = _decode_notes(text.strip())
-    if notes is None:
-        lines = [(lineno, stripped) for lineno, line
-                 in enumerate(text.split("\n"), start=1)
-                 if (stripped := line.strip())]
-        notes = NoteArray.from_events(_parse_lines(path, lines))
-    return Transcription(recording_id=recording_id or path.stem,
-                         performer=performer, dataset_tag=dataset_tag,
-                         notes=notes)
+    data = path.read_bytes()
+    key = hashlib.sha256(data).digest() if store is not None else None
+    notes = stored = store.get(key) if store is not None else None
+    if stored is None:
+        text = read_utf8(path, ParseError, data)
+        if "\r" in text:   # universal newlines, as text-mode reading does
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        notes = _decode_notes(text.strip())
+        if notes is None:
+            lines = [(lineno, stripped) for lineno, line
+                     in enumerate(text.split("\n"), start=1)
+                     if (stripped := line.strip())]
+            notes = NoteArray.from_events(_parse_lines(path, lines))
+    t = Transcription(recording_id=recording_id or path.stem,
+                      performer=performer, dataset_tag=dataset_tag,
+                      notes=notes)
+    if stored is None and store is not None:
+        store.put(key, t.notes)
+    return t
+
+
+class NoteStore:
+    """Notes keyed by the SHA-256 of their note file's bytes, from the store
+    at ``path`` (an empty store if there is none): its index is loaded and
+    ``get`` reads one block. ``create`` writes a store. ``counts`` tallies
+    the recordings taken from the store and the files decoded."""
+
+    def __init__(self, path, out=None):
+        self.path, self._out = Path(path), out   # out: a store being written
+        self.counts = {"from_store": 0, "decoded": 0}
+        self._index = {}    # key: (block offset, note count)
+        if out is not None or not self.path.exists():
+            return
+        with open(self.path, "rb") as fh:
+            head = fh.read(_STORE_HEADER.size)
+            if len(head) != _STORE_HEADER.size or head[:4] != _STORE_MAGIC:
+                raise self._error("bad header")
+            _, n, at = _STORE_HEADER.unpack(head)
+            if os.fstat(fh.fileno()).st_size != at + n * _STORE_INDEX.itemsize:
+                raise self._error("truncated")
+            fh.seek(at)
+            index = np.frombuffer(fh.read(), _STORE_INDEX)
+        start, count = index["start"], index["count"]
+        # each block lies between the header and the index
+        if not ((count >= 1) & (count <= at) & (start >= _STORE_HEADER.size)
+                & (start <= at) & (start + count * _STORE_NOTE_BYTES <= at)
+                ).all():
+            raise self._error("index out of bounds")
+        self._index = dict(zip(map(bytes, index["key"]),
+                               zip(start.tolist(), count.tolist())))
+
+    def _error(self, reason) -> ValidationError:
+        return ValidationError(
+            f"{self.path}: note store {reason}; re-run ingest")
+
+    @classmethod
+    @contextmanager
+    def create(cls, path):
+        """Yield an empty store whose ``put`` appends each block to a
+        temporary file. It replaces ``path`` if the block ends without an
+        exception; a store already there stays otherwise."""
+        tmp = Path(path).with_name(Path(path).name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(bytes(_STORE_HEADER.size))
+                store = cls(path, fh)
+                yield store
+                at = fh.tell()
+                fh.write(np.array([(k, *v) for k, v in store._index.items()],
+                                  _STORE_INDEX).tobytes())
+                fh.seek(0)
+                fh.write(_STORE_HEADER.pack(_STORE_MAGIC, len(store._index),
+                                            at))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    def get(self, key: bytes) -> NoteArray | None:
+        """The notes stored under ``key``; None if there are none or the
+        store is being written."""
+        if self._out is not None or key not in self._index:
+            return None
+        start, n = self._index[key]
+        with open(self.path, "rb") as fh:
+            fh.seek(start)
+            block = fh.read(n * _STORE_NOTE_BYTES)
+        try:    # a short block or an invalid note
+            times = np.frombuffer(block, "<f8", 2 * n).reshape(2, n)
+            notes = NoteArray(*times, *np.frombuffer(
+                block, np.uint8, 2 * n, 16 * n).reshape(2, n))
+        except ValueError as exc:
+            raise self._error(f"block invalid: {exc}") from None
+        self.counts["from_store"] += 1
+        return notes
+
+    def put(self, key: bytes, notes: NoteArray) -> None:
+        """Count a decoded file; a store being written appends its notes'
+        block unless it holds the key already."""
+        self.counts["decoded"] += 1
+        if self._out is not None and key not in self._index:
+            self._index[key] = (self._out.tell(), len(notes))
+            for c, dtype in zip(notes.columns(), ("<f8", "<f8", "u1", "u1")):
+                self._out.write(c.astype(dtype).tobytes())
 
 
 def _decode_notes(text: str) -> NoteArray | None:

@@ -213,41 +213,45 @@ def extract_voicings(frames: Frames, n_values=VOICING_SIZES):
     return counts if frames.recording is not None else counts[0]
 
 
-def extract_batch(recordings, grid: float = GRID_SECONDS,
+def extract_batch(recordings, keys: dict, grid: float = GRID_SECONDS,
                   n_values=NGRAM_SIZES) -> list[tuple]:
     """(recording_id, feature counts keyed by (kind, feature tuple)) for
-    each of a non-empty list of Transcriptions, extracted as one batch."""
+    each of a non-empty list of Transcriptions, extracted as one batch.
+    Equal keys are one object, also across the calls that share ``keys``,
+    a dict from each key made so far to itself."""
     frames = quantise(recordings, grid)
     melody = extract_ngrams(skyline(frames), n_values,
                             frames.recording[frames.starts])
     harmony = extract_voicings(frames, n_values)
-    return [(t.recording_id, {**{(KIND_MELODY, f): c for f, c in m.items()},
-                              **{(KIND_HARMONY, f): c for f, c in h.items()}})
+    return [(t.recording_id, {keys.setdefault(k, k): c for k, c in chain(
+                zip(zip(repeat(KIND_MELODY), m), m.values()),
+                zip(zip(repeat(KIND_HARMONY), h), h.values()))})
             for t, m, h in zip(recordings, melody, harmony)]
 
 
 def extract_recording(t: Transcription, grid: float = GRID_SECONDS,
                       n_values=NGRAM_SIZES) -> dict:
     """Per-recording feature counts keyed by (kind, feature tuple)."""
-    return extract_batch([t], grid, n_values)[0][1]
+    return extract_batch([t], {}, grid, n_values)[0][1]
 
 
 def extract_recordings(recordings, grid: float = GRID_SECONDS,
                        n_values=NGRAM_SIZES):
     """Yield ``extract_batch``'s pairs for each recording, in order, batch
-    by batch. A batch closes once it holds ``EXTRACT_BATCH_NOTES`` notes and
-    is dropped once extracted, so an iterator's recordings are held at most
-    one batch at a time."""
-    batch, notes = [], 0
+    by batch, every batch sharing one key object per distinct feature. A
+    batch closes once it holds ``EXTRACT_BATCH_NOTES`` notes and is dropped
+    once extracted, so an iterator's recordings are held at most one batch
+    at a time."""
+    batch, notes, keys = [], 0, {}
     for t in recordings:
         batch.append(t)
         notes += len(t.notes)
         if notes >= EXTRACT_BATCH_NOTES:
             del t       # the batch goes whole, its last recording too
-            yield from extract_batch(batch, grid, n_values)
+            yield from extract_batch(batch, keys, grid, n_values)
             batch, notes = [], 0
     if batch:
-        yield from extract_batch(batch, grid, n_values)
+        yield from extract_batch(batch, keys, grid, n_values)
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,97 @@ class TestStreamedRecordings:
         assert not any((out / name).exists() for name in index)
 
 
+def _notes_record(out):
+    return json.loads((out / "run.json").read_text())["notes"]
+
+
+def _edit_one_digit(path):
+    """Change the last digit of the file's first velocity: the file keeps
+    its size and stays valid (velocities lie in [40, 100])."""
+    data = bytearray(path.read_bytes())
+    i = data.index(b"}") - 1
+    data[i] = ord("0") + (data[i] - ord("0") + 1) % 10
+    path.write_bytes(bytes(data))
+
+
+class TestNoteStore:
+    """``ingest`` writes the note store that the other corpus subcommands
+    read, and each records in run.json where its notes came from."""
+    CORPUS = synthetic.SyntheticConfig(n_performers=2, n_recordings=2,
+                                       events_per_recording=5, seed=1)
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return synthetic.write_corpus(tmp_path / "corpus", self.CORPUS)
+
+    def _run(self, command, manifest, out):
+        return cli.main([command, "--manifest", str(manifest),
+                         "--out", str(out)])
+
+    def test_extract_reads_what_ingest_wrote(self, manifest, tmp_path):
+        out = tmp_path / "run"
+        assert self._run("ingest", manifest, out) == EXIT_OK
+        assert _notes_record(out) == {"from_store": 0, "decoded": 4}
+        assert self._run("ingest", manifest, out) == EXIT_OK
+        assert _notes_record(out) == {"from_store": 0, "decoded": 4}
+        assert self._run("extract", manifest, out) == EXIT_OK
+        assert _notes_record(out) == {"from_store": 4, "decoded": 0}
+        _edit_one_digit(Path(corpus.read_manifest(manifest)[2].path))
+        assert self._run("extract", manifest, out) == EXIT_OK
+        assert _notes_record(out) == {"from_store": 3, "decoded": 1}
+
+    @pytest.mark.parametrize("command", ["rolls", "augment"])
+    def test_clip_subcommands_read_the_store(self, manifest, tmp_path,
+                                             command):
+        out = tmp_path / "run"
+        assert self._run(command, manifest, out) == EXIT_OK
+        assert _notes_record(out) == {"from_store": 0, "decoded": 4}
+        assert self._run("ingest", manifest, out) == EXIT_OK
+        assert self._run(command, manifest, out) == EXIT_OK
+        assert _notes_record(out) == {"from_store": 4, "decoded": 0}
+
+    @pytest.mark.parametrize("damage", [lambda b: b[:-5],
+                                        lambda b: b"XXXX" + b[4:]],
+                             ids=["truncated", "bad-header"])
+    def test_damaged_store_exits_1_naming_it(self, manifest, tmp_path,
+                                             capsys, damage):
+        out = tmp_path / "run"
+        assert self._run("ingest", manifest, out) == EXIT_OK
+        store = out / corpus.STORE_NAME
+        store.write_bytes(damage(store.read_bytes()))
+        capsys.readouterr()
+        assert self._run("extract", manifest, out) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"stylus: {store}: note store ")
+        assert "re-run ingest" in err and "Traceback" not in err
+        assert not (out / "features.csv").exists()
+
+    def test_failed_ingest_leaves_no_new_store(self, manifest, tmp_path):
+        out = tmp_path / "run"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"onset": 1.0, "offset": 0.5, "pitch": 60, '
+                       '"velocity": 64}\n')
+        with open(manifest, "a") as fh:
+            fh.write(f"bad,performer_00,solo,{bad}\n")
+        assert self._run("ingest", manifest, out) == EXIT_VALIDATION
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ingest", "extract"])
+    def test_recording_longer_than_a_day_exits_1(self, manifest, tmp_path,
+                                                 capsys, command):
+        long = tmp_path / "long.jsonl"
+        long.write_text('{"onset": 0.0, "offset": 0.5, "pitch": 60, '
+                        '"velocity": 64}\n{"onset": 1e16, "offset": 2e16, '
+                        '"pitch": 62, "velocity": 64}\n')
+        with open(manifest, "a") as fh:
+            fh.write(f"long,performer_00,solo,{long}\n")
+        out = tmp_path / "run"
+        assert self._run(command, manifest, out) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == ("stylus: long: duration 2e+16 s exceeds "
+                       f"{corpus.MAX_RECORDING_SECONDS} s\n")
+
+
 class TestStaleArtifacts:
     def _copy(self, workspace, tmp_path):
         _, manifest, out = workspace

@@ -91,6 +91,14 @@ def heat_map_digests(manifest):
         for clip in corpus.segment_clips(t)]
 
 
+def test_concepts_records_where_its_notes_came_from(run_dir):
+    """No ingest ran, so concepts decoded every recording."""
+    _, _, out = run_dir
+    assert json.loads((out / "run.json").read_text())["notes"] == {
+        "from_store": 0,
+        "decoded": CORPUS.n_performers * CORPUS.n_recordings}
+
+
 class TestPinnedOutputs:
     def test_rolls_augment_and_concepts_files(self, run_dir):
         assert output_digests(run_dir[2]) == OUTPUT_SHA256

@@ -101,6 +101,25 @@ class TestTranscription:
         with pytest.raises(ValidationError):
             Transcription("r", "p", "quartet", notes=(note(0.0, 60),))
 
+    def test_longer_than_a_day_rejected(self):
+        day = corpus.MAX_RECORDING_SECONDS
+        assert Transcription("r", "p", "solo",
+                             notes=(note(0.0, 60, offset=day),)).duration == day
+        with pytest.raises(ValidationError,
+                           match=r"^r: duration 86400\.5 s exceeds 86400\.0 s$"):
+            Transcription("r", "p", "solo",
+                          notes=(note(0.0, 60), note(day - 1, 62, day + 0.5)))
+
+    @pytest.mark.parametrize("onset", [1e9, 1e16])
+    def test_parse_refuses_a_recording_past_a_day(self, tmp_path, onset):
+        """A note at 1e16 s would wrap its int64 frame; one ending past
+        1e9 s would ask for 33M clips."""
+        path = tmp_path / "long.jsonl"
+        corpus.write_note_events(path, (note(0.0, 60),
+                                        note(onset, 62, offset=2 * onset)))
+        with pytest.raises(ValidationError, match="^long: duration"):
+            corpus.parse_note_events(path)
+
 
 class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -487,6 +506,145 @@ class TestParsePathsAgree:
         assert _outcome(column_bytes(
             lambda: corpus.parse_note_events(path).notes)) == \
             _outcome(column_bytes(lambda: _reference_notes(path, text)))
+
+
+def number_rows_text(rows) -> str:
+    return "".join('{"onset": %s, "offset": %s, "pitch": %s, '
+                   '"velocity": %s}\n' % row for row in rows)
+
+
+# the files TestParsePathsAgree draws, accepted or not
+PARSE_TEXTS = st.one_of(
+    st.builds(str.join, st.sampled_from(["\n", "\r\n"]),
+              st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=8)
+              | st.lists(st.sampled_from(OBJECT_LINES), min_size=1,
+                         max_size=8)),
+    st.lists(st.tuples(*[field_spellings(lo, hi) for lo, hi in
+                         ((0, 1000), (1001, 10 ** 6),
+                          (corpus.PITCH_MIN, corpus.PITCH_MAX),
+                          (corpus.VELOCITY_MIN, corpus.VELOCITY_MAX))]),
+             min_size=1, max_size=4).map(number_rows_text))
+
+
+def write_store(path, *note_files):
+    """The store an ingest of ``note_files`` writes at ``path``."""
+    with corpus.NoteStore.create(path) as store:
+        for f in note_files:
+            corpus.parse_note_events(f, store=store)
+    return store
+
+
+class TestNoteStore:
+    """A store hit returns exactly what decoding returns, and only for the
+    bytes the store was written from."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(text=number_rows_text([("5e-324", "1e-323", "21", "1"),
+                                    ("0.30000000000000004", "1001", "108",
+                                     "127")]))
+    @given(text=PARSE_TEXTS)
+    def test_hit_equals_decode(self, tmp_path_factory, text):
+        root = tmp_path_factory.mktemp("store")
+        path = root / "r.jsonl"
+        path.write_bytes(text.encode())
+        try:
+            want = corpus.parse_note_events(path)
+        except (ParseError, ValidationError):
+            return      # refused files never reach a store
+        assert write_store(root / "notes.store", path).counts == {
+            "from_store": 0, "decoded": 1}
+        store = corpus.NoteStore(root / "notes.store")
+        got = corpus.parse_note_events(path, store=store)
+        assert store.counts == {"from_store": 1, "decoded": 0}
+        assert [(c.dtype, c.tobytes()) for c in got.notes.columns()] == \
+            [(c.dtype, c.tobytes()) for c in want.notes.columns()]
+        assert got.duration == want.duration
+
+    def test_file_edited_after_writing_is_decoded(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        corpus.write_note_events(path, (note(0.25, 60), note(1.5, 72)))
+        write_store(tmp_path / "notes.store", path)
+        edited = path.read_bytes().replace(b'"pitch": 72', b'"pitch": 73')
+        assert len(edited) == path.stat().st_size
+        path.write_bytes(edited)
+        store = corpus.NoteStore(tmp_path / "notes.store")
+        t = corpus.parse_note_events(path, store=store)
+        assert store.counts == {"from_store": 0, "decoded": 1}
+        assert t.notes.pitch.tolist() == [60, 73]
+
+    def test_moved_file_still_hits(self, tmp_path):
+        path = tmp_path / "a" / "r.jsonl"
+        path.parent.mkdir()
+        corpus.write_note_events(path, (note(0.25, 60), note(1.5, 72)))
+        write_store(tmp_path / "notes.store", path)
+        moved = tmp_path / "b" / "s.jsonl"
+        path.parent.rename(moved.parent)
+        (moved.parent / "r.jsonl").rename(moved)
+        store = corpus.NoteStore(tmp_path / "notes.store")
+        t = corpus.parse_note_events(moved, "x", store=store)
+        assert store.counts == {"from_store": 1, "decoded": 0}
+        assert t.recording_id == "x" and t.notes.pitch.tolist() == [60, 72]
+
+    def test_bytes_hold_no_path_and_one_block_per_content(self, tmp_path):
+        one = (note(0.25, 60), note(1.5, 72), note(1.5, 64))
+        stores = []
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            files = [tmp_path / d / f"{i}.jsonl" for i in range(3)]
+            for f, notes in zip(files, (one, (note(0.0, 21),), one)):
+                corpus.write_note_events(f, notes)
+            write_store(tmp_path / d / "notes.store", *files)
+            stores.append((tmp_path / d / "notes.store").read_bytes())
+        assert stores[0] == stores[1]
+        # header, 18 bytes a note, 48 bytes an index row
+        assert len(stores[0]) == 20 + 18 * 4 + 48 * 2
+
+    def test_missing_store_is_empty(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        corpus.write_note_events(path, (note(0.25, 60),))
+        store = corpus.NoteStore(tmp_path / "notes.store")
+        corpus.parse_note_events(path, store=store)
+        assert store.counts == {"from_store": 0, "decoded": 1}
+        assert not (tmp_path / "notes.store").exists()
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda b: b[:-1], "truncated"),
+        (lambda b: b"NST0" + b[4:], "bad header"),
+        (lambda b: b[:10], "bad header"),
+        # the first note's pitch byte, after header and two float64 columns
+        (lambda b: b[:20 + 16 * 2] + b"\0" + b[20 + 16 * 2 + 1:],
+         "block invalid: pitch 0 outside"),
+        # the index row's note count, past the index offset
+        (lambda b: b[:-8] + struct.pack("<Q", 10 ** 18),
+         "index out of bounds"),
+    ], ids=["truncated", "magic", "short-header", "block", "index"])
+    def test_damaged_store_refused(self, tmp_path, damage, reason):
+        path = tmp_path / "r.jsonl"
+        corpus.write_note_events(path, (note(0.25, 60), note(1.5, 72)))
+        store_path = tmp_path / "notes.store"
+        write_store(store_path, path)
+        store_path.write_bytes(damage(store_path.read_bytes()))
+        with pytest.raises(ValidationError) as err:
+            corpus.parse_note_events(path,
+                                     store=corpus.NoteStore(store_path))
+        assert str(err.value).startswith(f"{store_path}: note store {reason}")
+        assert str(err.value).endswith("; re-run ingest")
+
+    def test_failed_write_keeps_the_earlier_store(self, tmp_path):
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        corpus.write_note_events(good, (note(0.25, 60),))
+        bad.write_text(V.replace('"velocity": 64', '"velocity": 0') + "\n")
+        store_path = tmp_path / "notes.store"
+        for earlier in (None, good):
+            if earlier:
+                write_store(store_path, earlier)
+            before = store_path.read_bytes() if earlier else None
+            with pytest.raises(ValidationError, match="velocity 0"):
+                write_store(store_path, good, bad)
+            assert (store_path.read_bytes() if store_path.exists()
+                    else None) == before
+            assert [p.name for p in tmp_path.iterdir()
+                    if p.suffix == ".tmp"] == []
 
 
 class TestManifest:

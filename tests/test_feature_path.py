@@ -5,10 +5,12 @@ write for a small fixed-seed synthetic corpus, so a change to parsing,
 extraction, the feature dump or the solver that moves a byte shows here.
 The pins hold when extract takes the whole corpus as one batch, at the
 default bound, and when it closes a batch every 7 notes, after each
-recording.
+recording; and when extract reads the note store ``ingest`` wrote, and
+when it runs before ``ingest`` and decodes every note file.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -33,23 +35,37 @@ OUTPUT_SHA256 = {
 }
 
 
-def _run(tmp_path_factory):
-    """An ingest, split, extract and train run over the pinned corpus."""
+def _run(tmp_path_factory,
+         commands=("ingest", "split", "extract", "train")):
+    """A run of ``commands`` over the pinned corpus; extract's run.json
+    says where its notes came from."""
     root = tmp_path_factory.mktemp("feature_path")
     manifest = synthetic.write_corpus(root / "corpus", CORPUS)
     cfg = root / "cfg.json"
     cfg.write_text('{"min_df": 3}')
     out = root / "run"
-    for command in ("ingest", "split", "extract", "train"):
+    for command in commands:
         assert cli.main([command, "--manifest", str(manifest),
                          "--out", str(out), "--seed", "0",
                          "--config", str(cfg)]) == EXIT_OK
+        if command == "extract":
+            notes = json.loads((out / "run.json").read_text())["notes"]
+    n = CORPUS.n_performers * CORPUS.n_recordings
+    assert notes == ({"from_store": n, "decoded": 0}
+                     if commands.index("ingest") < commands.index("extract")
+                     else {"from_store": 0, "decoded": n})
     return out
 
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     return _run(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def decoded_run_dir(tmp_path_factory):
+    """extract before ingest, so it finds no note store and decodes."""
+    return _run(tmp_path_factory, ("split", "extract", "train", "ingest"))
 
 
 @pytest.fixture(scope="module")
@@ -68,4 +84,10 @@ def test_output_pinned(run_dir, name):
 @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
 def test_output_pinned_in_small_batches(small_batch_run_dir, name):
     data = (small_batch_run_dir / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
+def test_output_pinned_when_extract_decodes(decoded_run_dir, name):
+    data = (decoded_run_dir / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]

@@ -402,8 +402,9 @@ def recording_batches(draw):
                                     melodic),
                    _drawn_recording(draw, draw(st.sampled_from([0.0, 1.0])),
                                     draw(st.integers(3, 12)), melodic)])
+    # notes end at most 7.5 s after the start: within a recording's day
     groups.append([_drawn_recording(
-        draw, draw(st.sampled_from([10_000.0, 123_456.789])),
+        draw, draw(st.sampled_from([10_000.0, 86_391.789])),
         draw(st.integers(1, 20)), melodic)])
     for _ in range(draw(st.integers(0, 3))):
         groups.append([_drawn_recording(draw, 0.0, draw(st.integers(1, 30)),
@@ -438,6 +439,21 @@ class TestBatchOracle:
             [features.quantise(a).time, features.quantise(b).time]))
         assert frames.index.tolist() == [0, 4, 50, 51, 53]
         assert frames.recording.tolist() == [0, 0, 0, 1, 1]
+
+    def test_equal_keys_are_one_object_across_batches(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        recordings = [random_transcription(rng, 30, 55, 67)
+                      for _ in range(4)] * 2
+        monkeypatch.setattr(features, "EXTRACT_BATCH_NOTES", 1)
+        got = list(features.extract_recordings(iter(recordings)))
+        assert got == [(t.recording_id, extract_recording(t))
+                       for t in recordings]
+        first = {}
+        for _, feats in got:
+            for key in feats:
+                assert first.setdefault(key, key) is key
+        # each recording, its own batch, occurs twice: every key recurs
+        assert 2 * len(first) <= sum(len(feats) for _, feats in got)
 
 
 class TestFeatureSizeLimit:
