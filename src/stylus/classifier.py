@@ -44,8 +44,8 @@ class LRConfig:
     penalty: str = "L2"
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not 0 < self.C < np.inf:
+            raise ValueError(f"C must be positive and finite, got {self.C}")
         if self.class_weight not in CLASS_WEIGHTS:
             raise ValueError(f"unknown class_weight {self.class_weight!r}")
         if self.penalty not in PENALTIES:
@@ -221,9 +221,6 @@ def top_k_accuracy(probs, y, class_labels, k: int = 1) -> float:
 
 @dataclass(frozen=True)
 class SearchSpace:
-    c_range: tuple = C_RANGE
-    class_weights: tuple = CLASS_WEIGHTS
-    penalties: tuple = PENALTIES
     iterations: int = 1000
     seed: int = 0
 
@@ -234,10 +231,10 @@ class SearchSpace:
 
 def sample_config(space: SearchSpace, trial: int) -> LRConfig:
     rng = derive_rng(space.seed, "search", trial)
-    lo, hi = np.log10(space.c_range[0]), np.log10(space.c_range[1])
+    lo, hi = np.log10(C_RANGE[0]), np.log10(C_RANGE[1])
     c = float(10.0 ** rng.uniform(lo, hi))
-    cw = str(rng.choice(space.class_weights))
-    pen = str(rng.choice(space.penalties))
+    cw = str(rng.choice(CLASS_WEIGHTS))
+    pen = str(rng.choice(PENALTIES))
     return LRConfig(C=c, class_weight=cw, penalty=pen)
 
 

@@ -6,10 +6,11 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,30 @@ class RunConfig:
     min_chord_notes: int = representations.MIN_CHORD_NOTES
 
 
+# Each --config key's type and allowed values, checked at load, before a
+# subcommand reads or writes anything: a number in [low, high]; a list of
+# distinct ints, each in [low, high]; or one of a str's choices. A float
+# key also takes an int, and no key takes a bool. Also max_df >= min_df.
+CONFIG_KEYS = {
+    "grid": (float, 0.001, corpus.MAX_RECORDING_SECONDS),
+    "n_values": (tuple, 1, features.MAX_FEATURE_SIZE),
+    "min_df": (int, 1, math.inf),
+    "max_df": (int, 1, math.inf),
+    "C": (float, *classifier.C_RANGE),
+    "class_weight": (str, classifier.CLASS_WEIGHTS),
+    "penalty": (str, classifier.PENALTIES),
+    "top_k": (int, 1, math.inf),
+    "n_permutations": (int, 1, math.inf),
+    "n_importance": (int, 1, math.inf),
+    "n_concept_iterations": (int, 1, math.inf),
+    "bonferroni_m": (int, 1, math.inf),
+    "search_iterations": (int, 1, math.inf),
+    "n_bootstrap": (int, 2, math.inf),
+    "hop": (float, 15.0, corpus.CLIP_SECONDS),
+    "min_chord_notes": (int, 1, corpus.ROLL_HEIGHT),
+}
+
+
 def _setup_logging():
     level = os.environ.get("STYLUS_LOG", "warn").lower()
     levels = {"error": logging.ERROR, "warn": logging.WARNING,
@@ -78,18 +103,31 @@ def _write_run_info(out_dir: Path, command: str, args, config: RunConfig,
         json.dump(payload, fh, indent=2)
 
 
-_TYPE_NAMES = {int: "an int", float: "a float", str: "a str",
-               tuple: "a list of ints"}
-
-
-def _fits(value, kind) -> bool:
-    """Whether a JSON value may override a field whose default is a
-    ``kind``: a float field also takes an int, a tuple field takes a list
-    of ints, and no field takes a bool."""
+def _refusal(key: str, value) -> str | None:
+    """What ``value`` must be to set config key ``key`` and what it is
+    ("be an int, got str"), or None if it may set it."""
+    kind, *allowed = CONFIG_KEYS[key]
+    items = value if isinstance(value, list) else [value]
+    types = {tuple: (int,), float: (int, float)}.get(kind, (kind,))
+    if (kind is tuple) != isinstance(value, list) or any(
+            type(v) not in types for v in items):
+        name = ("a list of ints" if kind is tuple
+                else f"{'an' if kind is int else 'a'} {kind.__name__}")
+        return f"be {name}, got {type(value).__name__}"
+    if kind is str:
+        return (None if value in allowed[0]
+                else f"be one of {list(allowed[0])}, got {value!r}")
+    lo, hi = allowed
     if kind is tuple:
-        return isinstance(value, list) and all(_fits(v, int) for v in value)
-    return not isinstance(value, bool) and isinstance(
-        value, (int, float) if kind is float else kind)
+        if not value or min(value) < lo or len(set(value)) < len(value):
+            return (f"be a non-empty list of distinct sizes >= {lo}, "
+                    f"got {value}")
+        return None if max(value) <= hi else (
+            f"hold sizes <= {hi} (larger codes overflow int64), got {value}")
+    if lo <= value <= hi:
+        return None
+    bound = f"in [{lo}, {hi}]" if hi < math.inf else f">= {lo}"
+    return f"be {bound}, got {value}"
 
 
 def _load_config(args) -> RunConfig:
@@ -105,47 +143,21 @@ def _load_config(args) -> RunConfig:
             raise corpus.ValidationError(
                 f"{args.config}: config must be a JSON object, "
                 f"got {type(overrides).__name__}")
-        defaults = asdict(config)
-        unknown = set(overrides) - set(defaults)
+        unknown = set(overrides) - set(CONFIG_KEYS)
         if unknown:
             raise corpus.ValidationError(
                 f"unknown config keys: {sorted(unknown)}")
         for key, value in overrides.items():
-            kind = type(defaults[key])
-            if not _fits(value, kind):
+            if refusal := _refusal(key, value):
                 raise corpus.ValidationError(
-                    f"config key {key!r} must be {_TYPE_NAMES[kind]}, "
-                    f"got {type(value).__name__}")
+                    f"config key {key!r} must {refusal}")
         config = replace(config, **{k: tuple(v) if isinstance(v, list) else v
                                     for k, v in overrides.items()})
-        _check_ranges(config)
+        if config.max_df < config.min_df:
+            raise corpus.ValidationError(
+                f"config key 'max_df' must be >= min_df ({config.min_df}), "
+                f"got {config.max_df}")
     return config
-
-
-def _check_ranges(config: RunConfig) -> None:
-    """Refuse settings of the right type that would make extract keep every
-    feature, none, or count an n-gram size twice, or leave importance and
-    correlate fewer than one top feature."""
-    sizes = config.n_values
-    if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
-        raise corpus.ValidationError(
-            f"config key 'n_values' must be a non-empty list of distinct "
-            f"sizes >= 1, got {list(sizes)}")
-    if max(sizes) > features.MAX_FEATURE_SIZE:
-        raise corpus.ValidationError(
-            f"config key 'n_values' must hold sizes <= "
-            f"{features.MAX_FEATURE_SIZE} (larger codes overflow int64), "
-            f"got {list(sizes)}")
-    if config.min_df < 1:
-        raise corpus.ValidationError(
-            f"config key 'min_df' must be >= 1, got {config.min_df}")
-    if config.max_df < config.min_df:
-        raise corpus.ValidationError(
-            f"config key 'max_df' must be >= min_df ({config.min_df}), "
-            f"got {config.max_df}")
-    if config.top_k < 1:
-        raise corpus.ValidationError(
-            f"config key 'top_k' must be >= 1, got {config.top_k}")
 
 
 def _lr_config(config: RunConfig) -> classifier.LRConfig:
@@ -476,7 +488,7 @@ def cmd_concepts(args, config):
                         e, min_chord_notes=config.min_chord_notes))
                 for c, es in by_concept.items()}
     clip_rolls = {p: (corpus.to_piano_roll(clip) for t in ts
-                      for clip in corpus.segment_clips(t, corpus.CLIP_SECONDS))
+                      for clip in corpus.segment_clips(t, config.hop))
                   for p, ts in by_performer.items()}
     matrix = concepts.sign_count_experiment(
         clip_rolls, variants, concepts.default_embedder(),
@@ -520,22 +532,9 @@ def cmd_report(args, config):
           f"{len(model.class_labels)} performers")
 
 
-HANDLERS = {
-    "gen-synthetic": cmd_gen_synthetic,
-    "ingest": cmd_ingest,
-    "split": cmd_split,
-    "extract": cmd_extract,
-    "train": cmd_train,
-    "search": cmd_search,
-    "evaluate": cmd_evaluate,
-    "importance": cmd_importance,
-    "correlate": cmd_correlate,
-    "pca": cmd_pca,
-    "rolls": cmd_rolls,
-    "augment": cmd_augment,
-    "concepts": cmd_concepts,
-    "report": cmd_report,
-}
+# each subcommand's handler is the cmd_ function named after it
+HANDLERS = {name: globals()["cmd_" + name.replace("-", "_")]
+            for name in COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -574,8 +573,8 @@ def main(argv=None) -> int:
     started = time.time()
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         config = _load_config(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command in NEEDS_MANIFEST and not args.manifest:
             raise corpus.ValidationError(
                 f"{args.command} requires --manifest")

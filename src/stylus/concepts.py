@@ -81,7 +81,6 @@ def _invert(pitches: tuple, times: int) -> tuple:
 
 
 def exercise_variants(e: ConceptExercise,
-                      max_transposition: int = MAX_TRANSPOSITION,
                       min_chord_notes: int = MIN_CHORD_NOTES):
     """All (transposition, inversion, root/rootless) chord-sequence variants.
 
@@ -90,7 +89,7 @@ def exercise_variants(e: ConceptExercise,
     """
     n_inversions = max(len(ch) for ch in e.chords)
     variants = []
-    for shift in range(-max_transposition, max_transposition + 1):
+    for shift in range(-MAX_TRANSPOSITION, MAX_TRANSPOSITION + 1):
         for inv in range(n_inversions):
             for rootless in (False, True):
                 seq = []
@@ -143,10 +142,8 @@ class VariantRolls(Sequence):
 
 
 def expand_concept(e: ConceptExercise,
-                   max_transposition: int = MAX_TRANSPOSITION,
                    min_chord_notes: int = MIN_CHORD_NOTES) -> VariantRolls:
-    return VariantRolls(exercise_variants(e, max_transposition,
-                                          min_chord_notes),
+    return VariantRolls(exercise_variants(e, min_chord_notes),
                         e.concept_id, min_chord_notes)
 
 

@@ -47,8 +47,8 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 def _grid_frames(onset: np.ndarray, grid: float) -> np.ndarray:
     """Each onset's frame, (rint(onset * 1000) + g // 2) // g, g in ms."""
-    if grid <= 0:
-        raise ValueError("grid must be positive")
+    if not 0 < grid < np.inf:
+        raise ValueError(f"grid must be positive and finite, got {grid}")
     grid_ms = int(round(grid * 1000))
     if grid_ms == 0:
         raise ValueError("grid must be at least 1 ms")
@@ -305,14 +305,11 @@ def count_matrix(per_recording_counts, vocab: FeatureVocabulary) -> np.ndarray:
     return X
 
 
-def tfidf(counts: np.ndarray, document_frequency=None) -> np.ndarray:
+def tfidf(counts: np.ndarray) -> np.ndarray:
     """tf * (ln((1+N)/(1+df)) + 1), rows L2-normalised (zero rows kept)."""
     counts = np.asarray(counts, dtype=float)
     n_docs = counts.shape[0]
-    if document_frequency is None:
-        df = (counts > 0).sum(axis=0)
-    else:
-        df = np.asarray(document_frequency, dtype=float)
+    df = (counts > 0).sum(axis=0)
     idf = np.log((1.0 + n_docs) / (1.0 + df)) + 1.0
     X = counts * idf
     norms = np.linalg.norm(X, axis=1, keepdims=True)

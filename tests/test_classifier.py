@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from stylus import classifier
 from stylus.classifier import LRConfig, LRModel, SearchSpace
+from stylus.corpus import ValidationError
 
 
 def random_instance(rng, n=12, d=5, k=3):
@@ -320,6 +324,22 @@ class TestModelFile:
         assert m.converged and m.n_iter > 0
         assert got.n_iter == m.n_iter and got.converged == m.converged
         assert got.vocabulary_hash == "hash123"
+
+    @pytest.mark.parametrize("C", [float("nan"), float("inf"),
+                                   float("-inf"), 0.0])
+    def test_C_not_positive_and_finite_refused(self, tmp_path, C):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            LRConfig(C=C)
+        m = LRModel(W=np.zeros((2, 3)), b=np.zeros(2),
+                    class_labels=("a", "b"), config=LRConfig())
+        path = tmp_path / "model.json"
+        classifier.write_model(path, m, "")
+        payload = json.loads(path.read_text())
+        payload["config"]["C"] = C
+        path.write_text(json.dumps(payload))     # NaN and Infinity tokens
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{path}: C must be positive")):
+            classifier.read_model(path)
 
     def test_predict_width_mismatch(self):
         m = LRModel(W=np.zeros((2, 3)), b=np.zeros(2),

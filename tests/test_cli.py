@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 import weakref
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stylus
 from stylus import cli, concepts, corpus, features, synthetic
@@ -661,20 +665,18 @@ class TestStaleArtifacts:
         assert code == EXIT_VALIDATION
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command, text, message", [
-        ("importance", '{"n_importance": 0}', "n_iter must be >= 1, got 0"),
-        ("correlate", '{"n_permutations": 0}', "n_perm must be >= 1, got 0"),
-    ])
+    @pytest.mark.parametrize("command, key", [
+        ("importance", "n_importance"), ("correlate", "n_permutations")])
     def test_count_below_one_exits_1(self, workspace, tmp_path, capsys,
-                                     command, text, message):
+                                     command, key):
         _, manifest, out = workspace
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
+        cfg.write_text(json.dumps({key: 0}))
         code = cli.main([command, "--manifest", manifest, "--out", str(out),
                          "--config", str(cfg)])
-        err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert message in err and "Traceback" not in err
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: config key '{key}' must be >= 1, got 0"]
 
     @pytest.mark.parametrize("command, output", [
         ("importance", "importance.csv"), ("correlate", "correlations.csv")])
@@ -742,6 +744,163 @@ class TestStaleArtifacts:
     def test_removed_flags_rejected(self, flag):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["split", flag, "1"])
+
+
+def _boundaries(key):
+    """(value, allowed) pairs at the edges of ``key``'s entry in
+    cli.CONFIG_KEYS, plus non-finite numbers and values of the wrong
+    type."""
+    kind, *allowed = cli.CONFIG_KEYS[key]
+    odd = [(math.nan, False), (math.inf, False), (-math.inf, False),
+           (True, False), ("1", False), (None, False)]
+    if kind is str:
+        return [(c, True) for c in allowed[0]] + [("bogus", False)] + odd
+    lo, hi = allowed
+    if kind is float:
+        edges = [(lo, True), (math.nextafter(lo, -math.inf), False),
+                 (hi, True), (math.nextafter(hi, math.inf), False),
+                 (math.ceil(lo), True)]     # an int sets a float key
+    else:
+        edges = [(lo, True), (lo - 1, False), (float(lo), False)]
+        if hi < math.inf:
+            edges += [(hi, True), (hi + 1, False)]
+    if kind is tuple:
+        return ([([v], ok) for v, ok in edges + odd]
+                + [([lo, hi], True), ([lo, lo], False), ([], False)]
+                + [(v, False) for v, _ in edges[:1] + odd])
+    return edges + odd
+
+
+@st.composite
+def boundary_overrides(draw):
+    keys = draw(st.lists(st.sampled_from(list(cli.CONFIG_KEYS)),
+                         min_size=1, max_size=3, unique=True))
+    return {k: draw(st.sampled_from(_boundaries(k))) for k in keys}
+
+
+class TestConfigKeys:
+    """cli.CONFIG_KEYS decides every --config key when it is loaded."""
+
+    def test_table_keys_are_the_run_config_fields(self):
+        assert list(cli.CONFIG_KEYS) == [
+            f.name for f in dataclasses.fields(RunConfig)]
+
+    def test_defaults_are_allowed(self):
+        defaults = dataclasses.asdict(RunConfig())
+        assert all(cli._refusal(k, list(v) if isinstance(v, tuple) else v)
+                   is None for k, v in defaults.items())
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=boundary_overrides())
+    def test_boundary_values_allowed_exactly_when_inside(self, drawn,
+                                                         tmp_path_factory):
+        cfg = tmp_path_factory.getbasetemp() / "boundary_cfg.json"
+        overrides = {k: v for k, (v, _) in drawn.items()}
+        cfg.write_text(json.dumps(overrides))
+        args = argparse.Namespace(config=str(cfg))
+        merged = {**dataclasses.asdict(RunConfig()), **overrides}
+        if (all(ok for _, ok in drawn.values())
+                and merged["max_df"] >= merged["min_df"]):
+            config = cli._load_config(args)
+            assert all(getattr(config, k) == (tuple(v) if isinstance(v, list)
+                                              else v)
+                       for k, v in overrides.items())
+        else:
+            with pytest.raises(corpus.ValidationError) as refused:
+                cli._load_config(args)
+            assert any(str(refused.value).startswith(f"config key {k!r} ")
+                       for k in overrides)
+
+    @pytest.mark.parametrize("command, text, message", [
+        pytest.param("train", '{"C": NaN}',
+                     "'C' must be in [0.001, 1000.0], got nan", id="C-NaN"),
+        pytest.param("extract", '{"grid": Infinity}',
+                     "'grid' must be in [0.001, 86400.0], got inf",
+                     id="grid-Infinity"),
+        pytest.param("concepts", '{"n_concept_iterations": 0}',
+                     "'n_concept_iterations' must be >= 1, got 0",
+                     id="n_concept_iterations-0"),
+        pytest.param("concepts", '{"bonferroni_m": 0}',
+                     "'bonferroni_m' must be >= 1, got 0",
+                     id="bonferroni_m-0"),
+        pytest.param("rolls", '{"min_chord_notes": -3}',
+                     "'min_chord_notes' must be in [1, 88], got -3",
+                     id="min_chord_notes-minus-3"),
+        pytest.param("concepts", '{"hop": 3}',
+                     "'hop' must be in [15.0, 30.0], got 3", id="hop-3"),
+    ])
+    def test_refused_before_inputs_are_read(self, workspace, tmp_path,
+                                            capsys, monkeypatch, command,
+                                            text, message):
+        _, manifest, out = workspace
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("splits.csv", "features.csv", "vocabulary.csv"):
+            shutil.copy(out / name, run / name)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = [command, "--manifest", manifest, "--out", str(run),
+                "--seed", "0", "--config", str(cfg)]
+        if command == "concepts":
+            exercises = tmp_path / "ex.jsonl"
+            exercises.write_text("".join(json.dumps(
+                {"concept_id": i, "chords": [[48 + i, 52 + i, 55 + i]]})
+                + "\n" for i in range(3)))
+            argv += ["--exercises", str(exercises)]
+
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read before the config")
+        monkeypatch.setattr(corpus, "read_manifest", unread)
+        before = sorted(run.iterdir())
+        assert cli.main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: config key {message}"]
+        assert sorted(run.iterdir()) == before
+
+    def test_concepts_embeds_the_clips_rolls_writes(self, tmp_path,
+                                                    monkeypatch):
+        manifest = synthetic.write_corpus(
+            tmp_path / "corpus", synthetic.SyntheticConfig(
+                n_performers=2, n_recordings=2, events_per_recording=10,
+                seed=1))
+        rows = corpus.read_manifest(manifest)
+        run = tmp_path / "run"
+        run.mkdir()
+        corpus.write_splits(run / "splits.csv",
+                            {e.recording_id: "test" for e in rows})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"hop": 15, "n_concept_iterations": 1, '
+                       '"bonferroni_m": 3}')
+        exercises = tmp_path / "ex.jsonl"
+        exercises.write_text("".join(json.dumps(
+            {"concept_id": i, "chords": [[48 + i, 52 + i, 55 + i, 59 + i]]})
+            + "\n" for i in range(3)))
+        common = ["--manifest", str(manifest), "--out", str(run),
+                  "--seed", "0", "--config", str(cfg)]
+        assert cli.main(["rolls"] + common) == EXIT_OK
+        embedded = {}
+        experiment = concepts.sign_count_experiment
+
+        def keep_clip_rolls(clip_rolls, *args):
+            embedded.update({p: list(r) for p, r in clip_rolls.items()})
+            return experiment(embedded, *args)
+
+        monkeypatch.setattr(concepts, "sign_count_experiment",
+                            keep_clip_rolls)
+        assert cli.main(["concepts", "--exercises", str(exercises)]
+                        + common) == EXIT_OK
+        index = json.loads((run / "rolls.json").read_text())
+        assert "p00r000_15" in index        # a clip only hop 15 starts
+        performer = {e.recording_id: e.performer for e in rows}
+        written = {}
+        for key, paths in index.items():
+            written.setdefault(performer[key.rsplit("_", 1)[0]], []).append(
+                corpus.read_roll(paths["unified"]))
+        assert embedded.keys() == written.keys()
+        for p, rolls in written.items():
+            assert len(embedded[p]) == len(rolls)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(embedded[p], rolls))
 
 
 class TestLogging:

@@ -86,6 +86,13 @@ class TestQuantise:
         with pytest.raises(ValueError):   # rounds to a 0 ms grid
             features.quantise(transcription([note(0.0, 60)]), grid=0.0004)
 
+    @pytest.mark.parametrize("grid", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_grid_not_finite_refused(self, grid):
+        with pytest.raises(ValueError, match="grid must be positive and "
+                                             "finite"):
+            features.quantise(transcription([note(0.0, 60)]), grid=grid)
+
 
 class TestSkyline:
     def test_highest_pitch_with_raw_times(self):
