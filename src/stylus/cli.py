@@ -194,11 +194,13 @@ def _require(path: Path, what: str):
 
 
 def _load_features(out_dir: Path):
-    rids, counts = features.read_feature_counts(
+    """(FeatureTable, vocabulary) in ``out_dir``: the counts come from
+    features.table if it was written from features.csv's exact bytes."""
+    table = features.read_feature_counts(
         _require(out_dir / "features.csv", "feature dump"))
     vocab = features.read_vocabulary(
         _require(out_dir / "vocabulary.csv", "vocabulary"))
-    return rids, counts, vocab
+    return table, vocab
 
 
 def _vocab_hash(vocab) -> str:
@@ -266,6 +268,8 @@ def cmd_extract(args, config):
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
     out = Path(args.out)
     features.write_feature_counts(out / "features.csv", rids, counts)
+    features.write_feature_table(out / "features.csv",
+                                 features.FeatureTable.from_dicts(rids, counts))
     features.write_vocabulary(out / "vocabulary.csv", vocab)
     print(f"extracted {len(vocab)} vocabulary features "
           f"from {len(rids)} recordings")
@@ -284,18 +288,20 @@ def _labels_for(rids, manifest):
 
 
 def _load_inputs(args):
-    """(out, rids, vocab, TF-IDF matrix, performers, dataset tags) of the
-    feature dump in --out, rows in its order, labelled from the manifest."""
+    """(out, rids, vocab, TF-IDF matrix, performers, dataset tags, run.json
+    record) of the feature dump in --out, rows in its order, labelled from
+    the manifest; the record says where the counts came from."""
     manifest = corpus.read_manifest(args.manifest)
     out = Path(args.out)
-    rids, counts, vocab = _load_features(out)
-    y, tags = _labels_for(rids, manifest)
-    X = features.tfidf(features.count_matrix(counts, vocab))
-    return out, rids, vocab, X, y, tags
+    table, vocab = _load_features(out)
+    y, tags = _labels_for(table.recording_ids, manifest)
+    X = features.tfidf(features.count_matrix(table, vocab))
+    return (out, table.recording_ids, vocab, X, y, tags,
+            {"feature_counts": table.source})
 
 
 def cmd_train(args, config):
-    out, rids, vocab, X, y, _ = _load_inputs(args)
+    out, rids, vocab, X, y, _, record = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
     rows = _split_rows(rids, split_map, "train")
     if not rows:
@@ -304,10 +310,11 @@ def cmd_train(args, config):
     classifier.write_model(out / "model.json", model, _vocab_hash(vocab))
     print(f"trained on {len(rows)} recordings "
           f"({len(model.class_labels)} classes, converged={model.converged})")
+    return record
 
 
 def cmd_search(args, config):
-    out, rids, vocab, X, y, _ = _load_inputs(args)
+    out, rids, vocab, X, y, _, record = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
     tr = _split_rows(rids, split_map, "train")
     va = _split_rows(rids, split_map, "validation")
@@ -321,10 +328,11 @@ def cmd_search(args, config):
                    "penalty": best.penalty, "val_top1": acc}, fh)
     print(f"best config C={best.C:.3f} class_weight={best.class_weight} "
           f"penalty={best.penalty} (val top-1 {acc:.3f})")
+    return record
 
 
 def cmd_evaluate(args, config):
-    out, rids, vocab, X, y, _ = _load_inputs(args)
+    out, rids, vocab, X, y, _, record = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
     model = _load_model(out, vocab)
     rows = _split_rows(rids, split_map, "test")
@@ -338,10 +346,11 @@ def cmd_evaluate(args, config):
     with open(out / "evaluation.json", "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
     print(" ".join(f"{k}={v:.3f}" for k, v in result.items()))
+    return record
 
 
 def cmd_importance(args, config):
-    out, rids, vocab, X, y, _ = _load_inputs(args)
+    out, rids, vocab, X, y, _, record = _load_inputs(args)
     split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
     model = _load_model(out, vocab)
     rows = _split_rows(rids, split_map, "test")
@@ -363,10 +372,11 @@ def cmd_importance(args, config):
          for r in reports))
     for r in reports:
         print(f"{r.group}: loss {r.mean_accuracy_loss:.3f} (sd {r.sd:.3f})")
+    return record
 
 
 def cmd_correlate(args, config):
-    out, _, vocab, X, y, tags = _load_inputs(args)
+    out, _, vocab, X, y, tags, record = _load_inputs(args)
     lr_config = _lr_config(config)
     full = classifier.fit(X, y, lr_config)
     rows_out = []
@@ -384,10 +394,11 @@ def cmd_correlate(args, config):
                        ["feature_kind", "performer", "r", "p",
                         "corrected_alpha_factor"], rows_out)
     print(f"wrote correlations for {len(rows_out)} performer/kind pairs")
+    return record
 
 
 def cmd_pca(args, config):
-    out, _, vocab, X, y, _ = _load_inputs(args)
+    out, _, vocab, X, y, _, record = _load_inputs(args)
     cols = np.array([i for i, (kind, feat) in enumerate(vocab.features)
                      if kind == features.KIND_MELODY and len(feat) == 4],
                     dtype=int)
@@ -416,6 +427,7 @@ def cmd_pca(args, config):
          for p, row in zip(performers, coords)))
     print(f"PCA over {cols.size} length-4 melody features, "
           f"{len(performers)} performers projected")
+    return record
 
 
 def cmd_rolls(args, config):
@@ -493,14 +505,25 @@ def cmd_concepts(args, config):
     matrix = concepts.sign_count_experiment(
         clip_rolls, variants, concepts.default_embedder(),
         config.n_concept_iterations, args.seed)
-    concepts.write_sign_counts(out / "sign_counts.csv", matrix)
+    # every result is computed before any file is written, so a refusal
+    # leaves none behind
     means, corrected = concepts.summarise_sign_counts(
         matrix, config.bonferroni_m)
-    concepts.write_tested_sign_counts(out / "sign_counts_tested.csv",
-                                      matrix, means, corrected)
+    dendrogram = None
     if len(matrix.performers) >= 2:
         flat = matrix.observed.reshape(len(matrix.performers), -1)
+        for performer, row in zip(matrix.performers, flat):
+            if np.ptp(row) == 0:
+                raise corpus.ValidationError(
+                    f"performer {performer!r}: sign counts do not vary, so "
+                    f"performers cannot be clustered (are the concept "
+                    f"rolls empty at min_chord_notes "
+                    f"{config.min_chord_notes}?)")
         dendrogram = concepts.cluster(flat, matrix.performers)
+    concepts.write_sign_counts(out / "sign_counts.csv", matrix)
+    concepts.write_tested_sign_counts(out / "sign_counts_tested.csv",
+                                      matrix, means, corrected)
+    if dendrogram is not None:
         concepts.write_dendrogram(out / "dendrogram.json", dendrogram)
     print(f"concept analysis: {len(matrix.performers)} performers x "
           f"{len(matrix.concepts)} concepts x "
@@ -509,7 +532,7 @@ def cmd_concepts(args, config):
 
 
 def cmd_report(args, config):
-    out, _, vocab, X, y, _ = _load_inputs(args)
+    out, _, vocab, X, y, _, record = _load_inputs(args)
     lr_config = _lr_config(config)
     model = classifier.fit(X, y, lr_config)
     sds = interpret.bootstrap_weight_sd(X, y, lr_config,
@@ -530,6 +553,7 @@ def cmd_report(args, config):
                        rows)
     print(f"wrote top/bottom melody weights for "
           f"{len(model.class_labels)} performers")
+    return record
 
 
 # each subcommand's handler is the cmd_ function named after it

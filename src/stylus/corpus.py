@@ -10,6 +10,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 
@@ -33,15 +34,16 @@ MAX_RECORDING_SECONDS = 86_400.0
 
 ROLL_MAGIC = b"PROL"
 
-# A note store is a header (magic, entry count, index offset), a block per
-# entry (onset and offset as float64, pitch and velocity as uint8: 18 bytes a
-# note), then the index: per entry its key, the SHA-256 of a note file's
-# bytes, and its block's offset and note count.
+# A block file is a header (magic, block count, index offset), the blocks,
+# then the index: per block the 32-byte content key it is stored under, its
+# offset and its row count. A block is one or more columns of that many rows
+# each, one after another, in dtypes its reader names; a key's blocks keep
+# their order. A note store's block is a file's notes: onset and offset as
+# float64, pitch and velocity as uint8, 18 bytes a note.
 STORE_NAME = "notes.store"
-_STORE_HEADER = struct.Struct("<4sQQ")
-_STORE_MAGIC = b"NST1"
-_STORE_INDEX = np.dtype([("key", "V32"), ("start", "<u8"), ("count", "<u8")])
-_STORE_NOTE_BYTES = 18
+_BLOCK_HEADER = struct.Struct("<4sQQ")
+_BLOCK_INDEX = np.dtype([("key", "V32"), ("start", "<u8"), ("count", "<u8")])
+_NOTE_BLOCK = ("<f8", "<f8", "u1", "u1")
 
 # orjson 3.8 decodes without a nesting limit, and about 130k levels overflow
 # an 8 MB C stack. Nesting cannot exceed the count of "[" and "{", so note
@@ -183,7 +185,15 @@ class NoteArray:
         if not valid.all():
             i = int(np.argmin(valid))
             _events(*(c[i:i + 1] for c in columns))  # raises the row's error
-        order = np.lexsort((columns[2], columns[0]))
+        onset, pitch = columns[0], columns[2]
+        # the stable sort leaves columns already in order as they are, so
+        # they are only copied, never kept as views of the caller's arrays
+        if ((onset[:-1] < onset[1:]) | ((onset[:-1] == onset[1:])
+                                        & (pitch[:-1] <= pitch[1:]))).all():
+            self.onset, self.offset, self.pitch, self.velocity = (
+                c.copy() for c in columns)
+            return
+        order = np.lexsort((pitch, onset))
         self.onset, self.offset, self.pitch, self.velocity = (
             c[order] for c in columns)
 
@@ -325,75 +335,109 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     return t
 
 
-class NoteStore:
-    """Notes keyed by the SHA-256 of their note file's bytes, from the store
-    at ``path`` (an empty store if there is none): its index is loaded and
-    ``get`` reads one block. ``create`` writes a store. ``counts`` tallies
-    the recordings taken from the store and the files decoded."""
+class BlockFile:
+    """The blocks in the file at ``path`` by content key (none if there is
+    no file); ``create`` writes a file. A subclass names its ``magic``,
+    ``what`` it is and the subcommand that ``writes`` it, which the error
+    for a damaged file asks to re-run."""
+    magic, what, writes = b"", "", ""
 
     def __init__(self, path, out=None):
-        self.path, self._out = Path(path), out   # out: a store being written
-        self.counts = {"from_store": 0, "decoded": 0}
-        self._index = {}    # key: (block offset, note count)
+        self.path, self._out = Path(path), out   # out: a file being written
+        self._index = {}    # key: [(block offset, row count), ...]
         if out is not None or not self.path.exists():
             return
         with open(self.path, "rb") as fh:
-            head = fh.read(_STORE_HEADER.size)
-            if len(head) != _STORE_HEADER.size or head[:4] != _STORE_MAGIC:
+            head = fh.read(_BLOCK_HEADER.size)
+            if len(head) != _BLOCK_HEADER.size or head[:4] != self.magic:
                 raise self._error("bad header")
-            _, n, at = _STORE_HEADER.unpack(head)
-            if os.fstat(fh.fileno()).st_size != at + n * _STORE_INDEX.itemsize:
+            _, n, self._end = _BLOCK_HEADER.unpack(head)
+            if (os.fstat(fh.fileno()).st_size
+                    != self._end + n * _BLOCK_INDEX.itemsize):
                 raise self._error("truncated")
-            fh.seek(at)
-            index = np.frombuffer(fh.read(), _STORE_INDEX)
-        start, count = index["start"], index["count"]
-        # each block lies between the header and the index
-        if not ((count >= 1) & (count <= at) & (start >= _STORE_HEADER.size)
-                & (start <= at) & (start + count * _STORE_NOTE_BYTES <= at)
-                ).all():
-            raise self._error("index out of bounds")
-        self._index = dict(zip(map(bytes, index["key"]),
-                               zip(start.tolist(), count.tolist())))
+            fh.seek(self._end)
+            index = np.frombuffer(fh.read(), _BLOCK_INDEX)
+        for key, *block in zip(map(bytes, index["key"]),
+                               index["start"].tolist(),
+                               index["count"].tolist()):
+            self._index.setdefault(key, []).append(block)
 
     def _error(self, reason) -> ValidationError:
         return ValidationError(
-            f"{self.path}: note store {reason}; re-run ingest")
+            f"{self.path}: {self.what} {reason}; re-run {self.writes}")
 
     @classmethod
     @contextmanager
     def create(cls, path):
-        """Yield an empty store whose ``put`` appends each block to a
+        """Yield an empty file whose ``write`` appends each block to a
         temporary file. It replaces ``path`` if the block ends without an
-        exception; a store already there stays otherwise."""
+        exception; a file already there stays otherwise."""
         tmp = Path(path).with_name(Path(path).name + ".tmp")
         try:
             with open(tmp, "wb") as fh:
-                fh.write(bytes(_STORE_HEADER.size))
-                store = cls(path, fh)
-                yield store
+                fh.write(bytes(_BLOCK_HEADER.size))
+                out = cls(path, fh)
+                yield out
                 at = fh.tell()
-                fh.write(np.array([(k, *v) for k, v in store._index.items()],
-                                  _STORE_INDEX).tobytes())
+                fh.write(np.array([(k, *b) for k, bs in out._index.items()
+                                   for b in bs], _BLOCK_INDEX).tobytes())
                 fh.seek(0)
-                fh.write(_STORE_HEADER.pack(_STORE_MAGIC, len(store._index),
-                                            at))
+                fh.write(_BLOCK_HEADER.pack(
+                    cls.magic, sum(map(len, out._index.values())), at))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
 
+    def read(self, key: bytes, *blocks) -> list | None:
+        """Each of ``key``'s blocks as read-only columns in the dtypes that
+        ``blocks`` names, a tuple per block; None if the key has none or the
+        file is being written."""
+        stored = None if self._out is not None else self._index.get(key)
+        if stored is None:
+            return None
+        if len(stored) != len(blocks):
+            raise self._error("index out of bounds")
+        out = []
+        with open(self.path, "rb") as fh:
+            for (start, n), dtypes in zip(stored, blocks):
+                sizes = [n * np.dtype(d).itemsize for d in dtypes]
+                # each block lies between the header and the index
+                if not (_BLOCK_HEADER.size <= start
+                        and start + sum(sizes) <= self._end):
+                    raise self._error("index out of bounds")
+                fh.seek(start)
+                data = fh.read(sum(sizes))
+                out.append([np.frombuffer(data, d, n, at) for d, at in
+                            zip(dtypes, accumulate(sizes, initial=0))])
+        return out
+
+    def write(self, key: bytes, columns, dtypes) -> None:
+        """Append a block of equal-length ``columns`` in ``dtypes``."""
+        self._index.setdefault(key, []).append(
+            (self._out.tell(), len(columns[0])))
+        for c, dtype in zip(columns, dtypes):
+            self._out.write(np.asarray(c, dtype).tobytes())
+
+
+class NoteStore(BlockFile):
+    """Notes keyed by the SHA-256 of their note file's bytes, one block per
+    key, from the store at ``path`` (an empty store if there is none).
+    ``counts`` tallies the recordings taken from the store and the files
+    decoded."""
+    magic, what, writes = b"NST1", "note store", "ingest"
+
+    def __init__(self, path, out=None):
+        self.counts = {"from_store": 0, "decoded": 0}
+        super().__init__(path, out)
+
     def get(self, key: bytes) -> NoteArray | None:
         """The notes stored under ``key``; None if there are none or the
         store is being written."""
-        if self._out is not None or key not in self._index:
+        blocks = self.read(key, _NOTE_BLOCK)
+        if blocks is None:
             return None
-        start, n = self._index[key]
-        with open(self.path, "rb") as fh:
-            fh.seek(start)
-            block = fh.read(n * _STORE_NOTE_BYTES)
-        try:    # a short block or an invalid note
-            times = np.frombuffer(block, "<f8", 2 * n).reshape(2, n)
-            notes = NoteArray(*times, *np.frombuffer(
-                block, np.uint8, 2 * n, 16 * n).reshape(2, n))
+        try:    # an invalid note
+            notes = NoteArray(*blocks[0])
         except ValueError as exc:
             raise self._error(f"block invalid: {exc}") from None
         self.counts["from_store"] += 1
@@ -404,9 +448,7 @@ class NoteStore:
         block unless it holds the key already."""
         self.counts["decoded"] += 1
         if self._out is not None and key not in self._index:
-            self._index[key] = (self._out.tell(), len(notes))
-            for c, dtype in zip(notes.columns(), ("<f8", "<f8", "u1", "u1")):
-                self._out.write(c.astype(dtype).tobytes())
+            self.write(key, notes.columns(), _NOTE_BLOCK)
 
 
 def _decode_notes(text: str) -> NoteArray | None:

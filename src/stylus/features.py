@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import (PITCH_MAX, PITCH_MIN, NoteArray, Transcription,
-                     open_table, write_table)
+from .corpus import (PITCH_MAX, PITCH_MIN, BlockFile, NoteArray,
+                     Transcription, open_table, write_table)
 
 log = logging.getLogger("stylus")
 
@@ -288,20 +291,72 @@ def build_vocabulary(per_recording_counts, min_df: int = MIN_DF,
                              document_frequency=tuple(df[f] for f in kept))
 
 
-def count_matrix(per_recording_counts, vocab: FeatureVocabulary) -> np.ndarray:
-    """Recording x vocabulary counts; features outside the vocabulary are
-    dropped. Keys map to columns in one pass and fill X in one assignment."""
-    sizes = [len(counts) for counts in per_recording_counts]
-    n = sum(sizes)
-    cols = np.fromiter(map(vocab.index.get, chain.from_iterable(
-        per_recording_counts), repeat(-1)), dtype=np.intp, count=n)
-    vals = np.fromiter(chain.from_iterable(
-        counts.values() for counts in per_recording_counts),
-        dtype=float, count=n)
-    rows = np.repeat(np.arange(len(sizes)), sizes)
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Feature counts as columns: triple ``i`` counts ``count[i]`` of
+    feature ``keys[key[i]]``, a (kind, feature tuple) pair, in recording
+    ``recording_ids[row[i]]``. Recordings keep their order of first
+    appearance. Tables are equal when their ids, in order, and their
+    per-recording counts are; ``source`` says where the counts came from."""
+    recording_ids: tuple
+    keys: tuple
+    row: np.ndarray
+    key: np.ndarray
+    count: np.ndarray
+    source: str = "counts"
+
+    @classmethod
+    def from_dicts(cls, recording_ids, per_recording_counts,
+                   source: str = "counts") -> FeatureTable:
+        """The table of per-recording dicts keyed by (kind, feature tuple).
+        A repeated id's dicts merge, later counts overwriting, as they do
+        when ``write_feature_counts``' file is read back."""
+        if len(set(recording_ids)) < len(recording_ids):
+            merged: dict = {}
+            for rid, counts in zip(recording_ids, per_recording_counts):
+                merged.setdefault(rid, {}).update(counts)
+            recording_ids, per_recording_counts = merged, merged.values()
+        sizes = [len(counts) for counts in per_recording_counts]
+        n = sum(sizes)
+        # each key hashed once a triple, to the position of its first
+        # triple; the rank of that position is the key's index
+        first: dict = {}
+        key = np.fromiter(map(first.setdefault, chain.from_iterable(
+            per_recording_counts), range(n)), dtype=np.intp, count=n)
+        rank = np.empty(n, dtype=np.intp)
+        rank[list(first.values())] = np.arange(len(first))
+        return cls(tuple(recording_ids), tuple(first),
+                   np.repeat(np.arange(len(sizes)), sizes),
+                   rank[key], np.fromiter(
+                       chain.from_iterable(c.values() for c in
+                                           per_recording_counts),
+                       dtype=float, count=n), source)
+
+    def to_dicts(self) -> list[dict]:
+        """Each recording's counts keyed by (kind, feature tuple)."""
+        out: list[dict] = [{} for _ in self.recording_ids]
+        for r, k, c in zip(self.row.tolist(), self.key.tolist(),
+                           self.count.tolist()):
+            out[r][self.keys[k]] = c
+        return out
+
+    def __eq__(self, other):
+        return (isinstance(other, FeatureTable)
+                and self.recording_ids == other.recording_ids
+                and self.to_dicts() == other.to_dicts())
+
+
+def count_matrix(table, vocab: FeatureVocabulary) -> np.ndarray:
+    """Recording x vocabulary counts of a FeatureTable, or of per-recording
+    count dicts; features outside the vocabulary are dropped. Each distinct
+    key is looked up once, and X is filled in one assignment."""
+    if not isinstance(table, FeatureTable):
+        table = FeatureTable.from_dicts(range(len(table)), table)
+    cols = np.fromiter(map(vocab.index.get, table.keys, repeat(-1)),
+                       dtype=np.intp, count=len(table.keys))[table.key]
     kept = cols >= 0
-    X = np.zeros((len(sizes), len(vocab)))
-    X[rows[kept], cols[kept]] = vals[kept]
+    X = np.zeros((len(table.recording_ids), len(vocab)))
+    X[table.row[kept], cols[kept]] = table.count[kept]
     return X
 
 
@@ -335,15 +390,53 @@ def write_feature_counts(path, recording_ids, per_recording_counts) -> None:
         for rid, counts in zip(recording_ids, per_recording_counts)))
 
 
-def read_feature_counts(path):
-    """Return (recording_ids, per-recording count dicts) from a feature dump.
+class _TableFile(BlockFile):
+    """FeatureTables by the SHA-256 of their dump's bytes: a block of the
+    JSON of the ids and keys, then one of the triples, 16 bytes each."""
+    magic, what, writes = b"FTB1", "feature table", "extract"
+    blocks = (("u1",), ("<u4", "<u4", "<f8"))
 
-    Recordings keep their order of first appearance and a repeated
-    (recording, feature) row overwrites the earlier one. Each distinct
-    (feature_kind, feature_string) pair is parsed once. A missing column,
-    a short row or a field that is not an integer is a ValidationError
-    naming the file and line.
+    def get(self, key: bytes) -> FeatureTable | None:
+        blocks = self.read(key, *self.blocks)
+        if blocks is None:
+            return None
+        (names,), (row, col, counts) = blocks
+        try:
+            rids, keys = json.loads(names.tobytes())
+            keys = tuple((kind, tuple(feat)) for kind, feat in keys)
+        except (ValueError, TypeError) as exc:
+            raise self._error(f"block invalid: {exc}") from None
+        if not ((row < len(rids)).all() and (col < len(keys)).all()):
+            raise self._error("index out of bounds")
+        return FeatureTable(tuple(rids), keys, row, col, counts, "table")
+
+
+def write_feature_table(path, table: FeatureTable) -> None:
+    """Write ``table``, the counts of the dump at ``path``, to the ".table"
+    file beside it, keyed by the SHA-256 of the dump's bytes."""
+    with open(path, "rb") as fh:
+        key = hashlib.file_digest(fh, "sha256").digest()
+    names = json.dumps([table.recording_ids, table.keys]).encode()
+    with _TableFile.create(Path(path).with_suffix(".table")) as out:
+        out.write(key, [np.frombuffer(names, np.uint8)], out.blocks[0])
+        out.write(key, [table.row, table.key, table.count], out.blocks[1])
+
+
+def read_feature_counts(path) -> FeatureTable:
+    """The FeatureTable of a feature dump: from the ".table" file beside it
+    if its key is the SHA-256 of the dump's bytes (``write_feature_table``),
+    else parsed from the dump. A table that does not validate is a
+    ValidationError naming it. Parsing keeps recordings in order of first
+    appearance, lets a repeated (recording, feature) row overwrite the
+    earlier one and parses each distinct (feature_kind, feature_string)
+    once; a missing column, a short row or a field that is not an integer
+    is a ValidationError naming the file and line.
     """
+    with open(path, "rb") as fh:
+        key = hashlib.file_digest(fh, "sha256").digest()
+    stored = _TableFile(Path(path).with_suffix(".table")).get(key)
+    if stored is not None:
+        return stored
     by_rid: dict[str, dict] = {}
     keys: dict[tuple, tuple] = {}
     with open_table(path, FEATURE_COLUMNS) as rows:
@@ -357,7 +450,7 @@ def read_feature_counts(path):
             if key is None:
                 key = keys[kind, text] = (kind, parse_feature_string(text))
             counts[key] = int(count)
-    return list(by_rid), list(by_rid.values())
+    return FeatureTable.from_dicts(list(by_rid), list(by_rid.values()), "csv")
 
 
 def write_vocabulary(path, vocab: FeatureVocabulary) -> None:

@@ -309,6 +309,33 @@ class TestPipeline:
                      "dendrogram.json"):
             assert (out / name).exists()
 
+    def test_concepts_refusal_writes_nothing(self, tmp_path, capsys):
+        # no chord reaches min_chord_notes, so every concept roll is empty
+        # and every sign count is equal
+        manifest = synthetic.write_corpus(
+            tmp_path / "corpus", synthetic.SyntheticConfig(
+                n_performers=3, n_recordings=10, seed=0))
+        exercises = tmp_path / "ex.jsonl"
+        exercises.write_text("".join(json.dumps(
+            {"concept_id": i, "chords": [[48 + i, 52 + i, 55 + i, 59 + i]]})
+            + "\n" for i in range(3)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min_chord_notes": 88, "n_concept_iterations": 2, '
+                       '"bonferroni_m": 3}')
+        out = tmp_path / "run"
+        assert cli.main(["split", "--manifest", str(manifest),
+                         "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["concepts", "--manifest", str(manifest),
+                         "--out", str(out), "--config", str(cfg),
+                         "--exercises", str(exercises)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "stylus: performer 'performer_00': sign counts do not vary, so "
+            "performers cannot be clustered (are the concept rolls empty at "
+            "min_chord_notes 88?)"]
+        assert sorted(p.name for p in out.iterdir()) == ["run.json",
+                                                         "splits.csv"]
+
     def test_concepts_renders_rolls_as_it_embeds_them(self, workspace,
                                                       tmp_path, monkeypatch):
         # two exercises per concept
@@ -532,6 +559,133 @@ class TestNoteStore:
         err = capsys.readouterr().err
         assert err == ("stylus: long: duration 2e+16 s exceeds "
                        f"{corpus.MAX_RECORDING_SECONDS} s\n")
+
+
+def _feature_counts_record(out):
+    return json.loads((out / "run.json").read_text())["feature_counts"]
+
+
+class TestFeatureTable:
+    """``extract`` writes ``features.table``, which the feature-loading
+    subcommands read in place of parsing ``features.csv``, only while it
+    was written from the exact bytes of that file."""
+    CORPUS = synthetic.SyntheticConfig(n_performers=3, n_recordings=4,
+                                       events_per_recording=20, seed=2)
+
+    CONFIG = {"min_df": 2, "search_iterations": 2, "n_bootstrap": 2,
+              "n_permutations": 1, "n_importance": 1}
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        manifest = synthetic.write_corpus(tmp_path / "corpus", self.CORPUS)
+        out = tmp_path / "run"
+        for command in ("split", "extract"):
+            assert self._run(command, manifest, out) == EXIT_OK
+        return manifest, out
+
+    def _run(self, command, manifest, out, config=None):
+        cfg = Path(manifest).parent / "cfg.json"
+        cfg.write_text(json.dumps({**self.CONFIG, **(config or {})}))
+        return cli.main([command, "--manifest", str(manifest),
+                         "--out", str(out), "--seed", "0",
+                         "--config", str(cfg)])
+
+    def _train(self, manifest, out):
+        assert self._run("train", manifest, out) == EXIT_OK
+        return (out / "model.json").read_bytes()
+
+    def test_run_json_says_where_counts_came_from(self, run):
+        manifest, out = run
+        model = self._train(manifest, out)
+        assert _feature_counts_record(out) == "table"
+        for command in ("search", "evaluate", "importance", "correlate",
+                        "pca", "report"):
+            assert self._run(command, manifest, out) == EXIT_OK
+            assert _feature_counts_record(out) == "table"
+        (out / "features.table").unlink()
+        assert self._train(manifest, out) == model
+        assert _feature_counts_record(out) == "csv"
+
+    def test_edited_dump_is_parsed(self, run):
+        manifest, out = run
+        path = out / "features.csv"
+        data = path.read_bytes()
+        # the last digit of the first count, so the file keeps its size
+        end = data.index(b"\n", data.index(b"\n") + 1) - 1
+        path.write_bytes(data[:end] + str((data[end] - 47) % 10).encode()
+                         + data[end + 1:])
+        edited = path.read_bytes()
+        assert len(edited) == len(data) and edited != data
+        model = self._train(manifest, out)
+        assert _feature_counts_record(out) == "csv"
+        (out / "features.table").unlink()
+        assert self._train(manifest, out) == model
+
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda b, names: b[:-1], "truncated"),
+        (lambda b, names: b"XXXX" + b[4:], "bad header"),
+        # the first triple's recording index, after the header and names
+        (lambda b, names: b[:20 + names] + b"\xff" * 4 + b[24 + names:],
+         "index out of bounds"),
+        # the triples block's row count, the index's last field
+        (lambda b, names: b[:-8] + (10 ** 15).to_bytes(8, "little"),
+         "index out of bounds"),
+    ], ids=["truncated", "magic", "recording-index", "block"])
+    def test_damaged_table_exits_1_naming_it(self, run, capsys, damage,
+                                             reason):
+        manifest, out = run
+        table = out / "features.table"
+        data = table.read_bytes()
+        # the names block's length: the first index row's row count
+        names = int.from_bytes(data[-56:-48], "little")
+        table.write_bytes(damage(data, names))
+        capsys.readouterr()
+        assert self._run("train", manifest, out) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {table}: feature table {reason}; re-run extract"]
+
+    def test_failed_extract_leaves_no_matching_table(self, run,
+                                                     monkeypatch):
+        manifest, out = run
+        before = (out / "features.csv").read_bytes()
+
+        def fail(*args):
+            raise ValueError("table write failed")
+        # fails after features.csv is written, before the table replaces
+        # the earlier one
+        monkeypatch.setattr(corpus.BlockFile, "write", fail)
+        assert self._run("extract", manifest, out,
+                         {"n_values": [3]}) == EXIT_VALIDATION
+        monkeypatch.undo()
+        assert (out / "features.csv").read_bytes() != before
+        assert not list(out.glob("*.tmp"))
+        table = features.read_feature_counts(out / "features.csv")
+        assert table.source == "csv"
+        assert {len(f) for _, f in table.keys} == {3}
+
+    def test_extract_writes_identical_tables(self, run, tmp_path):
+        manifest, out = run
+        again = tmp_path / "again"
+        assert self._run("extract", manifest, again) == EXIT_OK
+        assert ((out / "features.table").read_bytes()
+                == (again / "features.table").read_bytes())
+
+    def test_store_and_table_refuse_each_other(self, run, capsys):
+        manifest, out = run
+        assert self._run("ingest", manifest, out) == EXIT_OK
+        table, store = out / "features.table", out / corpus.STORE_NAME
+        assert table.read_bytes()[:4] != store.read_bytes()[:4]
+        table_bytes = table.read_bytes()
+        shutil.copy(store, table)
+        capsys.readouterr()
+        assert self._run("train", manifest, out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"stylus: {table}: feature table bad header; re-run extract\n")
+        table.write_bytes(table_bytes)
+        shutil.copy(table, store)
+        assert self._run("extract", manifest, out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"stylus: {store}: note store bad header; re-run ingest\n")
 
 
 class TestStaleArtifacts:

@@ -80,6 +80,32 @@ class TestNoteArray:
         with pytest.raises(ValidationError, match="aligned"):
             NoteArray([0.0, 1.0], [0.5], [60, 61], [64, 64])
 
+    # onsets from a few values, so equal onsets (and equal notes) are common
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 0.5 + 1e-12,
+                                                    2.0]),
+                                   st.integers(60, 63), st.integers(1, 3)),
+                         max_size=12),
+           order=st.sampled_from(["sorted", "reversed", "as drawn"]))
+    def test_columns_equal_the_lexsort_of_the_input(self, rows, order):
+        if order == "sorted":
+            rows = sorted(rows, key=lambda r: r[:2])
+        elif order == "reversed":
+            rows = sorted(rows, key=lambda r: r[:2], reverse=True)
+        onset = np.array([r[0] for r in rows], dtype=float)
+        offset = onset + np.array([r[2] for r in rows], dtype=float)
+        pitch = np.array([r[1] for r in rows], dtype=np.int64)
+        velocity = np.arange(1, len(rows) + 1, dtype=np.int64)
+        columns = (onset, offset, pitch, velocity)
+        notes = NoteArray(*columns)
+        lexsort = np.lexsort((pitch, onset))
+        for got, given_column in zip(notes.columns(), columns):
+            assert got.dtype == given_column.dtype
+            assert got.tobytes() == given_column[lexsort].tobytes()
+            # an owned, writable copy: never a view of the caller's array
+            assert got.flags.owndata and got.flags.writeable
+            assert not np.shares_memory(got, given_column)
+
 
 class TestTranscription:
     def test_notes_sorted_by_onset_then_pitch(self):
@@ -559,6 +585,9 @@ class TestNoteStore:
         assert [(c.dtype, c.tobytes()) for c in got.notes.columns()] == \
             [(c.dtype, c.tobytes()) for c in want.notes.columns()]
         assert got.duration == want.duration
+        # columns are copies, not views of the store's read-only block
+        assert all(c.flags.owndata and c.flags.writeable
+                   for c in got.notes.columns())
 
     def test_file_edited_after_writing_is_decoded(self, tmp_path):
         path = tmp_path / "r.jsonl"

@@ -590,9 +590,10 @@ class TestMatrixAndTfidf:
         rids = [f"r{i}" for i in range(5)]
         path = tmp_path / "features.csv"
         features.write_feature_counts(path, rids, counts)
-        got_ids, got_counts = features.read_feature_counts(path)
-        assert got_ids == rids
-        assert got_counts == counts
+        got = features.read_feature_counts(path)
+        assert got.source == "csv"
+        assert got.recording_ids == tuple(rids)
+        assert got.to_dicts() == counts
 
     def test_feature_string_round_trip(self):
         assert features.parse_feature_string(
@@ -671,8 +672,10 @@ class TestFeatureDumpIO:
         path = tmp_path_factory.mktemp("dump") / "features.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(dump_text(rows, newline))
-        assert (features.read_feature_counts(path)
-                == dictreader_feature_counts(path))
+        got = features.read_feature_counts(path)
+        order, counts = dictreader_feature_counts(path)
+        assert got.recording_ids == tuple(order)
+        assert got.to_dicts() == counts
 
     @settings(max_examples=100, deadline=None)
     @given(counts=st.lists(st.dictionaries(st.tuples(KINDS, FEATS),
@@ -686,8 +689,9 @@ class TestFeatureDumpIO:
         reference_write_feature_counts(root / "reference.csv", rids, counts)
         assert ((root / "features.csv").read_bytes()
                 == (root / "reference.csv").read_bytes())
-        assert features.read_feature_counts(root / "features.csv") == (rids,
-                                                                       counts)
+        got = features.read_feature_counts(root / "features.csv")
+        assert got.recording_ids == tuple(rids)
+        assert got.to_dicts() == counts
 
     def test_each_distinct_feature_parsed_once(self, tmp_path, monkeypatch):
         rows = [(f"r{i}", (kind, feat, spaced, i), False)
@@ -704,7 +708,7 @@ class TestFeatureDumpIO:
             calls[text] += 1
             return parse(text)
         monkeypatch.setattr(features, "parse_feature_string", counting)
-        _, counts = features.read_feature_counts(path)
+        counts = features.read_feature_counts(path).to_dicts()
         assert len(counts) == 30 and all(len(c) == 4 for c in counts)
         # two kinds parse each of the four spellings once
         assert calls == {"0,1": 2, "0, 1": 2, "0,4,7": 2, "0, 4, 7": 2}
@@ -740,3 +744,64 @@ class TestFeatureDumpIO:
             reader(path)
         assert str(info.value).startswith(f"{path}:{where}: ")
         assert what in str(info.value)
+
+
+def write_dump_and_table(path, rids, counts):
+    """A feature dump and the table ``extract`` writes beside it."""
+    features.write_feature_counts(path, rids, counts)
+    features.write_feature_table(
+        path, features.FeatureTable.from_dicts(rids, counts))
+
+
+class TestFeatureTable:
+    """A read that hits the table gives the table a parse of the dump
+    gives, and the table is read only for the bytes it was written from."""
+
+    # recording ids may repeat, as in a manifest that names one twice
+    @settings(max_examples=100, deadline=None)
+    @given(recordings=st.lists(
+        st.tuples(st.sampled_from(["r0", "r1", "r2", "r3"]),
+                  st.dictionaries(st.tuples(KINDS, FEATS),
+                                  st.integers(0, 99), max_size=8)),
+        max_size=6), in_vocab=st.integers(1, 3))
+    def test_table_equals_parse(self, tmp_path_factory, recordings,
+                                in_vocab):
+        rids = [rid for rid, _ in recordings]
+        counts = [c for _, c in recordings]
+        path = tmp_path_factory.mktemp("dump") / "features.csv"
+        write_dump_and_table(path, rids, counts)
+        hit = features.read_feature_counts(path)
+        path.with_suffix(".table").unlink()
+        parsed = features.read_feature_counts(path)
+        assert (hit.source, parsed.source) == ("table", "csv")
+        assert hit == parsed
+        order, want = dictreader_feature_counts(path)
+        assert hit.recording_ids == tuple(order)
+        assert hit.to_dicts() == want
+        # every in_vocab-th key, so some features fall outside
+        vocab = features.FeatureVocabulary(
+            tuple(sorted(set(hit.keys))[::in_vocab]), ())
+        X = features.count_matrix(hit, vocab)
+        assert X.tobytes() == features.count_matrix(parsed, vocab).tobytes()
+        assert X.tobytes() == features.count_matrix(want, vocab).tobytes()
+
+    def test_edited_dump_misses_the_table(self, tmp_path):
+        path = tmp_path / "features.csv"
+        counts = [{(KIND_MELODY, (0, 2)): 3}, {(KIND_HARMONY, (0, 4, 7)): 5}]
+        write_dump_and_table(path, ["r0", "r1"], counts)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b",5\n", b",6\n"))
+        assert len(path.read_bytes()) == len(data)
+        got = features.read_feature_counts(path)
+        assert got.source == "csv"
+        assert got.to_dicts() == [counts[0], {(KIND_HARMONY, (0, 4, 7)): 6}]
+
+    def test_equality_ignores_order_and_source(self):
+        a, b = (KIND_MELODY, (0, 1)), (KIND_HARMONY, (0, 3))
+        one = features.FeatureTable.from_dicts(["r0"], [{a: 1, b: 2}])
+        other = features.FeatureTable.from_dicts(["r0"], [{b: 2, a: 1}])
+        assert one.keys != other.keys and one == other
+        assert replace(one, source="table") == one
+        assert one != features.FeatureTable.from_dicts(["r0"], [{a: 1}])
+        assert one != features.FeatureTable.from_dicts(["r1"],
+                                                       [{a: 1, b: 2}])
