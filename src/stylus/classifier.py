@@ -123,11 +123,11 @@ def label_index(class_labels, y) -> np.ndarray:
 
 
 def fit(X, y, config: LRConfig = LRConfig(),
-        max_iter: int = MAX_ITER, tol: float = GRAD_TOL) -> LRModel:
+        max_iter: int = MAX_ITER) -> LRModel:
     """Deterministic full-batch L-BFGS with Armijo backtracking.
 
     Starts from zero weights and runs until the gradient infinity-norm
-    drops below ``tol`` or ``max_iter`` iterations elapse. Each iteration
+    drops below ``GRAD_TOL`` or ``max_iter`` iterations pass. Each iteration
     keeps the last ``LBFGS_HISTORY`` (s, y) pairs with positive curvature
     s.y, backtracks from a unit step until the Armijo condition holds, and
     restarts from steepest descent whenever the two-loop direction is not a
@@ -158,7 +158,7 @@ def fit(X, y, config: LRConfig = LRConfig(),
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        if np.abs(g).max() <= tol:
+        if np.abs(g).max() <= GRAD_TOL:
             converged = True
             break
         direction = _lbfgs_direction(g, history)
@@ -183,7 +183,7 @@ def fit(X, y, config: LRConfig = LRConfig(),
         it = max_iter
         log.warning("fit stopped at max_iter=%d with |grad|_inf=%.3g > %.3g "
                     "(C=%g, class_weight=%s, penalty=%s)", max_iter,
-                    float(np.abs(g).max()), tol, config.C,
+                    float(np.abs(g).max()), GRAD_TOL, config.C,
                     config.class_weight, config.penalty)
     return LRModel(W=theta[:k * d].reshape(k, d), b=theta[k * d:],
                    class_labels=labels, config=config,

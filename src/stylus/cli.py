@@ -57,6 +57,8 @@ class RunConfig:
 # subcommand reads or writes anything: a number in [low, high]; a list of
 # distinct ints, each in [low, high]; or one of a str's choices. A float
 # key also takes an int, and no key takes a bool. Also max_df >= min_df.
+# A count that sizes an array or a loop is at most sys.maxsize, the largest
+# array dimension.
 CONFIG_KEYS = {
     "grid": (float, 0.001, corpus.MAX_RECORDING_SECONDS),
     "n_values": (tuple, 1, features.MAX_FEATURE_SIZE),
@@ -66,12 +68,12 @@ CONFIG_KEYS = {
     "class_weight": (str, classifier.CLASS_WEIGHTS),
     "penalty": (str, classifier.PENALTIES),
     "top_k": (int, 1, math.inf),
-    "n_permutations": (int, 1, math.inf),
-    "n_importance": (int, 1, math.inf),
-    "n_concept_iterations": (int, 1, math.inf),
+    "n_permutations": (int, 1, sys.maxsize),
+    "n_importance": (int, 1, sys.maxsize),
+    "n_concept_iterations": (int, 1, sys.maxsize),
     "bonferroni_m": (int, 1, math.inf),
-    "search_iterations": (int, 1, math.inf),
-    "n_bootstrap": (int, 2, math.inf),
+    "search_iterations": (int, 1, sys.maxsize),
+    "n_bootstrap": (int, 2, sys.maxsize),
     "hop": (float, 15.0, corpus.CLIP_SECONDS),
     "min_chord_notes": (int, 1, corpus.ROLL_HEIGHT),
 }
@@ -602,6 +604,8 @@ def main(argv=None) -> int:
         if args.command in NEEDS_MANIFEST and not args.manifest:
             raise corpus.ValidationError(
                 f"{args.command} requires --manifest")
+        if args.command == "concepts" and not args.exercises:
+            raise corpus.ValidationError("concepts requires --exercises")
         extra = HANDLERS[args.command](args, config) or {}
         _write_run_info(out_dir, args.command, args, config, started, extra)
     except (corpus.ValidationError, corpus.ParseError, ValueError) as exc:

@@ -3,7 +3,6 @@ and clustering."""
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 from collections.abc import Sequence
@@ -14,8 +13,8 @@ import numpy as np
 
 from . import classifier
 from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
-                     NoteArray, paint_roll, read_utf8, time_to_column,
-                     write_table)
+                     NoteArray, json_lines, paint_roll, read_utf8,
+                     time_to_column, write_table)
 from .representations import MIN_CHORD_NOTES, harmony_roll
 from .rng import derive_rng
 
@@ -430,14 +429,10 @@ def cluster(matrix, labels=None) -> Dendrogram:
 
 
 def read_concept_exercises(path) -> list[ConceptExercise]:
-    """JSONL, one exercise per line: {"concept_id": int, "chords": [[...]]}."""
+    """JSONL, one exercise per line: {"concept_id": int, "chords": [[...]]};
+    lines as ``corpus.json_lines`` reads them."""
     out = []
-    # newline=None reads universal newlines, as text mode does
-    lines = io.StringIO(read_utf8(path), newline=None)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in json_lines(read_utf8(path)):
         try:
             obj = json.loads(line)
             out.append(ConceptExercise(
@@ -460,13 +455,10 @@ def write_sign_counts(path, matrix: SignCountMatrix) -> None:
                  for i in range(matrix.observed.shape[2])))
 
 
-def summarise_sign_counts(matrix: SignCountMatrix,
-                     m: int | None = None):
-    """Mean observed ratio and Bonferroni-corrected Wilcoxon p per
-    (performer, concept)."""
+def summarise_sign_counts(matrix: SignCountMatrix, m: int):
+    """Mean observed ratio and Wilcoxon p, Bonferroni-corrected for ``m``
+    tests, per (performer, concept)."""
     n_p, n_c, _ = matrix.observed.shape
-    if m is None:
-        m = n_c
     means = matrix.observed.mean(axis=2)
     pvals = np.empty((n_p, n_c))
     for pi in range(n_p):

@@ -45,10 +45,10 @@ _BLOCK_HEADER = struct.Struct("<4sQQ")
 _BLOCK_INDEX = np.dtype([("key", "V32"), ("start", "<u8"), ("count", "<u8")])
 _NOTE_BLOCK = ("<f8", "<f8", "u1", "u1")
 
-# orjson 3.8 decodes without a nesting limit, and about 130k levels overflow
-# an 8 MB C stack. Nesting cannot exceed the count of "[" and "{", so note
-# text with more than this many is left to the per-line reader.
-MAX_OPENERS = 1 << 16
+# orjson 3.8 decodes without a nesting limit: 100k levels decode, but 200k
+# overflow the C stack and kill the process. A line cannot nest deeper than
+# its own length, so a longer line is left to the reference reader.
+MAX_LINE_CHARS = 1 << 16
 
 DATASET_TAGS = ("solo", "trio")
 SPLITS = ("train", "validation", "test")
@@ -302,11 +302,12 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     """Read a JSONL note-event file into a Transcription.
 
     Each line holds one object: {"onset", "offset", "pitch", "velocity"};
-    blank lines are skipped. Fields convert as ``float()`` (times) and
-    ``int()`` (pitch, velocity). The whole file is decoded at once; the
-    per-line reader runs only when that decode or a row check fails, so
-    errors name the offending lines. A file that is not UTF-8 is refused
-    with the line of its first bad byte.
+    lines end at universal newlines and blank lines are skipped
+    (``json_lines``). Fields convert as ``float()`` (times) and ``int()``
+    (pitch, velocity). Each line is decoded on its own (``_decode_notes``);
+    the reference reader (``_parse_lines``) runs only when that decode or a
+    row check fails, so errors name the offending lines. A file that is not
+    UTF-8 is refused with the line of its first bad byte.
 
     With a ``store``, the SHA-256 of the file's bytes is looked up first. On
     a hit the notes are the stored columns, checked and sorted again by
@@ -319,14 +320,9 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     notes = stored = store.get(key) if store is not None else None
     if stored is None:
         text = read_utf8(path, ParseError, data)
-        if "\r" in text:   # universal newlines, as text-mode reading does
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        notes = _decode_notes(text.strip())
+        notes = _decode_notes(text)
         if notes is None:
-            lines = [(lineno, stripped) for lineno, line
-                     in enumerate(text.split("\n"), start=1)
-                     if (stripped := line.strip())]
-            notes = NoteArray.from_events(_parse_lines(path, lines))
+            notes = NoteArray.from_events(_parse_lines(path, json_lines(text)))
     t = Transcription(recording_id=recording_id or path.stem,
                       performer=performer, dataset_tag=dataset_tag,
                       notes=notes)
@@ -451,31 +447,32 @@ class NoteStore(BlockFile):
             self.write(key, notes.columns(), _NOTE_BLOCK)
 
 
-def _decode_notes(text: str) -> NoteArray | None:
-    """Decode stripped note text in one ``orjson.loads``, or None to fall back.
+def _split_lines(text: str) -> list[str]:
+    """``text`` cut at universal newlines: "\n", "\r\n" or a lone "\r"."""
+    return (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text
+            else text).split("\n")
 
-    Lines are joined with a ``null`` sentinel between them. When no line
-    contains ``null`` and every sentinel decodes as a top-level element
-    between two others, each line is exactly one JSON value, as a per-line
-    decode would find. Anything else (a blank line, a line that is not one
-    object, a missing key, a field that is not a number, an invalid note)
-    returns None, as do text with more than ``MAX_OPENERS`` brackets and
-    ``NaN``, ``Infinity``, a lone surrogate or a double that overflows, which
-    orjson refuses. orjson reads an integer past 2**64 as ``float()`` does.
-    """
-    if "null" in text or (len(text) > MAX_OPENERS and
-                          text.count("[") + text.count("{") > MAX_OPENERS):
+
+def json_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each non-blank line of ``text``: the
+    line rule of note and exercise files."""
+    return [(i, s) for i, line in enumerate(_split_lines(text), start=1)
+            if (s := line.strip())]
+
+
+def _decode_notes(text: str) -> NoteArray | None:
+    """Decode note text with one ``orjson.loads`` per line (JSON Lines makes
+    each line a value on its own), or None to leave it to ``_parse_lines``:
+    a blank line between notes, a line longer than ``MAX_LINE_CHARS``, a
+    line that is not one object, a missing key, a field that is not a
+    number, an invalid note, and ``NaN``, ``Infinity``, a lone surrogate or
+    a double that overflows, which orjson refuses. orjson reads an integer
+    past 2**64 as ``float()`` does."""
+    lines = _split_lines(text.strip())
+    if len(text) > MAX_LINE_CHARS and max(map(len, lines)) > MAX_LINE_CHARS:
         return None
-    n_lines = text.count("\n") + 1
     try:
-        values = orjson.loads("[" + text.replace("\n", ",null,") + "]")
-    except ValueError:
-        return None
-    if (len(values) != 2 * n_lines - 1
-            or values[1::2].count(None) != n_lines - 1):
-        return None
-    rows = values[0::2]
-    try:
+        rows = list(map(orjson.loads, lines))
         onset, offset, pitch, velocity = (
             np.array([r[key] for r in rows])
             for key in ("onset", "offset", "pitch", "velocity"))
@@ -493,7 +490,9 @@ def _decode_notes(text: str) -> NoteArray | None:
 
 
 def _parse_lines(path, lines) -> list[NoteEvent]:
-    """Per-line reader: one ``json.loads`` and one NoteEvent per line."""
+    """The reference reader: one ``json.loads`` and one NoteEvent per
+    (line number, line). It words every refusal, and reads what
+    ``_decode_notes`` leaves to it (numeric strings, say)."""
     notes = []
     bad = []
     for lineno, line in lines:
@@ -534,16 +533,19 @@ def write_note_events(path, notes) -> None:
 
 def read_manifest(path) -> list[ManifestEntry]:
     """The manifest's entries in file order. A header lacking a column is a
-    ParseError; a short row or an unknown dataset_tag a ValidationError."""
-    entries = []
+    ParseError; a short row, an unknown dataset_tag or a recording id that
+    an earlier row names a ValidationError naming the line."""
+    entries = {}
     with open_table(path, MANIFEST_COLUMNS, ParseError) as rows:
         for rid, performer, tag, notes_path in rows:
             if tag not in DATASET_TAGS:
                 raise ValueError(f"unknown dataset_tag {tag!r} for {rid}")
-            entries.append(ManifestEntry(rid, performer, tag, notes_path))
+            if rid in entries:
+                raise ValueError(f"recording id {rid!r} repeated")
+            entries[rid] = ManifestEntry(rid, performer, tag, notes_path)
     if not entries:
         raise ValidationError(f"{path}: empty manifest")
-    return entries
+    return list(entries.values())
 
 
 def assign_splits(manifest, seed: int) -> dict[str, str]:
@@ -552,27 +554,15 @@ def assign_splits(manifest, seed: int) -> dict[str, str]:
     Per stratum of size n: test and validation each get floor(n/10)
     recordings (minimum 1 when n >= 3), the remainder goes to train.
     """
-    if not manifest:
-        raise ValidationError("empty manifest")
     assignment: dict[str, str] = {}
     for tag in DATASET_TAGS:
         ids = sorted(e.recording_id for e in manifest if e.dataset_tag == tag)
-        if not ids:
-            continue
-        rng = derive_rng(seed, "split", tag)
-        order = list(rng.permutation(len(ids)))
         n = len(ids)
-        n_held = n // 10
-        if n_held == 0 and n >= 3:
-            n_held = 1
-        for rank, idx in enumerate(order):
-            if rank < n_held:
-                split = "test"
-            elif rank < 2 * n_held:
-                split = "validation"
-            else:
-                split = "train"
-            assignment[ids[idx]] = split
+        n_held = max(n // 10, 1) if n >= 3 else 0
+        ranked = derive_rng(seed, "split", tag).permutation(n).tolist()
+        assignment.update(zip((ids[i] for i in ranked), ["test"] * n_held
+                              + ["validation"] * n_held
+                              + ["train"] * (n - 2 * n_held)))
     return assignment
 
 

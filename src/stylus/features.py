@@ -308,14 +308,10 @@ class FeatureTable:
     @classmethod
     def from_dicts(cls, recording_ids, per_recording_counts,
                    source: str = "counts") -> FeatureTable:
-        """The table of per-recording dicts keyed by (kind, feature tuple).
-        A repeated id's dicts merge, later counts overwriting, as they do
-        when ``write_feature_counts``' file is read back."""
+        """The table of per-recording dicts keyed by (kind, feature tuple);
+        the recording ids must be distinct, as a manifest's are."""
         if len(set(recording_ids)) < len(recording_ids):
-            merged: dict = {}
-            for rid, counts in zip(recording_ids, per_recording_counts):
-                merged.setdefault(rid, {}).update(counts)
-            recording_ids, per_recording_counts = merged, merged.values()
+            raise ValueError("recording ids repeat")
         sizes = [len(counts) for counts in per_recording_counts]
         n = sum(sizes)
         # each key hashed once a triple, to the position of its first

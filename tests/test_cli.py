@@ -59,6 +59,36 @@ class TestExitCodes:
                          "--out", str(tmp_path)])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command", ["ingest", "extract", "train"])
+    def test_repeated_recording_id_exits_1(self, capsys, tmp_path, command):
+        manifest = synthetic.write_corpus(
+            tmp_path / "corpus", synthetic.SyntheticConfig(
+                n_performers=2, n_recordings=2, events_per_recording=10,
+                seed=5))
+        lines = Path(manifest).read_text().splitlines(keepends=True)
+        first_id = lines[1].split(",")[0]
+        # row 2 keeps its own note file but takes row 1's id
+        lines[2] = first_id + lines[2][lines[2].index(","):]
+        Path(manifest).write_text("".join(lines))
+        run = tmp_path / "run"
+        code = cli.main([command, "--manifest", str(manifest),
+                         "--out", str(run)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {manifest}:3: recording id {first_id!r} repeated"]
+        assert not any(run.iterdir())
+
+    def test_concepts_without_exercises_1(self, capsys, tmp_path,
+                                          monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+        monkeypatch.setattr(corpus, "read_manifest", unread)
+        code = cli.main(["concepts", "--manifest", "manifest.csv",
+                         "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "stylus: concepts requires --exercises"]
+
     def test_unknown_config_key_1(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"bogus_knob": 1}')
@@ -830,7 +860,8 @@ class TestStaleArtifacts:
                          "--config", str(cfg)])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
-            f"stylus: config key '{key}' must be >= 1, got 0"]
+            f"stylus: config key '{key}' must be in "
+            "[1, 9223372036854775807], got 0"]
 
     @pytest.mark.parametrize("command, output", [
         ("importance", "importance.csv"), ("correlate", "correlations.csv")])
@@ -972,8 +1003,14 @@ class TestConfigKeys:
                      "'grid' must be in [0.001, 86400.0], got inf",
                      id="grid-Infinity"),
         pytest.param("concepts", '{"n_concept_iterations": 0}',
-                     "'n_concept_iterations' must be >= 1, got 0",
+                     "'n_concept_iterations' must be in "
+                     "[1, 9223372036854775807], got 0",
                      id="n_concept_iterations-0"),
+        # too large for an array dimension
+        pytest.param("concepts", '{"n_concept_iterations": %d}' % 10 ** 19,
+                     "'n_concept_iterations' must be in "
+                     "[1, 9223372036854775807], got 10000000000000000000",
+                     id="n_concept_iterations-1e19"),
         pytest.param("concepts", '{"bonferroni_m": 0}',
                      "'bonferroni_m' must be >= 1, got 0",
                      id="bonferroni_m-0"),

@@ -509,6 +509,23 @@ class TestIo:
         with pytest.raises(ValueError, match=":1:"):
             concepts.read_concept_exercises(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "lone-cr"])
+    def test_exercise_lines_end_at_universal_newlines(self, tmp_path,
+                                                      newline):
+        good = [json.dumps({"concept_id": i, "chords": [[60 + i, 64, 67]]})
+                for i in range(2)]
+        path = tmp_path / "ex.jsonl"
+        path.write_bytes(newline.join(["", good[0], " \t", good[1], ""])
+                         .encode())
+        assert [e.concept_id for e in
+                concepts.read_concept_exercises(path)] == [0, 1]
+        path.write_bytes(newline.join([good[0], "", '{"concept_id": 2}'])
+                         .encode())
+        with pytest.raises(ValueError) as err:
+            concepts.read_concept_exercises(path)
+        assert str(err.value) == f"{path}:3: bad exercise: 'chords'"
+
     def test_dendrogram_json(self, tmp_path):
         d = concepts.Dendrogram(merges=((0, 1, 0.5),), labels=("a", "b"))
         path = tmp_path / "d.json"

@@ -389,8 +389,8 @@ class TestParseParity:
         assert (child.returncode, child.stdout) == (
             0, f"{path}:1: malformed note: {message}\n")
 
-    def test_many_brackets_take_the_per_line_reader(self, tmp_path,
-                                                    monkeypatch):
+    def test_long_line_takes_the_reference_reader(self, tmp_path,
+                                                  monkeypatch):
         text = V + "\n" + V.replace("}", ', "x": [[1]]}') + "\n" + W + "\n"
         path, want = self._parse(tmp_path, text)
         calls = []
@@ -400,10 +400,34 @@ class TestParseParity:
             calls.append(args)
             return parse_lines(*args)
 
-        monkeypatch.setattr(corpus, "MAX_OPENERS", 4)
+        # the middle line is the one longer than the limit
+        monkeypatch.setattr(corpus, "MAX_LINE_CHARS", max(len(V), len(W)))
         monkeypatch.setattr(corpus, "_parse_lines", counted)
         assert corpus.parse_note_events(path).notes == want.notes
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_notes, extra", [
+        # over 65,536 notes, and as many "{": size alone sends no file to
+        # the reference reader
+        (70_000, ""),
+        (2, ', "x": null'),
+    ], ids=["70000-notes", "null-extra-field"])
+    def test_decodes_without_the_reference_reader(self, tmp_path,
+                                                  monkeypatch, n_notes,
+                                                  extra):
+        text = "".join('{"onset": %d.0, "offset": %d.5, "pitch": %d, '
+                       '"velocity": 64%s}\n' % (i, i, 21 + i % 88, extra)
+                       for i in range(n_notes))
+        path = tmp_path / "r.jsonl"
+        path.write_text(text)
+        want = _reference_notes(path, text)
+
+        def refuse(path, lines):
+            raise AssertionError(f"{path} fell back to the reference reader")
+
+        monkeypatch.setattr(corpus, "_parse_lines", refuse)
+        assert corpus.parse_note_events(path).notes == want
+        assert len(want) == n_notes
 
     def test_only_blank_lines_rejected(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -710,6 +734,14 @@ class TestManifest:
         path = self._write(tmp_path, [])
         with pytest.raises(ValidationError):
             corpus.read_manifest(path)
+
+    def test_repeated_recording_id_names_the_line(self, tmp_path):
+        path = self._write(tmp_path, ["r1,alice,solo,r1.jsonl", "",
+                                      "r2,bob,solo,r2.jsonl",
+                                      "r1,bob,trio,r3.jsonl"])
+        with pytest.raises(ValidationError) as err:
+            corpus.read_manifest(path)
+        assert str(err.value) == f"{path}:5: recording id 'r1' repeated"
 
 
 def _manifest(n_solo, n_trio):

@@ -757,13 +757,13 @@ class TestFeatureTable:
     """A read that hits the table gives the table a parse of the dump
     gives, and the table is read only for the bytes it was written from."""
 
-    # recording ids may repeat, as in a manifest that names one twice
+    # recording ids are distinct, as a manifest's are
     @settings(max_examples=100, deadline=None)
     @given(recordings=st.lists(
-        st.tuples(st.sampled_from(["r0", "r1", "r2", "r3"]),
+        st.tuples(st.sampled_from(["r0", "r1", "r2", "r3", "r4", "r5"]),
                   st.dictionaries(st.tuples(KINDS, FEATS),
                                   st.integers(0, 99), max_size=8)),
-        max_size=6), in_vocab=st.integers(1, 3))
+        max_size=6, unique_by=lambda r: r[0]), in_vocab=st.integers(1, 3))
     def test_table_equals_parse(self, tmp_path_factory, recordings,
                                 in_vocab):
         rids = [rid for rid, _ in recordings]
@@ -795,6 +795,11 @@ class TestFeatureTable:
         got = features.read_feature_counts(path)
         assert got.source == "csv"
         assert got.to_dicts() == [counts[0], {(KIND_HARMONY, (0, 4, 7)): 6}]
+
+    def test_repeated_recording_id_refused(self):
+        with pytest.raises(ValueError, match="recording ids repeat"):
+            features.FeatureTable.from_dicts(
+                ["r0", "r1", "r0"], [{(KIND_MELODY, (0, 2)): 1}, {}, {}])
 
     def test_equality_ignores_order_and_source(self):
         a, b = (KIND_MELODY, (0, 1)), (KIND_HARMONY, (0, 3))
