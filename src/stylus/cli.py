@@ -269,9 +269,9 @@ def cmd_extract(args, config):
         counts.append(feats)
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
     out = Path(args.out)
-    features.write_feature_counts(out / "features.csv", rids, counts)
-    features.write_feature_table(out / "features.csv",
-                                 features.FeatureTable.from_dicts(rids, counts))
+    table = features.FeatureTable.from_dicts(rids, counts)
+    features.write_feature_counts(out / "features.csv", table)
+    features.write_feature_table(out / "features.csv", table)
     features.write_vocabulary(out / "vocabulary.csv", vocab)
     print(f"extracted {len(vocab)} vocabulary features "
           f"from {len(rids)} recordings")
@@ -444,12 +444,11 @@ def cmd_rolls(args, config):
             key = f"{clip.parent_id}_{int(clip.start)}"
             paths = {"unified": str(roll_dir / f"{key}.roll")}
             corpus.write_roll(paths["unified"], corpus.to_piano_roll(clip))
-            rolls = representations.factorise(clip, args.seed,
-                                              config.min_chord_notes)
-            for name in ("melody", "harmony", "rhythm", "dynamics"):
-                path = roll_dir / f"{key}.{name}.roll"
-                corpus.write_roll(path, getattr(rolls, name))
-                paths[name] = str(path)
+            for name, roll in representations.factorised(
+                    clip, args.seed, config.min_chord_notes):
+                paths[name] = str(roll_dir / f"{key}.{name}.roll")
+                corpus.write_roll(paths[name], roll)
+            del roll    # free the last roll before the next clip's are made
             index[key] = paths
     with open(out / "rolls.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)

@@ -319,12 +319,15 @@ def _interp_grid(values: np.ndarray, row_centres, col_centres) -> np.ndarray:
     fp = values.T
     for xp, size in ((col_centres, ROLL_WIDTH), (row_centres, ROLL_HEIGHT)):
         x = np.arange(size, dtype=float)
-        j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, len(xp) - 1)
-        out = fp[j]
-        mid = (x > xp[j]) & (j < len(xp) - 1)   # strictly between knots
-        jm = j[mid]
-        slope = (fp[jm + 1] - fp[jm]) / (xp[jm + 1] - xp[jm])[:, None]
-        out[mid] = slope * (x[mid] - xp[jm])[:, None] + fp[jm]
+        out = fp[np.clip(np.searchsorted(xp, x, "right") - 1, 0, len(xp) - 1)]
+        # in place: each run strictly between knots k and k + 1 holds fp[k]
+        for k, (a, b) in enumerate(zip(np.searchsorted(x, xp[:-1], "right"),
+                                       np.searchsorted(x, xp[1:]))):
+            run = out[a:b]
+            np.subtract(fp[k + 1], run, out=run)
+            run /= xp[k + 1] - xp[k]
+            run *= (x[a:b] - xp[k])[:, None]
+            run += fp[k]
         fp = out.T
     return fp.T
 

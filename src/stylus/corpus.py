@@ -467,7 +467,7 @@ def _decode_notes(text: str) -> NoteArray | None:
     line that is not one object, a missing key, a field that is not a
     number, an invalid note, and ``NaN``, ``Infinity``, a lone surrogate or
     a double that overflows, which orjson refuses. orjson reads an integer
-    past 2**64 as ``float()`` does."""
+    past 2**64 as ``float()`` does; NoteArray truncates floats as ``int()``."""
     lines = _split_lines(text.strip())
     if len(text) > MAX_LINE_CHARS and max(map(len, lines)) > MAX_LINE_CHARS:
         return None
@@ -481,9 +481,6 @@ def _decode_notes(text: str) -> NoteArray | None:
     if any(c.ndim != 1 or c.dtype.kind not in "bif"
            for c in (onset, offset, pitch, velocity)):
         return None
-    # int() truncates toward zero
-    pitch, velocity = (np.trunc(c) if c.dtype.kind == "f" else c
-                       for c in (pitch, velocity))
     if not _valid_rows(onset, offset, pitch, velocity).all():
         return None
     return NoteArray(onset, offset, pitch, velocity)

@@ -376,14 +376,20 @@ def parse_feature_string(s: str) -> tuple:
     return tuple(int(v) for v in s.split(","))
 
 
-def write_feature_counts(path, recording_ids, per_recording_counts) -> None:
-    text = {key: feature_string(key[1])
-            for key in set().union(*per_recording_counts)}
-    # a featureless recording gets a presence row so it survives a re-read
+def write_feature_counts(path, table: FeatureTable) -> None:
+    """Each recording's rows in (kind, feature) order, or a presence row, one
+    recording at a time: its triples must be one run, as in ``from_dicts``."""
+    order = sorted(range(len(table.keys)), key=table.keys.__getitem__)
+    rank = np.argsort(order, kind="stable")  # skyline's sort, already paged in
+    cells = [(kind, feature_string(feat))
+             for kind, feat in map(table.keys.__getitem__, order)]
+    runs = np.searchsorted(table.row, np.arange(1, len(table.recording_ids)))
     write_table(path, FEATURE_COLUMNS, chain.from_iterable(
-        [[rid, kind, text[kind, feat], c]
-         for (kind, feat), c in sorted(counts.items())] or [[rid, "", "", 0]]
-        for rid, counts in zip(recording_ids, per_recording_counts)))
+        [(rid, *cells[k], c) for k, c in sorted(zip(
+            rank[ks].tolist(), cs.astype(np.int64).tolist()))]
+        or [(rid, "", "", 0)] for rid, ks, cs in zip(
+            table.recording_ids, np.split(table.key, runs),
+            np.split(table.count, runs))))
 
 
 class _TableFile(BlockFile):

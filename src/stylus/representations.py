@@ -114,10 +114,15 @@ def dynamics_roll(c: Clip, seed: int = 0) -> np.ndarray:
     return roll
 
 
+def factorised(c: Clip, seed: int = 0, min_chord_notes: int = MIN_CHORD_NOTES):
+    """Each factorised roll's name and roll, made when it is read."""
+    yield "melody", melody_roll(c)
+    yield "harmony", harmony_roll(c, min_chord_notes)
+    yield "rhythm", rhythm_roll(c, seed)
+    yield "dynamics", dynamics_roll(c, seed)
+
+
 def factorise(c: Clip, seed: int = 0,
               min_chord_notes: int = MIN_CHORD_NOTES) -> FactorisedRolls:
-    return FactorisedRolls(melody=melody_roll(c),
-                           harmony=harmony_roll(c, min_chord_notes),
-                           rhythm=rhythm_roll(c, seed),
-                           dynamics=dynamics_roll(c, seed),
+    return FactorisedRolls(**dict(factorised(c, seed, min_chord_notes)),
                            parent_id=c.parent_id)

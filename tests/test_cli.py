@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stylus
-from stylus import cli, concepts, corpus, features, synthetic
+from stylus import cli, concepts, corpus, features, representations, synthetic
 from stylus.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         RunConfig)
 
@@ -284,6 +284,41 @@ class TestPipeline:
         for kind in ("unified", "melody", "harmony", "rhythm", "dynamics"):
             roll = corpus.read_roll(paths[kind])
             assert roll.shape == (88, 3000)
+
+    def test_rolls_holds_one_roll_at_a_time(self, tmp_path, monkeypatch):
+        corpus_dir = tmp_path / "corpus"
+        assert cli.main(["gen-synthetic", "--out", str(corpus_dir),
+                         "--seed", "1"]) == EXIT_OK
+        manifest = corpus_dir / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:3]) + "\n")
+        made, live = [], []      # weak references; live rolls at each write
+        write = corpus.write_roll
+
+        def tracked(fn):
+            def make(*args, **kwargs):
+                roll = fn(*args, **kwargs)
+                made.append(weakref.ref(roll))
+                return roll
+            return make
+
+        def counting_write(path, roll):
+            live.append(sum(r() is not None for r in made))
+            return write(path, roll)
+
+        monkeypatch.setattr(corpus, "to_piano_roll",
+                            tracked(corpus.to_piano_roll))
+        for name in ("melody", "harmony", "rhythm", "dynamics"):
+            fn = getattr(representations, f"{name}_roll")
+            monkeypatch.setattr(representations, f"{name}_roll", tracked(fn))
+        monkeypatch.setattr(corpus, "write_roll", counting_write)
+        assert cli.main(["rolls", "--manifest", str(manifest),
+                         "--out", str(tmp_path / "run"),
+                         "--seed", "0"]) == EXIT_OK
+        index = json.loads((tmp_path / "run" / "rolls.json").read_text())
+        assert len(live) == len(made) == 5 * len(index) > 5
+        # the roll being written is the only one alive
+        assert max(live) == 1
 
     def test_augment_preview(self, tmp_path):
         corpus_dir = tmp_path / "corpus"

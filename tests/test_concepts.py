@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -420,6 +421,20 @@ class TestInterpGridOracle:
         assert np.array_equal(concepts._interp_grid(values, rows, cols),
                               reference_interp_grid(values, rows, cols,
                                                     88, 3000))
+
+    def test_mask_grid_traced_peak_below_4_mb(self):
+        # the 88x3000 float64 map is 2.1 MB and the column pass 0.8 MB;
+        # full-size temporaries (gathers, slopes, products) peaked at 7.5 MB
+        values = np.random.default_rng(4).normal(size=(33, 14))
+        rows = np.arange(0, 65, 2) + 11.5
+        cols = np.arange(0, 2751, 200) + 124.5
+        tracemalloc.start()
+        try:
+            concepts._interp_grid(values, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def reference_upgma(D):

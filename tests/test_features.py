@@ -589,7 +589,8 @@ class TestMatrixAndTfidf:
                   for _ in range(5)]
         rids = [f"r{i}" for i in range(5)]
         path = tmp_path / "features.csv"
-        features.write_feature_counts(path, rids, counts)
+        features.write_feature_counts(
+            path, features.FeatureTable.from_dicts(rids, counts))
         got = features.read_feature_counts(path)
         assert got.source == "csv"
         assert got.recording_ids == tuple(rids)
@@ -685,7 +686,8 @@ class TestFeatureDumpIO:
                                                        counts):
         rids = [f"r{i}" for i in range(len(counts))]
         root = tmp_path_factory.mktemp("dump")
-        features.write_feature_counts(root / "features.csv", rids, counts)
+        table = features.FeatureTable.from_dicts(rids, counts)
+        features.write_feature_counts(root / "features.csv", table)
         reference_write_feature_counts(root / "reference.csv", rids, counts)
         assert ((root / "features.csv").read_bytes()
                 == (root / "reference.csv").read_bytes())
@@ -748,9 +750,9 @@ class TestFeatureDumpIO:
 
 def write_dump_and_table(path, rids, counts):
     """A feature dump and the table ``extract`` writes beside it."""
-    features.write_feature_counts(path, rids, counts)
-    features.write_feature_table(
-        path, features.FeatureTable.from_dicts(rids, counts))
+    table = features.FeatureTable.from_dicts(rids, counts)
+    features.write_feature_counts(path, table)
+    features.write_feature_table(path, table)
 
 
 class TestFeatureTable:
