@@ -233,6 +233,7 @@ def cmd_gen_synthetic(args, config):
     sconfig = synthetic.SyntheticConfig(seed=args.seed)
     manifest = synthetic.write_corpus(args.out, sconfig)
     print(f"wrote synthetic corpus manifest to {manifest}")
+    return {"synthetic": synthetic.write_plan(sconfig)}
 
 
 def cmd_ingest(args, config):

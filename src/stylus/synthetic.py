@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,8 +22,8 @@ EVENT_SPACING = 4.0     # leaves > 2 s of silence between events, so
                         # phrases never chain into one n-gram
 NOTE_SPACING = 0.25
 NOTE_DURATION = 0.2
-# recordings generated before their files are written; a file after each
-# recording made set-up 10-15% slower (the two evict each other's caches)
+# recordings per task, generated before their files are written: a file
+# after each recording made set-up 10-15% slower (they evict caches)
 WRITE_BATCH = 32
 
 
@@ -146,30 +147,58 @@ def generate_recording(performer: int, index: int, pools,
                          notes=NoteArray(onset, offset, pitch, velocity))
 
 
-def _recordings(config: SyntheticConfig):
-    """Each recording of the corpus, generated when asked for."""
-    pools = build_pools(config)
-    return (generate_recording(p, i, pools, config)
-            for p in range(config.n_performers)
-            for i in range(config.n_recordings))
+def _batches(config: SyntheticConfig):
+    """Each recording's (performer, index) in order, in ``WRITE_BATCH``s."""
+    keys = [(p, i) for p in range(config.n_performers)
+            for i in range(config.n_recordings)]
+    return [keys[k:k + WRITE_BATCH] for k in range(0, len(keys), WRITE_BATCH)]
 
 
 def generate_corpus(config: SyntheticConfig = SyntheticConfig()):
-    return list(_recordings(config))
+    pools = build_pools(config)
+    return [generate_recording(p, i, pools, config)
+            for batch in _batches(config) for p, i in batch]
+
+
+def write_plan(config: SyntheticConfig) -> dict:
+    """``write_corpus``'s recordings, batches and worker processes: one per
+    batch, up to the CPUs this process may run on."""
+    batches = _batches(config)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return {"recordings": sum(map(len, batches)), "batches": len(batches),
+            "workers": max(1, min(len(batches), cpus))}
+
+
+def _write_batch(out_dir: Path, pools, config: SyntheticConfig, batch):
+    """Write ``batch``'s note files; (recording_id, performer, tag) of each."""
+    recordings = [generate_recording(p, i, pools, config) for p, i in batch]
+    for t in recordings:
+        write_note_events(out_dir / f"notes/{t.recording_id}.jsonl", t.notes)
+    return [(t.recording_id, t.performer, t.dataset_tag) for t in recordings]
 
 
 def write_corpus(out_dir, config: SyntheticConfig = SyntheticConfig()):
-    """Write note files plus a manifest, ``WRITE_BATCH`` recordings at a
-    time, so memory holds one batch, not the corpus; returns its path."""
-    out_dir = Path(out_dir)
+    """Write note files, then the manifest; returns its path. Batches run
+    inline for one ``write_plan`` worker, else on a process pool; each
+    recording has its own stream, so the bytes match. No manifest on error."""
+    out_dir, workers = Path(out_dir), write_plan(config)["workers"]
     (out_dir / "notes").mkdir(parents=True, exist_ok=True)
-    recordings = _recordings(config)
-
-    def rows():
-        while batch := list(itertools.islice(recordings, WRITE_BATCH)):
-            for t in batch:
-                path = out_dir / "notes" / f"{t.recording_id}.jsonl"
-                write_note_events(path, t.notes)
-                yield [t.recording_id, t.performer, t.dataset_tag, str(path)]
-    write_table(out_dir / "manifest.csv", MANIFEST_COLUMNS, rows())
-    return out_dir / "manifest.csv"
+    manifest, tmp = out_dir / "manifest.csv", out_dir / "manifest.csv.tmp"
+    manifest.unlink(missing_ok=True)
+    fixed = [itertools.repeat(a)
+             for a in (out_dir.absolute(), build_pools(config), config)]
+    if workers == 1:
+        done = list(map(_write_batch, *fixed, _batches(config)))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers) as pool:
+            done = list(pool.map(_write_batch, *fixed, _batches(config)))
+    try:
+        write_table(tmp, MANIFEST_COLUMNS, (
+            [*row, str(out_dir / "notes" / f"{row[0]}.jsonl")]
+            for rows in done for row in rows))
+        os.replace(tmp, manifest)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return manifest

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import weakref
@@ -225,6 +226,27 @@ class TestPipeline:
         m2 = (tmp_path / "b" / "manifest.csv").read_text()
         assert m1.replace(str(tmp_path / "a"), "") == \
             m2.replace(str(tmp_path / "b"), "")
+
+    def test_gen_synthetic_relative_out_keeps_manifest_bytes(self, tmp_path,
+                                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen-synthetic", "--out", "corpus"]) == EXIT_OK
+        # the default corpus (seed 0) as the single-process writer wrote it
+        manifest = Path("corpus/manifest.csv").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "c6f38fa65419bfbcd29033c92fda4970a23a130741744b64c10559a4673e8f0b")
+        plan = json.loads(Path("corpus/run.json").read_text())["synthetic"]
+        assert plan == {"recordings": 400, "batches": 13,
+                        "workers": min(13, len(os.sched_getaffinity(0)))}
+        assert multiprocessing.active_children() == []
+
+    def test_failed_gen_synthetic_leaves_no_manifest(self, tmp_path, capfd):
+        (tmp_path / "notes" / "p00r003.jsonl").mkdir(parents=True)
+        assert cli.main(["gen-synthetic", "--out", str(tmp_path)]) == EXIT_IO
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("stylus: I/O error: ")
+        assert not (tmp_path / "manifest.csv").exists()
+        assert multiprocessing.active_children() == []
 
     def test_artifacts_exist(self, workspace):
         _, _, out = workspace

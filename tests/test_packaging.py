@@ -1,7 +1,10 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency,
+and the CLI module loads no process-pool machinery."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -33,3 +36,15 @@ def test_every_third_party_import_is_declared():
                    - set(sys.stdlib_module_names) - {"stylus"})
     assert {"numpy", "orjson"} <= third_party
     assert third_party <= declared_dependencies()
+
+
+def test_cli_import_loads_no_process_pool():
+    # the synthetic writer imports its pool when it runs; loading it with
+    # the CLI would cost every analysis process about 0.7 MB
+    code = ("import sys, stylus.cli; print(sorted({'concurrent.futures', "
+            "'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(ROOT / "src")}
+                         ).stdout
+    assert out == "[]\n"

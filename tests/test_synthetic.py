@@ -1,9 +1,12 @@
+import gc
 import hashlib
+import multiprocessing
 import weakref
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +82,27 @@ SIGNATURE_1_3_SHA256 = {
     "notes/p01r003.jsonl":
         "5aee0d596e2cc8f6a28d62741e284bc3a710cdaa4a2ecbd5b0811698eae8e97a",
 }
+
+
+def pinned_hashes(out, config):
+    """SHA-256 of every file ``write_corpus`` writes into ``out``, the
+    manifest's paths made relative to ``out``."""
+    manifest = synthetic.write_corpus(out, config)
+    got = {}
+    for path in sorted(out.rglob("*.*")):
+        data = path.read_bytes()
+        if path == manifest:
+            data = data.replace(f"{out}/".encode(), b"")
+        got[path.relative_to(out).as_posix()] = \
+            hashlib.sha256(data).hexdigest()
+    return got
+
+
+def live_transcriptions():
+    """The ids of the Transcriptions this process holds."""
+    gc.collect()
+    return {id(o) for o in gc.get_objects()
+            if isinstance(o, corpus.Transcription)}
 
 
 class TestPools:
@@ -195,6 +219,9 @@ class TestWriteCorpus:
             assert Path(a.path).read_text() == Path(b.path).read_text()
 
     def test_at_most_two_batches_alive(self, tmp_path, monkeypatch):
+        # write_corpus hands each batch to one _write_batch call, in a
+        # worker process or inline; each call holds its batch alone, so a
+        # process never holds more than one batch, and the parent none
         generated, alive = [], []   # weak references; live count per call
         generate = synthetic.generate_recording
 
@@ -206,23 +233,47 @@ class TestWriteCorpus:
 
         monkeypatch.setattr(synthetic, "generate_recording", tracked_generate)
         monkeypatch.setattr(synthetic, "WRITE_BATCH", 4)
-        synthetic.write_corpus(tmp_path, SMALL)
-        # the batch being written and the one being generated
-        assert len(alive) == 18 and max(alive) < 2 * 4
+        (tmp_path / "notes").mkdir()
+        before = live_transcriptions()
+        pools = synthetic.build_pools(SMALL)
+        rows = []
+        for batch in synthetic._batches(SMALL):
+            rows += synthetic._write_batch(tmp_path, pools, SMALL, batch)
+            assert all(r() is None for r in generated)
+        assert len(alive) == 18 and max(alive) < 4
+        assert [r[0] for r in rows] == [f"p{p:02d}r{i:03d}" for p in range(3)
+                                        for i in range(6)]
+        assert live_transcriptions() <= before
 
     def test_files_pinned_per_seed(self, tmp_path):
         for config, want in ((SMALL, SMALL_SHA256),
                              (SIGNATURE_1_3, SIGNATURE_1_3_SHA256)):
-            out = tmp_path / str(config.seed)
-            manifest = synthetic.write_corpus(out, config)
-            got = {}
-            for path in sorted(out.rglob("*.*")):
-                data = path.read_bytes()
-                if path == manifest:
-                    data = data.replace(f"{out}/".encode(), b"")
-                got[path.relative_to(out).as_posix()] = \
-                    hashlib.sha256(data).hexdigest()
-            assert got == want
+            assert synthetic.write_plan(config)["batches"] == 1
+            assert pinned_hashes(tmp_path / str(config.seed), config) == want
+
+    def test_files_pinned_per_seed_on_the_pool_path(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(synthetic, "WRITE_BATCH", 4)
+        monkeypatch.setattr(synthetic.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        for config, want in ((SMALL, SMALL_SHA256),
+                             (SIGNATURE_1_3, SIGNATURE_1_3_SHA256)):
+            plan = synthetic.write_plan(config)
+            assert plan["batches"] >= 2 and plan["workers"] == 2
+            assert pinned_hashes(tmp_path / str(config.seed), config) == want
+            assert multiprocessing.active_children() == []
+
+    def test_failed_write_leaves_no_manifest_or_worker(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(synthetic, "WRITE_BATCH", 4)
+        monkeypatch.setattr(synthetic.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        (tmp_path / "notes" / "p01r002.jsonl").mkdir(parents=True)
+        (tmp_path / "manifest.csv").write_text("an earlier manifest\n")
+        with pytest.raises(IsADirectoryError):
+            synthetic.write_corpus(tmp_path, SMALL)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes"]
+        assert multiprocessing.active_children() == []
 
 
 @settings(max_examples=200, deadline=None)
