@@ -1,4 +1,9 @@
-"""Command-line entry point orchestrating the full pipeline."""
+"""Command-line entry point orchestrating the full pipeline.
+
+A subcommand's handler takes a ``Run``, the one place its inputs are read
+and checked (the manifest, hashed from the bytes it parses; the note store,
+splits, feature dump and model, each read once when first asked for), and
+the ``RunConfig``; ``Run.record`` is what the handler adds to run.json."""
 
 from __future__ import annotations
 
@@ -10,7 +15,9 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -87,24 +94,6 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_run_info(out_dir: Path, command: str, args, config: RunConfig,
-                    started: float, extra: dict) -> None:
-    payload = {
-        "command": command,
-        "seed": args.seed,
-        "config": asdict(config),
-        "manifest": args.manifest,
-        "manifest_sha256": (
-            hashlib.sha256(Path(args.manifest).read_bytes()).hexdigest()
-            if command in NEEDS_MANIFEST else None),
-        "version": __version__,
-        "wall_time_seconds": time.time() - started,
-        **extra,
-    }
-    with open(out_dir / "run.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-
-
 def _refusal(key: str, value) -> str | None:
     """What ``value`` must be to set config key ``key`` and what it is
     ("be an int, got str"), or None if it may set it."""
@@ -167,27 +156,6 @@ def _lr_config(config: RunConfig) -> classifier.LRConfig:
                                penalty=config.penalty)
 
 
-def _note_store(args) -> corpus.NoteStore:
-    """The note store ``ingest`` wrote in --out; empty if there is none."""
-    return corpus.NoteStore(Path(args.out) / corpus.STORE_NAME)
-
-
-def _load_transcriptions(manifest, store: corpus.NoteStore):
-    """The manifest's recordings, parsed one at a time in manifest order.
-
-    A generator, so a pass that drops each Transcription before taking the
-    next holds one parsed recording at a time, and an invalid recording
-    raises only when the pass reaches it: a subcommand writes its index
-    file after the loop, so an invalid recording leaves none behind.
-    Each is parsed through ``store`` (``corpus.parse_note_events``):
-    ``ingest`` fills a new one, and the other corpus subcommands read the
-    store in --out, which holds each file unchanged since ``ingest``.
-    ``store.counts``, which run.json records, says where the notes came from.
-    """
-    return (corpus.parse_note_events(e.path, e.recording_id, e.performer,
-                                     e.dataset_tag, store) for e in manifest)
-
-
 def _require(path: Path, what: str):
     if not path.exists():
         raise corpus.ValidationError(
@@ -213,202 +181,227 @@ def _vocab_hash(vocab) -> str:
     return digest.hexdigest()
 
 
-def _load_model(out: Path, vocab):
-    """The trained model, refused if it was trained on another vocabulary
-    (an empty stored hash, from older model files, is accepted)."""
-    model = classifier.read_model(_require(out / "model.json", "model"))
-    current = _vocab_hash(vocab)
-    if model.vocabulary_hash and model.vocabulary_hash != current:
-        raise corpus.ValidationError(
-            f"model.json was trained on vocabulary {model.vocabulary_hash}, "
-            f"but vocabulary.csv hashes to {current}; retrain the model")
-    return model
+# the feature dump in --out, each row labelled from the manifest
+Features = namedtuple("Features", "recording_ids vocab X performers tags")
 
 
-def _split_rows(rids, split_map, split):
-    return [i for i, r in enumerate(rids) if split_map.get(r) == split]
+class Run:
+    """A subcommand's inputs and its run.json ``record``; an input in --out
+    is read when first asked for, so refusals follow the handler's order."""
+
+    def __init__(self, args):
+        self.args, self.out, self.record = args, Path(args.out), {}
+        self.manifest = self.manifest_sha256 = None
+        if args.command in NEEDS_MANIFEST:
+            data = Path(args.manifest).read_bytes()
+            self.manifest_sha256 = hashlib.sha256(data).hexdigest()
+            self.manifest = corpus.read_manifest(args.manifest, data)
+
+    def recordings(self, store: corpus.NoteStore | None = None):
+        """The manifest's recordings, parsed one at a time (so a pass holds
+        one, and an invalid one raises when reached, before any index is
+        written) through ``store``, ``ingest``'s, or else the one in --out."""
+        store = store or corpus.NoteStore(self.out / corpus.STORE_NAME)
+        self.record["notes"] = store.counts
+        return (corpus.parse_note_events(e.path, e.recording_id, e.performer,
+                                         e.dataset_tag, store)
+                for e in self.manifest)
+
+    def clips(self, hop: float):
+        """(key, recording, clip) of each recording's clips in turn."""
+        for t in self.recordings():
+            for clip in corpus.segment_clips(t, hop):
+                yield f"{clip.parent_id}_{int(clip.start)}", t, clip
+
+    @property
+    def exercises(self) -> list:
+        return concepts.read_concept_exercises(
+            _require(Path(self.args.exercises), "concept exercise file"))
+
+    @cached_property
+    def splits(self) -> dict:
+        return corpus.read_splits(_require(self.out / "splits.csv", "splits"))
+
+    @cached_property
+    def features(self) -> Features:
+        """The feature dump in --out, labelled from the manifest; run.json's
+        ``feature_counts`` says where the counts came from."""
+        table, vocab = _load_features(self.out)
+        by_id = {e.recording_id: e for e in self.manifest}
+        rids = table.recording_ids
+        missing = [r for r in rids if r not in by_id]
+        if missing:
+            raise corpus.ValidationError(
+                f"features.csv names {len(missing)} recording(s) missing "
+                f"from the manifest: {', '.join(missing)}")
+        X = features.tfidf(features.count_matrix(table, vocab))
+        self.record["feature_counts"] = table.source
+        return Features(rids, vocab, X, [by_id[r].performer for r in rids],
+                        [by_id[r].dataset_tag for r in rids])
+
+    def rows(self, split: str):
+        """(X, performers) of the feature rows in ``split``."""
+        f = self.features
+        rows = [i for i, r in enumerate(f.recording_ids)
+                if self.splits.get(r) == split]
+        return f.X[rows], [f.performers[i] for i in rows]
+
+    def model(self) -> classifier.LRModel:
+        """The trained model, refused if trained on another vocabulary (an
+        empty stored hash, from older model files, is accepted)."""
+        model = classifier.read_model(_require(self.out / "model.json",
+                                               "model"))
+        current = _vocab_hash(self.features.vocab)
+        if model.vocabulary_hash and model.vocabulary_hash != current:
+            raise corpus.ValidationError(
+                f"model.json was trained on vocabulary "
+                f"{model.vocabulary_hash}, but vocabulary.csv hashes to "
+                f"{current}; retrain the model")
+        return model
+
+    def write_info(self, config: RunConfig, started: float) -> None:
+        a = self.args
+        payload = {"command": a.command, "seed": a.seed,
+                   "config": asdict(config), "manifest": a.manifest,
+                   "manifest_sha256": self.manifest_sha256,
+                   "version": __version__,
+                   "wall_time_seconds": time.time() - started, **self.record}
+        with open(self.out / "run.json", "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
 
 
-def cmd_gen_synthetic(args, config):
-    sconfig = synthetic.SyntheticConfig(seed=args.seed)
-    manifest = synthetic.write_corpus(args.out, sconfig)
+def cmd_gen_synthetic(run, config):
+    sconfig = synthetic.SyntheticConfig(seed=run.args.seed)
+    manifest = synthetic.write_corpus(run.args.out, sconfig)
     print(f"wrote synthetic corpus manifest to {manifest}")
-    return {"synthetic": synthetic.write_plan(sconfig)}
+    run.record["synthetic"] = synthetic.write_plan(sconfig)
 
 
-def cmd_ingest(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    with corpus.NoteStore.create(out / corpus.STORE_NAME) as store:
+def cmd_ingest(run, config):
+    with corpus.NoteStore.create(run.out / corpus.STORE_NAME) as store:
         rows = [[t.recording_id, t.performer, t.dataset_tag, len(t.notes),
-                 repr(t.duration)]
-                for t in _load_transcriptions(manifest, store)]
-    corpus.write_table(out / "ingest.csv",
+                 repr(t.duration)] for t in run.recordings(store)]
+    corpus.write_table(run.out / "ingest.csv",
                        ["recording_id", "performer", "dataset_tag",
                         "n_notes", "duration"], rows)
     print(f"ingested {len(rows)} recordings")
-    return {"notes": store.counts}
 
 
-def cmd_split(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    assignment = corpus.assign_splits(manifest, args.seed)
-    corpus.write_splits(Path(args.out) / "splits.csv", assignment)
+def cmd_split(run, config):
+    assignment = corpus.assign_splits(run.manifest, run.args.seed)
+    corpus.write_splits(run.out / "splits.csv", assignment)
     counts = {s: sum(1 for v in assignment.values() if v == s)
               for s in corpus.SPLITS}
     print(f"split {len(assignment)} recordings: {counts}")
 
 
-def cmd_extract(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    store = _note_store(args)
+def cmd_extract(run, config):
     rids, counts = [], []
     for rid, feats in features.extract_recordings(
-            _load_transcriptions(manifest, store), config.grid,
-            config.n_values):
+            run.recordings(), config.grid, config.n_values):
         rids.append(rid)
         counts.append(feats)
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
-    out = Path(args.out)
     table = features.FeatureTable.from_dicts(rids, counts)
-    features.write_feature_counts(out / "features.csv", table)
-    features.write_feature_table(out / "features.csv", table)
-    features.write_vocabulary(out / "vocabulary.csv", vocab)
+    features.write_feature_counts(run.out / "features.csv", table)
+    features.write_feature_table(run.out / "features.csv", table)
+    features.write_vocabulary(run.out / "vocabulary.csv", vocab)
     print(f"extracted {len(vocab)} vocabulary features "
           f"from {len(rids)} recordings")
-    return {"notes": store.counts}
 
 
-def _labels_for(rids, manifest):
-    by_id = {e.recording_id: e for e in manifest}
-    missing = [r for r in rids if r not in by_id]
-    if missing:
-        raise corpus.ValidationError(
-            f"features.csv names {len(missing)} recording(s) missing from "
-            f"the manifest: {', '.join(missing)}")
-    return ([by_id[r].performer for r in rids],
-            [by_id[r].dataset_tag for r in rids])
-
-
-def _load_inputs(args):
-    """(out, rids, vocab, TF-IDF matrix, performers, dataset tags, run.json
-    record) of the feature dump in --out, rows in its order, labelled from
-    the manifest; the record says where the counts came from."""
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    table, vocab = _load_features(out)
-    y, tags = _labels_for(table.recording_ids, manifest)
-    X = features.tfidf(features.count_matrix(table, vocab))
-    return (out, table.recording_ids, vocab, X, y, tags,
-            {"feature_counts": table.source})
-
-
-def cmd_train(args, config):
-    out, rids, vocab, X, y, _, record = _load_inputs(args)
-    split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    rows = _split_rows(rids, split_map, "train")
-    if not rows:
+def cmd_train(run, config):
+    X, y = run.rows("train")
+    if not y:
         raise corpus.ValidationError("no training recordings in split")
-    model = classifier.fit(X[rows], [y[i] for i in rows], _lr_config(config))
-    classifier.write_model(out / "model.json", model, _vocab_hash(vocab))
-    print(f"trained on {len(rows)} recordings "
+    model = classifier.fit(X, y, _lr_config(config))
+    classifier.write_model(run.out / "model.json", model,
+                           _vocab_hash(run.features.vocab))
+    print(f"trained on {len(y)} recordings "
           f"({len(model.class_labels)} classes, converged={model.converged})")
-    return record
 
 
-def cmd_search(args, config):
-    out, rids, vocab, X, y, _, record = _load_inputs(args)
-    split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    tr = _split_rows(rids, split_map, "train")
-    va = _split_rows(rids, split_map, "validation")
+def cmd_search(run, config):
     space = classifier.SearchSpace(iterations=config.search_iterations,
-                                   seed=args.seed)
+                                   seed=run.args.seed)
     best, acc, trials = classifier.random_search(
-        space, X[tr], [y[i] for i in tr], X[va], [y[i] for i in va])
-    classifier.write_trial_log(out / "trials.csv", trials)
-    with open(out / "best_config.json", "w", encoding="utf-8") as fh:
+        space, *run.rows("train"), *run.rows("validation"))
+    classifier.write_trial_log(run.out / "trials.csv", trials)
+    with open(run.out / "best_config.json", "w", encoding="utf-8") as fh:
         json.dump({"C": best.C, "class_weight": best.class_weight,
                    "penalty": best.penalty, "val_top1": acc}, fh)
     print(f"best config C={best.C:.3f} class_weight={best.class_weight} "
           f"penalty={best.penalty} (val top-1 {acc:.3f})")
-    return record
 
 
-def cmd_evaluate(args, config):
-    out, rids, vocab, X, y, _, record = _load_inputs(args)
-    split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    model = _load_model(out, vocab)
-    rows = _split_rows(rids, split_map, "test")
-    if not rows:
+def cmd_evaluate(run, config):
+    X_test, y_test = run.rows("test")
+    model = run.model()
+    if not y_test:
         raise corpus.ValidationError("no test recordings in split")
-    probs = classifier.predict_proba(model, X[rows])
-    y_test = [y[i] for i in rows]
+    probs = classifier.predict_proba(model, X_test)
     result = {f"top{k}": classifier.top_k_accuracy(probs, y_test,
                                                    model.class_labels, k)
               for k in (1, 2, 3, 5) if k <= len(model.class_labels)}
-    with open(out / "evaluation.json", "w", encoding="utf-8") as fh:
+    with open(run.out / "evaluation.json", "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2)
     print(" ".join(f"{k}={v:.3f}" for k, v in result.items()))
-    return record
 
 
-def cmd_importance(args, config):
-    out, rids, vocab, X, y, _, record = _load_inputs(args)
-    split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
-    model = _load_model(out, vocab)
-    rows = _split_rows(rids, split_map, "test")
-    X_test, y_test = X[rows], [y[i] for i in rows]
+def cmd_importance(run, config):
+    X_test, y_test = run.rows("test")
+    model = run.model()
     reports = []
     for kind in (features.KIND_MELODY, features.KIND_HARMONY):
-        cols = vocab.columns_of_kind(kind)
+        cols = run.features.vocab.columns_of_kind(kind)
         reports.append(interpret.permutation_importance(
-            model, X_test, y_test, cols, config.n_importance, args.seed,
+            model, X_test, y_test, cols, config.n_importance, run.args.seed,
             group=kind))
         k = min(config.top_k, cols.size)
         reports.append(interpret.subset_importance(
-            model, X_test, y_test, cols, k, config.n_importance, args.seed,
-            group=f"{kind}-subset-{k}"))
+            model, X_test, y_test, cols, k, config.n_importance,
+            run.args.seed, group=f"{kind}-subset-{k}"))
     corpus.write_table(
-        out / "importance.csv",
+        run.out / "importance.csv",
         ["group", "mean_accuracy_loss", "sd", "iterations"],
         ([r.group, repr(r.mean_accuracy_loss), repr(r.sd), r.iterations]
          for r in reports))
     for r in reports:
         print(f"{r.group}: loss {r.mean_accuracy_loss:.3f} (sd {r.sd:.3f})")
-    return record
 
 
-def cmd_correlate(args, config):
-    out, _, vocab, X, y, tags, record = _load_inputs(args)
+def cmd_correlate(run, config):
+    f = run.features
     lr_config = _lr_config(config)
-    full = classifier.fit(X, y, lr_config)
+    full = classifier.fit(f.X, f.performers, lr_config)
     rows_out = []
     for kind in (features.KIND_MELODY, features.KIND_HARMONY):
-        cols = vocab.columns_of_kind(kind)
+        cols = f.vocab.columns_of_kind(kind)
         k = min(config.top_k, cols.size)
         top = cols[interpret.top_k_features(full.W[:, cols], k)]
         report = interpret.dataset_weight_correlation(
-            X, y, tags, top, lr_config, config.n_permutations, args.seed)
+            f.X, f.performers, f.tags, top, lr_config,
+            config.n_permutations, run.args.seed)
         for performer in sorted(report.r):
             rows_out.append([kind, performer, repr(report.r[performer]),
                              repr(report.p[performer]),
                              report.corrected_alpha_factor])
-    corpus.write_table(out / "correlations.csv",
+    corpus.write_table(run.out / "correlations.csv",
                        ["feature_kind", "performer", "r", "p",
                         "corrected_alpha_factor"], rows_out)
     print(f"wrote correlations for {len(rows_out)} performer/kind pairs")
-    return record
 
 
-def cmd_pca(args, config):
-    out, _, vocab, X, y, _, record = _load_inputs(args)
+def cmd_pca(run, config):
+    vocab, y = run.features.vocab, run.features.performers
     cols = np.array([i for i, (kind, feat) in enumerate(vocab.features)
                      if kind == features.KIND_MELODY and len(feat) == 4],
                     dtype=int)
     if cols.size < 2:
         raise corpus.ValidationError(
             "need at least two length-4 melody features for PCA")
-    X = X[:, cols]      # frees the full matrix
+    X = run.features.X[:, cols]
+    del run.features    # frees the full matrix
     model = interpret.pca_fit(X)
     performers = sorted(set(y))
     means = np.vstack([
@@ -416,7 +409,7 @@ def cmd_pca(args, config):
         for p in performers])
     coords = interpret.pca_project(model, means)
     corpus.write_table(
-        out / "pca_components.csv",
+        run.out / "pca_components.csv",
         ["component", "explained_variance"]
         + [features.feature_string(vocab.features[c][1]) for c in cols],
         ([i, repr(float(var))] + [repr(float(v)) for v in comp]
@@ -424,77 +417,59 @@ def cmd_pca(args, config):
                                              model.components))))
     n_dims = min(4, coords.shape[1])
     corpus.write_table(
-        out / "pca_projection.csv",
+        run.out / "pca_projection.csv",
         ["performer"] + [f"component_{i}" for i in range(n_dims)],
         ([p] + [repr(float(v)) for v in row[:n_dims]]
          for p, row in zip(performers, coords)))
     print(f"PCA over {cols.size} length-4 melody features, "
           f"{len(performers)} performers projected")
-    return record
 
 
-def cmd_rolls(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    roll_dir = out / "rolls"
+def cmd_rolls(run, config):
+    roll_dir = run.out / "rolls"
     roll_dir.mkdir(parents=True, exist_ok=True)
     index = {}
-    store = _note_store(args)
-    for t in _load_transcriptions(manifest, store):
-        for clip in corpus.segment_clips(t, config.hop):
-            key = f"{clip.parent_id}_{int(clip.start)}"
-            paths = {"unified": str(roll_dir / f"{key}.roll")}
-            corpus.write_roll(paths["unified"], corpus.to_piano_roll(clip))
-            for name, roll in representations.factorised(
-                    clip, args.seed, config.min_chord_notes):
-                paths[name] = str(roll_dir / f"{key}.{name}.roll")
-                corpus.write_roll(paths[name], roll)
-            del roll    # free the last roll before the next clip's are made
-            index[key] = paths
-    with open(out / "rolls.json", "w", encoding="utf-8") as fh:
+    for key, _, clip in run.clips(config.hop):
+        paths = {"unified": str(roll_dir / f"{key}.roll")}
+        corpus.write_roll(paths["unified"], corpus.to_piano_roll(clip))
+        for name, roll in representations.factorised(
+                clip, run.args.seed, config.min_chord_notes):
+            paths[name] = str(roll_dir / f"{key}.{name}.roll")
+            corpus.write_roll(paths[name], roll)
+        del roll    # free the last roll before the next clip's are made
+        index[key] = paths
+    with open(run.out / "rolls.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)
     print(f"wrote {len(index)} clips x 5 rolls to {roll_dir}")
-    return {"notes": store.counts}
 
 
-def cmd_augment(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    preview_dir = out / "augment_preview"
+def cmd_augment(run, config):
+    preview_dir = run.out / "augment_preview"
     preview_dir.mkdir(parents=True, exist_ok=True)
-    aconfig = augment_mod.AugmentConfig(seed=args.seed)
+    aconfig = augment_mod.AugmentConfig(seed=run.args.seed)
     audit = []
-    store = _note_store(args)
-    for t in _load_transcriptions(manifest, store):
-        for clip in corpus.segment_clips(t, config.hop):
-            key = f"{clip.parent_id}_{int(clip.start)}"
-            result = augment_mod.augment(clip, aconfig, parent=t)
-            corpus.write_note_events(preview_dir / f"{key}.before.jsonl",
-                                     clip.notes)
-            corpus.write_note_events(preview_dir / f"{key}.after.jsonl",
-                                     result.clip.notes)
-            audit.append({"clip": key, "applied": result.applied,
-                          "pitch_shift": result.pitch_shift,
-                          "dilation": result.dilation,
-                          "refill_missing": result.refill_missing})
-    with open(out / "augment_audit.json", "w", encoding="utf-8") as fh:
+    for key, t, clip in run.clips(config.hop):
+        result = augment_mod.augment(clip, aconfig, parent=t)
+        corpus.write_note_events(preview_dir / f"{key}.before.jsonl",
+                                 clip.notes)
+        corpus.write_note_events(preview_dir / f"{key}.after.jsonl",
+                                 result.clip.notes)
+        audit.append({"clip": key, "applied": result.applied,
+                      "pitch_shift": result.pitch_shift,
+                      "dilation": result.dilation,
+                      "refill_missing": result.refill_missing})
+    with open(run.out / "augment_audit.json", "w", encoding="utf-8") as fh:
         json.dump(audit, fh, indent=2)
     print(f"previewed augmentation for {len(audit)} clips")
-    return {"notes": store.counts}
 
 
-def cmd_concepts(args, config):
-    manifest = corpus.read_manifest(args.manifest)
-    out = Path(args.out)
-    exercises = concepts.read_concept_exercises(
-        _require(Path(args.exercises), "concept exercise file"))
-    split_map = corpus.read_splits(_require(out / "splits.csv", "splits"))
+def cmd_concepts(run, config):
     by_concept: dict = {}
-    for e in exercises:
+    for e in run.exercises:
         by_concept.setdefault(e.concept_id, []).append(e)
+    split_map = run.splits
     by_performer: dict = {}
-    store = _note_store(args)
-    for t in _load_transcriptions(manifest, store):
+    for t in run.recordings():
         if split_map.get(t.recording_id) in ("validation", "test"):
             by_performer.setdefault(t.performer, []).append(t)
     # each roll is rendered only when sign_count_experiment embeds it
@@ -506,7 +481,7 @@ def cmd_concepts(args, config):
                   for p, ts in by_performer.items()}
     matrix = concepts.sign_count_experiment(
         clip_rolls, variants, concepts.default_embedder(),
-        config.n_concept_iterations, args.seed)
+        config.n_concept_iterations, run.args.seed)
     # every result is computed before any file is written, so a refusal
     # leaves none behind
     means, corrected = concepts.summarise_sign_counts(
@@ -522,24 +497,23 @@ def cmd_concepts(args, config):
                     f"rolls empty at min_chord_notes "
                     f"{config.min_chord_notes}?)")
         dendrogram = concepts.cluster(flat, matrix.performers)
-    concepts.write_sign_counts(out / "sign_counts.csv", matrix)
-    concepts.write_tested_sign_counts(out / "sign_counts_tested.csv",
+    concepts.write_sign_counts(run.out / "sign_counts.csv", matrix)
+    concepts.write_tested_sign_counts(run.out / "sign_counts_tested.csv",
                                       matrix, means, corrected)
     if dendrogram is not None:
-        concepts.write_dendrogram(out / "dendrogram.json", dendrogram)
+        concepts.write_dendrogram(run.out / "dendrogram.json", dendrogram)
     print(f"concept analysis: {len(matrix.performers)} performers x "
           f"{len(matrix.concepts)} concepts x "
           f"{matrix.observed.shape[2]} iterations")
-    return {"notes": store.counts}
 
 
-def cmd_report(args, config):
-    out, _, vocab, X, y, _, record = _load_inputs(args)
+def cmd_report(run, config):
+    f = run.features
     lr_config = _lr_config(config)
-    model = classifier.fit(X, y, lr_config)
-    sds = interpret.bootstrap_weight_sd(X, y, lr_config,
-                                        config.n_bootstrap, args.seed)
-    melody_cols = vocab.columns_of_kind(features.KIND_MELODY)
+    model = classifier.fit(f.X, f.performers, lr_config)
+    sds = interpret.bootstrap_weight_sd(f.X, f.performers, lr_config,
+                                        config.n_bootstrap, run.args.seed)
+    melody_cols = f.vocab.columns_of_kind(features.KIND_MELODY)
     rows = []
     for ci, performer in enumerate(model.class_labels):
         order = np.argsort(-model.W[ci, melody_cols], kind="stable")
@@ -547,15 +521,14 @@ def cmd_report(args, config):
                          + [("bottom", i) for i in order[-5:]]):
             col = melody_cols[i]
             rows.append([performer, label,
-                         features.feature_string(vocab.features[col][1]),
+                         features.feature_string(f.vocab.features[col][1]),
                          repr(float(model.W[ci, col])),
                          repr(float(sds[ci, col]))])
-    corpus.write_table(out / "weights_topbottom.csv",
+    corpus.write_table(run.out / "weights_topbottom.csv",
                        ["performer", "rank", "feature_string", "weight", "sd"],
                        rows)
     print(f"wrote top/bottom melody weights for "
           f"{len(model.class_labels)} performers")
-    return record
 
 
 # each subcommand's handler is the cmd_ function named after it
@@ -597,17 +570,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     args = parser.parse_args(argv)
     started = time.time()
-    out_dir = Path(args.out)
     try:
         config = _load_config(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         if args.command in NEEDS_MANIFEST and not args.manifest:
             raise corpus.ValidationError(
                 f"{args.command} requires --manifest")
         if args.command == "concepts" and not args.exercises:
             raise corpus.ValidationError("concepts requires --exercises")
-        extra = HANDLERS[args.command](args, config) or {}
-        _write_run_info(out_dir, args.command, args, config, started, extra)
+        run = Run(args)
+        HANDLERS[args.command](run, config)
+        run.write_info(config, started)
     except (corpus.ValidationError, corpus.ParseError, ValueError) as exc:
         print(f"stylus: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

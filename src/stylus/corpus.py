@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import struct
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
@@ -35,14 +37,15 @@ MAX_RECORDING_SECONDS = 86_400.0
 ROLL_MAGIC = b"PROL"
 
 # A block file is a header (magic, block count, index offset), the blocks,
-# then the index: per block the 32-byte content key it is stored under, its
-# offset and its row count. A block is one or more columns of that many rows
-# each, one after another, in dtypes its reader names; a key's blocks keep
-# their order. A note store's block is a file's notes: onset and offset as
-# float64, pitch and velocity as uint8, 18 bytes a note.
+# then the index: per block its 32-byte content key, the CRC-32 of its bytes,
+# its offset and its row count. A block is one or more columns of that many
+# rows each, one after another, in dtypes its reader names; a key's blocks
+# keep their order. A note store's block is a file's notes: onset and offset
+# as float64, pitch and velocity as uint8, 18 bytes a note.
 STORE_NAME = "notes.store"
 _BLOCK_HEADER = struct.Struct("<4sQQ")
-_BLOCK_INDEX = np.dtype([("key", "V32"), ("start", "<u8"), ("count", "<u8")])
+_BLOCK_INDEX = np.dtype([("key", "V32"), ("crc", "<u4"), ("start", "<u8"),
+                         ("count", "<u8")])
 _NOTE_BLOCK = ("<f8", "<f8", "u1", "u1")
 
 # orjson 3.8 decodes without a nesting limit: 100k levels decode, but 200k
@@ -89,13 +92,14 @@ def read_utf8(path, error=ValidationError, data=None) -> str:
 
 
 @contextmanager
-def open_table(path, columns, header_error=ValidationError):
-    """Yield the non-blank rows of a CSV table as tuples of their fields in
-    ``columns`` (two or more). A header that does not parse or lacks a
-    column raises ``header_error``; a short row, a csv error or a ValueError
-    raised in the block becomes a ValidationError naming the file and line,
-    as does a byte that is not UTF-8 (``read_utf8`` finds its line)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+def open_table(path, columns, header_error=ValidationError, data=None):
+    """Yield the non-blank rows of a CSV table (``data``: its bytes, if read)
+    as tuples of their fields in ``columns`` (two or more). A header that
+    does not parse or lacks a column raises ``header_error``; a short row, a
+    csv error or a ValueError raised in the block becomes a ValidationError
+    naming the file and line, as does a byte that is not UTF-8."""
+    with (open(path, newline="", encoding="utf-8") if data is None else
+          io.StringIO(read_utf8(path, data=data), newline="")) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
@@ -340,7 +344,7 @@ class BlockFile:
 
     def __init__(self, path, out=None):
         self.path, self._out = Path(path), out   # out: a file being written
-        self._index = {}    # key: [(block offset, row count), ...]
+        self._index = {}    # key: [(CRC-32, block offset, row count), ...]
         if out is not None or not self.path.exists():
             return
         with open(self.path, "rb") as fh:
@@ -353,9 +357,8 @@ class BlockFile:
                 raise self._error("truncated")
             fh.seek(self._end)
             index = np.frombuffer(fh.read(), _BLOCK_INDEX)
-        for key, *block in zip(map(bytes, index["key"]),
-                               index["start"].tolist(),
-                               index["count"].tolist()):
+        for key, *block in zip(map(bytes, index["key"]), *(
+                index[f].tolist() for f in ("crc", "start", "count"))):
             self._index.setdefault(key, []).append(block)
 
     def _error(self, reason) -> ValidationError:
@@ -395,7 +398,7 @@ class BlockFile:
             raise self._error("index out of bounds")
         out = []
         with open(self.path, "rb") as fh:
-            for (start, n), dtypes in zip(stored, blocks):
+            for (crc, start, n), dtypes in zip(stored, blocks):
                 sizes = [n * np.dtype(d).itemsize for d in dtypes]
                 # each block lies between the header and the index
                 if not (_BLOCK_HEADER.size <= start
@@ -403,16 +406,20 @@ class BlockFile:
                     raise self._error("index out of bounds")
                 fh.seek(start)
                 data = fh.read(sum(sizes))
+                if zlib.crc32(data) != crc:
+                    raise self._error("block checksum mismatch")
                 out.append([np.frombuffer(data, d, n, at) for d, at in
                             zip(dtypes, accumulate(sizes, initial=0))])
         return out
 
     def write(self, key: bytes, columns, dtypes) -> None:
         """Append a block of equal-length ``columns`` in ``dtypes``."""
-        self._index.setdefault(key, []).append(
-            (self._out.tell(), len(columns[0])))
+        start, crc = self._out.tell(), 0
         for c, dtype in zip(columns, dtypes):
-            self._out.write(np.asarray(c, dtype).tobytes())
+            data = np.asarray(c, dtype).tobytes()
+            crc = zlib.crc32(data, crc)
+            self._out.write(data)
+        self._index.setdefault(key, []).append((crc, start, len(columns[0])))
 
 
 class NoteStore(BlockFile):
@@ -420,7 +427,7 @@ class NoteStore(BlockFile):
     key, from the store at ``path`` (an empty store if there is none).
     ``counts`` tallies the recordings taken from the store and the files
     decoded."""
-    magic, what, writes = b"NST1", "note store", "ingest"
+    magic, what, writes = b"NST2", "note store", "ingest"
 
     def __init__(self, path, out=None):
         self.counts = {"from_store": 0, "decoded": 0}
@@ -528,12 +535,13 @@ def write_note_events(path, notes) -> None:
         encoding="utf-8", newline="\n")
 
 
-def read_manifest(path) -> list[ManifestEntry]:
-    """The manifest's entries in file order. A header lacking a column is a
-    ParseError; a short row, an unknown dataset_tag or a recording id that
-    an earlier row names a ValidationError naming the line."""
+def read_manifest(path, data=None) -> list[ManifestEntry]:
+    """The manifest's entries in file order (``data``: its bytes, if read).
+    A header lacking a column is a ParseError; a short row, an unknown
+    dataset_tag or a repeated recording id a ValidationError naming the
+    line."""
     entries = {}
-    with open_table(path, MANIFEST_COLUMNS, ParseError) as rows:
+    with open_table(path, MANIFEST_COLUMNS, ParseError, data) as rows:
         for rid, performer, tag, notes_path in rows:
             if tag not in DATASET_TAGS:
                 raise ValueError(f"unknown dataset_tag {tag!r} for {rid}")

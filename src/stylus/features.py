@@ -395,7 +395,7 @@ def write_feature_counts(path, table: FeatureTable) -> None:
 class _TableFile(BlockFile):
     """FeatureTables by the SHA-256 of their dump's bytes: a block of the
     JSON of the ids and keys, then one of the triples, 16 bytes each."""
-    magic, what, writes = b"FTB1", "feature table", "extract"
+    magic, what, writes = b"FTB2", "feature table", "extract"
     blocks = (("u1",), ("<u4", "<u4", "<f8"))
 
     def get(self, key: bytes) -> FeatureTable | None:

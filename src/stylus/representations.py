@@ -67,29 +67,24 @@ def harmony_roll(c: Clip, min_notes: int = MIN_CHORD_NOTES) -> np.ndarray:
     return roll
 
 
-def _random_free_row(rng, c0, c1, occupancy):
-    """Draw a uniform pitch row, re-drawing on exact overlap with a
-    previously placed note in the same rows and columns."""
+def _random_free_row(rng, c0, c1, roll):
+    """Draw a uniform pitch row, re-drawing on overlap with a note painted
+    in ``roll`` (every painted cell is non-zero, at least 1/127)."""
     for _ in range(256):
         row = int(rng.integers(PITCH_MIN, PITCH_MAX + 1)) - PITCH_MIN
-        if not occupancy[row, c0:c1].any():
+        if not roll[row, c0:c1].any():
             return row
     # fall back to any free row; give up on uniformity rather than loop
-    free = [r for r in range(ROLL_HEIGHT) if not occupancy[r, c0:c1].any()]
-    if free:
-        return free[len(free) // 2]
-    return row
+    free = [r for r in range(ROLL_HEIGHT) if not roll[r, c0:c1].any()]
+    return free[len(free) // 2] if free else row
 
 
 def rhythm_roll(c: Clip, seed: int = 0) -> np.ndarray:
     """Source onset/offset columns with pitches re-drawn uniformly."""
     roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
     rng = derive_rng(seed, "rhythm", c.parent_id, repr(c.start))
-    occupancy = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=bool)
     for c0, c1 in zip(*(col.tolist() for col in note_columns(c.notes))):
-        row = _random_free_row(rng, c0, c1, occupancy)
-        occupancy[row, c0:c1] = True
-        roll[row, c0:c1] = 1.0
+        roll[_random_free_row(rng, c0, c1, roll), c0:c1] = 1.0
     return roll
 
 
@@ -105,12 +100,10 @@ def dynamics_roll(c: Clip, seed: int = 0) -> np.ndarray:
     spans = np.repeat(equal_spans(ROLL_WIDTH, starts.size),
                       np.diff(starts, append=len(frames.notes)), axis=0)
     rng = derive_rng(seed, "dynamics", c.parent_id, repr(c.start))
-    occupancy = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=bool)
     for (c0, c1), velocity in zip(spans.tolist(),
                                   frames.notes.velocity.tolist()):
-        row = _random_free_row(rng, c0, c1, occupancy)
-        occupancy[row, c0:c1] = True
-        roll[row, c0:c1] = velocity / VELOCITY_CEILING
+        roll[_random_free_row(rng, c0, c1, roll), c0:c1] = (
+            velocity / VELOCITY_CEILING)
     return roll
 
 

@@ -180,7 +180,8 @@ def _write_batch(out_dir: Path, pools, config: SyntheticConfig, batch):
 
 def write_corpus(out_dir, config: SyntheticConfig = SyntheticConfig()):
     """Write note files, then the manifest; returns its path. Batches run
-    inline for one ``write_plan`` worker, else on a process pool; each
+    inline for one ``write_plan`` worker, else on a process pool, so a script
+    calling this needs an ``if __name__ == "__main__":`` guard; each
     recording has its own stream, so the bytes match. No manifest on error."""
     out_dir, workers = Path(out_dir), write_plan(config)["workers"]
     (out_dir / "notes").mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import shutil
 import weakref
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,14 @@ class TestNoteStore:
                        f"{corpus.MAX_RECORDING_SECONDS} s\n")
 
 
+def _reseal(data, start):
+    """A feature table's bytes ``data`` with its triples block's CRC-32, in
+    the last of its two 52-byte index rows (key, CRC-32, offset, row
+    count), made that of the bytes from ``start`` to the index."""
+    crc = zlib.crc32(data[start:-104]).to_bytes(4, "little")
+    return data[:-20] + crc + data[-16:]
+
+
 def _feature_counts_record(out):
     return json.loads((out / "run.json").read_text())["feature_counts"]
 
@@ -711,20 +720,28 @@ class TestFeatureTable:
     @pytest.mark.parametrize("damage, reason", [
         (lambda b, names: b[:-1], "truncated"),
         (lambda b, names: b"XXXX" + b[4:], "bad header"),
-        # the first triple's recording index, after the header and names
-        (lambda b, names: b[:20 + names] + b"\xff" * 4 + b[24 + names:],
+        (lambda b, names: b"FTB1" + b[4:], "bad header"),
+        # one bit of the last triple's count, the last byte before the
+        # two 52-byte index rows
+        (lambda b, names: b[:-105] + bytes([b[-105] ^ 1]) + b[-104:],
+         "block checksum mismatch"),
+        # the first triple's recording index, after the header and names,
+        # the triples block's checksum made to match
+        (lambda b, names: _reseal(
+            b[:20 + names] + b"\xff" * 4 + b[24 + names:], 20 + names),
          "index out of bounds"),
         # the triples block's row count, the index's last field
         (lambda b, names: b[:-8] + (10 ** 15).to_bytes(8, "little"),
          "index out of bounds"),
-    ], ids=["truncated", "magic", "recording-index", "block"])
+    ], ids=["truncated", "magic", "old-layout", "payload", "recording-index",
+            "block"])
     def test_damaged_table_exits_1_naming_it(self, run, capsys, damage,
                                              reason):
         manifest, out = run
         table = out / "features.table"
         data = table.read_bytes()
         # the names block's length: the first index row's row count
-        names = int.from_bytes(data[-56:-48], "little")
+        names = int.from_bytes(data[-60:-52], "little")
         table.write_bytes(damage(data, names))
         capsys.readouterr()
         assert self._run("train", manifest, out) == EXIT_VALIDATION
@@ -1149,6 +1166,102 @@ class TestConfigKeys:
             assert len(embedded[p]) == len(rolls)
             assert all(np.array_equal(a, b)
                        for a, b in zip(embedded[p], rolls))
+
+
+class TestRunContext:
+    """Every subcommand loads its inputs through ``cli.Run``: the manifest
+    is read once, the feature dump once in each subcommand that needs it,
+    and run.json adds exactly the records its subcommand makes."""
+    CORPUS = synthetic.SyntheticConfig(n_performers=3, n_recordings=4,
+                                       events_per_recording=20, seed=2)
+    CONFIG = {"min_df": 1, "search_iterations": 2, "n_bootstrap": 2,
+              "n_permutations": 1, "n_importance": 1,
+              "n_concept_iterations": 2, "bonferroni_m": 3}
+    FEATURE_COMMANDS = {"train", "search", "evaluate", "importance",
+                        "correlate", "pca", "report"}
+    BASE_KEYS = {"command", "seed", "config", "manifest", "manifest_sha256",
+                 "version", "wall_time_seconds"}
+    EXTRA_KEYS = {**{c: {"feature_counts"} for c in FEATURE_COMMANDS},
+                  **{c: {"notes"} for c in ("ingest", "extract", "rolls",
+                                            "augment", "concepts")},
+                  "split": set(), "gen-synthetic": {"synthetic"}}
+
+    @pytest.fixture(scope="class")
+    def calls(self, tmp_path_factory):
+        """Per subcommand, run in pipeline order: (manifest reads, feature
+        loads, run.json keys)."""
+        root = tmp_path_factory.mktemp("run-context")
+        manifest = str(synthetic.write_corpus(root / "corpus", self.CORPUS))
+        cfg, exercises = root / "cfg.json", root / "ex.jsonl"
+        out = root / "run"
+        cfg.write_text(json.dumps(self.CONFIG))
+        exercises.write_text("".join(json.dumps(
+            {"concept_id": i, "chords": [[48 + i, 52 + i, 55 + i, 59 + i],
+                                         [50 + i, 53 + i, 57 + i, 60 + i]]})
+            + "\n" for i in range(3)))
+        counts, seen = {}, {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "read_manifest",
+                       counted("manifest", corpus.read_manifest))
+            mp.setattr(cli, "_load_features",
+                       counted("features", cli._load_features))
+            for command in ("gen-synthetic", "ingest", "split", "extract",
+                            "train", "search", "evaluate", "importance",
+                            "correlate", "pca", "rolls", "augment",
+                            "concepts", "report"):
+                counts.update(manifest=0, features=0)
+                run_dir = root / "synthetic" if command == "gen-synthetic" \
+                    else out
+                argv = [command, "--out", str(run_dir)]
+                if command != "gen-synthetic":
+                    argv += ["--manifest", manifest, "--seed", "0",
+                             "--config", str(cfg)]
+                if command == "concepts":
+                    argv += ["--exercises", str(exercises)]
+                assert cli.main(argv) == EXIT_OK, command
+                keys = set(json.loads((run_dir / "run.json").read_text()))
+                seen[command] = (counts["manifest"], counts["features"], keys)
+        return seen
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_manifest_read_once(self, calls, command):
+        assert calls[command][0] == (command != "gen-synthetic")
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_features_loaded_once_where_needed(self, calls, command):
+        assert calls[command][1] == (command in self.FEATURE_COMMANDS)
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_run_json_adds_only_its_records(self, calls, command):
+        assert calls[command][2] == self.BASE_KEYS | self.EXTRA_KEYS[command]
+
+    def test_manifest_hash_is_of_the_bytes_parsed(self, tmp_path,
+                                                  monkeypatch):
+        manifest = synthetic.write_corpus(tmp_path / "corpus", self.CORPUS)
+        original = Path(manifest).read_bytes()
+        read = corpus.read_manifest
+
+        def read_then_edit(*args, **kwargs):
+            entries = read(*args, **kwargs)
+            # a row added once the manifest is parsed
+            with open(manifest, "a") as fh:
+                fh.write(f"late,performer_00,solo,{entries[0].path}\n")
+            return entries
+        monkeypatch.setattr(corpus, "read_manifest", read_then_edit)
+        out = tmp_path / "run"
+        assert cli.main(["split", "--manifest", str(manifest),
+                         "--out", str(out)]) == EXIT_OK
+        assert Path(manifest).read_bytes() != original
+        payload = json.loads((out / "run.json").read_text())
+        assert payload["manifest_sha256"] == \
+            hashlib.sha256(original).hexdigest()
+        assert "late" not in corpus.read_splits(out / "splits.csv")
 
 
 class TestLogging:

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 from decimal import Decimal
 from pathlib import Path
 
@@ -584,6 +585,15 @@ def write_store(path, *note_files):
     return store
 
 
+def reseal(data, start, rows):
+    """A block file's bytes ``data``, its index ``rows`` rows of 52 bytes
+    (key, CRC-32, offset, row count), with the last row's CRC-32 made that
+    of the bytes from ``start`` to the index: a damage that passes the
+    checksum, so the check behind it is reached."""
+    crc = zlib.crc32(data[start:len(data) - 52 * rows])
+    return data[:-20] + struct.pack("<I", crc) + data[-16:]
+
+
 class TestNoteStore:
     """A store hit returns exactly what decoding returns, and only for the
     bytes the store was written from."""
@@ -649,8 +659,8 @@ class TestNoteStore:
             write_store(tmp_path / d / "notes.store", *files)
             stores.append((tmp_path / d / "notes.store").read_bytes())
         assert stores[0] == stores[1]
-        # header, 18 bytes a note, 48 bytes an index row
-        assert len(stores[0]) == 20 + 18 * 4 + 48 * 2
+        # header, 18 bytes a note, 52 bytes an index row
+        assert len(stores[0]) == 20 + 18 * 4 + 52 * 2
 
     def test_missing_store_is_empty(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -662,15 +672,21 @@ class TestNoteStore:
 
     @pytest.mark.parametrize("damage, reason", [
         (lambda b: b[:-1], "truncated"),
+        (lambda b: b"NST1" + b[4:], "bad header"),
         (lambda b: b"NST0" + b[4:], "bad header"),
         (lambda b: b[:10], "bad header"),
-        # the first note's pitch byte, after header and two float64 columns
-        (lambda b: b[:20 + 16 * 2] + b"\0" + b[20 + 16 * 2 + 1:],
+        # one bit of the first note's pitch byte, after header and two
+        # float64 columns: 60 becomes 61, a valid note
+        (lambda b: b[:52] + bytes([b[52] ^ 1]) + b[53:],
+         "block checksum mismatch"),
+        # that pitch byte set to 0, the block's checksum made to match
+        (lambda b: reseal(b[:52] + b"\0" + b[53:], 20, 1),
          "block invalid: pitch 0 outside"),
         # the index row's note count, past the index offset
         (lambda b: b[:-8] + struct.pack("<Q", 10 ** 18),
          "index out of bounds"),
-    ], ids=["truncated", "magic", "short-header", "block", "index"])
+    ], ids=["truncated", "old-layout", "magic", "short-header", "payload",
+            "block", "index"])
     def test_damaged_store_refused(self, tmp_path, damage, reason):
         path = tmp_path / "r.jsonl"
         corpus.write_note_events(path, (note(0.25, 60), note(1.5, 72)))
