@@ -431,12 +431,13 @@ def cmd_rolls(run, config):
     index = {}
     for key, _, clip in run.clips(config.hop):
         paths = {"unified": str(roll_dir / f"{key}.roll")}
-        corpus.write_roll(paths["unified"], corpus.to_piano_roll(clip))
-        for name, roll in representations.factorised(
+        corpus.write_roll(paths["unified"],
+                          corpus.to_piano_roll(clip, rects=True))
+        for name, rects in representations.factorised(
                 clip, run.args.seed, config.min_chord_notes):
             paths[name] = str(roll_dir / f"{key}.{name}.roll")
-            corpus.write_roll(paths[name], roll)
-        del roll    # free the last roll before the next clip's are made
+            corpus.write_roll(paths[name], rects)
+        del rects   # hold one clip's rolls at a time
         index[key] = paths
     with open(run.out / "rolls.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)
@@ -472,11 +473,14 @@ def cmd_concepts(run, config):
     for t in run.recordings():
         if split_map.get(t.recording_id) in ("validation", "test"):
             by_performer.setdefault(t.performer, []).append(t)
-    # each roll is rendered only when sign_count_experiment embeds it
-    variants = {c: (roll for e in es for roll in concepts.expand_concept(
-                        e, min_chord_notes=config.min_chord_notes))
+    # each roll's rectangles are made only when sign_count_experiment
+    # embeds them
+    variants = {c: (concepts.render_chord_sequence(
+                        seq, c, config.min_chord_notes, rects=True)
+                    for e in es for seq in concepts.expand_concept(
+                        e, min_chord_notes=config.min_chord_notes).sequences)
                 for c, es in by_concept.items()}
-    clip_rolls = {p: (corpus.to_piano_roll(clip) for t in ts
+    clip_rolls = {p: (corpus.to_piano_roll(clip, rects=True) for t in ts
                       for clip in corpus.segment_clips(t, config.hop))
                   for p, ts in by_performer.items()}
     matrix = concepts.sign_count_experiment(

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import classifier
+from . import classifier, corpus
 from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
                      NoteArray, json_lines, paint_roll, read_utf8,
                      time_to_column, write_table)
@@ -41,11 +41,17 @@ class ConceptExercise:
 @dataclass(frozen=True)
 class Embedder:
     """Roll -> ``dim`` values; ``fn`` must be deterministic and side-effect
-    free, as ``masked_sensitivity`` calls it once per distinct masked roll."""
+    free, as ``masked_sensitivity`` calls it once per distinct masked roll.
+    ``fn`` receives painted rolls, but with ``pools`` (``fn`` is, or wraps,
+    ``_pool_embed``) a roll's rectangles, which ``masked_sensitivity`` then
+    pools note by note."""
     fn: object      # PianoRoll -> 1-D vector
     dim: int
+    pools: bool = False
 
     def __call__(self, roll) -> np.ndarray:
+        if not self.pools and getattr(roll, "dtype", None) == corpus.RECT:
+            roll = corpus.paint(roll)
         v = np.asarray(self.fn(roll), dtype=float).ravel()
         if v.size != self.dim:
             raise ValueError(f"embedder returned {v.size} values, "
@@ -53,16 +59,34 @@ class Embedder:
         return v
 
 
-def _pool_embed(roll: np.ndarray) -> np.ndarray:
-    # 8x8 grid of average pools, windows of 11 rows x 375 columns; the
-    # float64 accumulator reads the roll in place instead of copying it
+def _window_sums(rects) -> np.ndarray:
+    """(rectangles x 64) float64: each rectangle's cells x value in each
+    11-row x 375-column window of the 8x8 pooling grid."""
+    edges = np.arange(0, ROLL_WIDTH + 1, 375)
+    cells = (np.minimum(rects["c1"][:, None], edges[1:])
+             - np.maximum(rects["c0"][:, None], edges[:-1]))
+    out = np.zeros((len(rects), 8, 8))
+    out[np.arange(len(rects)), rects["row"] // 11] = (
+        np.maximum(cells, 0) * rects["value"].astype(float)[:, None])
+    return out.reshape(-1, 64)
+
+
+def _pool_embed(roll) -> np.ndarray:
+    """8x8 grid of average pools, windows of 11 rows x 375 columns, of a
+    painted roll or of its rectangles. From rectangles, a window's sum of
+    cells x value / 4125 is the painted mean bit for bit: each value is a
+    multiple of 2**-30 (1, or a float32 of at least 1/127) and a window sums
+    to below 2**13, so float64 adds exactly in any order."""
+    if getattr(roll, "dtype", None) == corpus.RECT:
+        return _window_sums(roll).sum(axis=0) / 4125
+    # the float64 accumulator reads the roll in place instead of copying it
     return np.asarray(roll).reshape(8, 11, 8, 375) \
         .mean(axis=(1, 3), dtype=np.float64).ravel()
 
 
 def default_embedder() -> Embedder:
     """Deterministic linear embedding: 8x8 average-pool grid, D = 64."""
-    return Embedder(fn=_pool_embed, dim=64)
+    return Embedder(fn=_pool_embed, dim=64, pools=True)
 
 
 @dataclass(frozen=True)
@@ -111,15 +135,17 @@ def exercise_variants(e: ConceptExercise,
 
 
 def render_chord_sequence(seq, concept_id: int = 0,
-                          min_chord_notes: int = MIN_CHORD_NOTES) -> np.ndarray:
+                          min_chord_notes: int = MIN_CHORD_NOTES,
+                          rects: bool = False) -> np.ndarray:
     """Render a chord sequence through the harmony-roll conventions: chord
-    i sounds from i * 0.5 s for 0.4 s at velocity 64."""
+    i sounds from i * 0.5 s for 0.4 s at velocity 64. With ``rects``, the
+    roll's rectangles."""
     onset = np.repeat(np.arange(len(seq)) * 0.5, [len(ch) for ch in seq])
     notes = NoteArray(onset, onset + 0.4, [p for ch in seq for p in ch],
                       np.full(onset.size, 64))
     clip = Clip(parent_id=f"concept-{concept_id}", performer="",
                 start=0.0, notes=notes)
-    return harmony_roll(clip, min_notes=min_chord_notes)
+    return harmony_roll(clip, min_notes=min_chord_notes, rects=rects)
 
 
 @dataclass(frozen=True)
@@ -340,7 +366,10 @@ def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
     heatmap.
 
     Kernel positions that remove the same notes share one score, so each
-    distinct masked roll is painted and embedded once.
+    distinct masked roll is embedded once. A pooling embedder's windows sum
+    the kept notes' windows, in one product for every set, unless a set
+    drops a note of a row where notes overlap (the largest value is not
+    linear): such a roll is made whole.
     """
     kh, kw = kernel
     if not (1 <= kh <= ROLL_HEIGHT and 1 <= kw <= ROLL_WIDTH):
@@ -351,24 +380,36 @@ def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
     if not len(notes):
         raise ValueError("clip has no notes")
     max_velocity = notes.velocity.max()
-    s0 = concept_score(paint_roll(notes, max_velocity), embedder, cav)
+    rows = notes.pitch - PITCH_MIN
+    rects = corpus.rects_of(rows, *corpus.note_columns(notes),
+                            notes.velocity / max_velocity)   # one per note
+    whole = corpus.resolve(rects)
+    s0 = concept_score(whole, embedder, cav)
     if s0 == 0:
         raise ValueError("original concept score is zero; use the "
                          "unnormalised difference instead")
     row_starts = np.arange(0, ROLL_HEIGHT - kh + 1, stride[0])
     col_starts = np.arange(0, ROLL_WIDTH - kw + 1, stride[1])
     cols = time_to_column(notes.onset)
-    rows = notes.pitch - PITCH_MIN
     in_time = (col_starts[:, None] <= cols) & (cols < col_starts[:, None] + kw)
     in_pitch = (row_starts[:, None] <= rows) & (rows < row_starts[:, None] + kh)
     removed = (in_pitch[:, None] & in_time).reshape(-1, len(notes))
     sets, inverse = np.unique(removed, axis=0, return_inverse=True)
     scores = np.zeros(len(sets))    # removing no note changes nothing: 0
-    for k, drop in enumerate(sets):
-        if drop.any():
-            s1 = concept_score(paint_roll(notes[~drop], max_velocity),
-                               embedder, cav)
-            scores[k] = (s0 - s1) / s0
+    todo = sets.any(axis=1)
+    if embedder.pools:
+        linear = todo & ~(sets & corpus.tangled(rects)).any(axis=1)
+        # the kept notes' windows: all, less those dropped (exact sums), and
+        # one score per set, each a dot as concept_score takes it
+        embs = (_window_sums(whole).sum(axis=0)
+                - sets[linear] @ _window_sums(rects)) / 4125
+        for k, emb in zip(np.flatnonzero(linear).tolist(), embs):
+            scores[k] = (s0 - float(emb @ cav.y)) / s0
+        todo &= ~linear
+    for k in np.flatnonzero(todo).tolist():
+        s1 = concept_score(paint_roll(notes[~sets[k]], max_velocity,
+                                      rects=True), embedder, cav)
+        scores[k] = (s0 - s1) / s0
     return _interp_grid(scores[inverse].reshape(len(row_starts), -1),
                         row_starts + (kh - 1) / 2, col_starts + (kw - 1) / 2)
 

@@ -34,7 +34,13 @@ CLIP_SECONDS = 30.0
 # overflows int64, and a recording's clip list grows by one per 30 s.
 MAX_RECORDING_SECONDS = 86_400.0
 
-ROLL_MAGIC = b"PROL"
+# A roll is kept as rectangles: per painted span its pitch row, first and
+# past-the-end column and value, the spans of a row disjoint. A roll file is
+# a header (magic, record count), then the records.
+RECT = np.dtype([("row", "<i4"), ("c0", "<i4"), ("c1", "<i4"),
+                 ("value", "<f4")])
+_ROLL_HEADER = struct.Struct("<4sI")
+ROLL_MAGIC = b"PRR1"
 
 # A block file is a header (magic, block count, index offset), the blocks,
 # then the index: per block its 32-byte content key, the CRC-32 of its bytes,
@@ -633,54 +639,94 @@ def note_columns(notes: NoteArray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(c0, ROLL_WIDTH - 1), np.minimum(c1, ROLL_WIDTH)
 
 
-def paint_roll(notes, max_velocity: int | None = None) -> np.ndarray:
+def rects_of(row, c0, c1, value) -> np.ndarray:
+    """Rectangles from aligned columns; a scalar is broadcast."""
+    out = np.empty(len(c0), RECT)
+    out["row"], out["c0"], out["c1"], out["value"] = row, c0, c1, value
+    return out
+
+
+def tangled(rects) -> np.ndarray:
+    """Per rectangle, whether two spans of its row overlap."""
+    order = np.lexsort((rects["c0"], rects["row"]))
+    row, c0, c1 = (rects[f][order] for f in ("row", "c0", "c1"))
+    clash = (row[1:] == row[:-1]) & (c0[1:] < c1[:-1])
+    return np.isin(rects["row"], row[1:][clash])
+
+
+def resolve(rects, last: bool = False) -> np.ndarray:
+    """``rects`` with each row whose spans overlap painted on one line, where
+    the largest value wins (with ``last``, the latest span's), and cut into
+    runs of one value again."""
+    mask = tangled(rects)
+    out = [rects[~mask]]
+    for row in sorted(set(rects["row"][mask].tolist())):
+        line = np.zeros(ROLL_WIDTH + 1, dtype=np.float32)   # ends in a zero
+        for _, c0, c1, value in rects[rects["row"] == row].tolist():
+            line[c0:c1] = value if last else np.maximum(line[c0:c1], value)
+        cuts = np.flatnonzero(line != np.r_[np.float32(0), line[:-1]])
+        runs = line[cuts[:-1]] != 0
+        out.append(rects_of(row, cuts[:-1][runs], cuts[1:][runs],
+                            line[cuts[:-1]][runs]))
+    return np.concatenate(out)
+
+
+def paint(rects) -> np.ndarray:
+    """The 88x3000 float32 roll of a roll's rectangles."""
+    roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
+    for row, c0, c1, value in rects.tolist():
+        roll[row, c0:c1] = value
+    return roll
+
+
+def paint_roll(notes, max_velocity: int | None = None,
+               rects: bool = False) -> np.ndarray:
     """Paint a NoteArray (or NoteEvent sequence) into an 88x3000 roll with
     velocity / max-velocity values; where notes overlap, the largest value
-    wins.
+    wins. With ``rects``, the roll's rectangles instead of its pixels.
 
     ``max_velocity`` overrides the normalisation ceiling; by default the
     largest velocity among the painted notes is used.
     """
-    roll = np.zeros((ROLL_HEIGHT, ROLL_WIDTH), dtype=np.float32)
     notes = NoteArray.from_events(notes)
     notes = notes[notes.onset < CLIP_SECONDS]
-    if not len(notes):
-        return roll
     if max_velocity is None:
-        max_velocity = notes.velocity.max()
-    c0, c1 = note_columns(notes)
-    width = c1 - c0
-    first = (notes.pitch - PITCH_MIN) * ROLL_WIDTH + c0
-    # flat index of every painted cell: each note's first cell plus 0..width
-    cells = (np.repeat(first - np.cumsum(width) + width, width)
-             + np.arange(width.sum()))
-    np.maximum.at(roll.reshape(-1), cells, np.repeat(
-        (notes.velocity / max_velocity).astype(np.float32), width))
-    return roll
+        max_velocity = notes.velocity.max(initial=1)
+    out = resolve(rects_of(notes.pitch - PITCH_MIN, *note_columns(notes),
+                           notes.velocity / max_velocity))
+    return out if rects else paint(out)
 
 
-def to_piano_roll(c: Clip) -> np.ndarray:
-    return paint_roll(c.notes)
+def to_piano_roll(c: Clip, rects: bool = False) -> np.ndarray:
+    return paint_roll(c.notes, rects=rects)
 
 
-def write_roll(path, roll: np.ndarray) -> None:
-    # a C-ordered little-endian float32 roll is written from its own buffer
-    roll = np.ascontiguousarray(roll, dtype="<f4")
-    if roll.ndim != 2:
-        raise ValidationError("roll must be 2-D")
+def write_roll(path, rects) -> None:
+    """Write a roll's rectangles (``paint_roll(..., rects=True)``)."""
+    rects = np.asarray(rects, RECT)
     with open(path, "wb") as fh:
-        fh.write(ROLL_MAGIC)
-        fh.write(struct.pack("<III", roll.shape[0], roll.shape[1], 0))
-        fh.write(roll)
+        fh.write(_ROLL_HEADER.pack(ROLL_MAGIC, len(rects)))
+        fh.write(rects.tobytes())
 
 
 def read_roll(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:4] != ROLL_MAGIC:
-            raise ParseError(f"{path}: bad roll header")
-        height, width, _ = struct.unpack("<III", header[4:])
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if data.size != height * width:
-        raise ParseError(f"{path}: truncated roll payload")
-    return data.reshape(height, width)
+    """The 88x3000 float32 roll in a roll file. A damaged file is a
+    ParseError naming it: a bad header, a size other than the header's
+    record count implies, or a record off the roll, empty, overlapping
+    another in its row, or with a value not in (0, 1]."""
+    data = Path(path).read_bytes()
+    if len(data) < _ROLL_HEADER.size or data[:4] != ROLL_MAGIC:
+        raise ParseError(f"{path}: bad roll header")
+    n = _ROLL_HEADER.unpack_from(data)[1]
+    if len(data) != _ROLL_HEADER.size + n * RECT.itemsize:
+        raise ParseError(f"{path}: truncated roll: {n} records declared")
+    rects = np.frombuffer(data, RECT, n, _ROLL_HEADER.size)
+    row, c0, c1, value = (rects[f] for f in RECT.names)
+    for bad, what in (((row < 0) | (row >= ROLL_HEIGHT), "row outside 0..87"),
+                      ((c0 < 0) | (c0 >= c1) | (c1 > ROLL_WIDTH),
+                       "columns not 0 <= c0 < c1 <= 3000"),
+                      (~((value > 0) & (value <= 1)), "value not in (0, 1]"),
+                      (tangled(rects), "span overlaps another in its row")):
+        if bad.any():
+            raise ParseError(f"{path}: record {int(np.argmax(bad))}: {what}")
+    return paint(rects)

@@ -3,15 +3,18 @@
 ``TestPinnedOutputs`` pins the SHA-256 of every file that ``rolls``,
 ``augment`` and ``concepts`` write for a small fixed-seed synthetic corpus,
 and of the masked-sensitivity heat maps of one recording's clips. The
-hypothesis tests compare the columnar rolls and augmentation with the
-per-note implementations they replaced, kept here as references.
+hypothesis tests compare the rectangle rolls, their embeddings and heat
+maps, and augmentation with the per-note and painted implementations they
+replaced, kept here as references.
 """
 
 import csv
 import hashlib
 import json
 import random
+import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,17 +63,32 @@ def run_dir(tmp_path_factory):
     return root, manifest, out
 
 
+def dense_bytes(roll):
+    """A roll as the dense files that held rolls before rectangles: "PROL",
+    height, width and 0 as little-endian uint32, then the float32 cells."""
+    return (b"PROL" + struct.pack("<III", *roll.shape, 0)
+            + roll.astype("<f4").tobytes())
+
+
+def dir_digest(path, data):
+    """SHA-256 of the sorted ``name digest`` lines of the files in ``path``,
+    each digest that of ``data(file)``."""
+    return _sha("".join(f"{p.name} {_sha(data(p))}\n"
+                        for p in sorted(path.iterdir())).encode())
+
+
 def output_digests(out):
     """SHA-256 of every file directly in ``out`` but ``run.json`` (it
     records the wall time), with the absolute paths in ``rolls.json`` made
-    relative; a subdirectory's digest is that of its sorted
-    ``name digest`` lines, one per file."""
+    relative; a subdirectory's digest is its ``dir_digest`` of the files'
+    bytes, but for ``rolls/``, where it is that of each roll ``read_roll``
+    reads, in ``dense_bytes``."""
     got = {}
     for path in sorted(out.iterdir()):
         if path.is_dir():
-            got[path.name + "/"] = _sha("".join(
-                f"{p.name} {_sha(p.read_bytes())}\n"
-                for p in sorted(path.iterdir())).encode())
+            got[path.name + "/"] = dir_digest(path, (
+                lambda p: dense_bytes(corpus.read_roll(p)))
+                if path.name == "rolls" else Path.read_bytes)
         elif path.name != "run.json":
             data = path.read_bytes()
             if path.name == "rolls.json":
@@ -102,6 +120,10 @@ def test_concepts_records_where_its_notes_came_from(run_dir):
 class TestPinnedOutputs:
     def test_rolls_augment_and_concepts_files(self, run_dir):
         assert output_digests(run_dir[2]) == OUTPUT_SHA256
+
+    def test_roll_files(self, run_dir):
+        assert dir_digest(run_dir[2] / "rolls",
+                          Path.read_bytes) == ROLL_FILES_SHA256
 
     def test_masked_sensitivity_heat_maps(self, run_dir):
         assert heat_map_digests(run_dir[1]) == HEAT_MAP_SHA256
@@ -138,6 +160,9 @@ OUTPUT_SHA256 = {
     "splits.csv":
         "594f3c2db3b4321a36c7fd3c97572ec511c7edc74dad526a1971c60c1a89e189",
 }
+# the rectangle files themselves, as first written
+ROLL_FILES_SHA256 = (
+    "1fd0ca89d4b1feba831a50100a2214770f4f4865e418e3e33aaa7b6270c605a9")
 HEAT_MAP_SHA256 = [
     "1ba70cfd075cb1ae72e0c5471338d7ca1124c25f6a5b3c1ee4daf48b667c3244",
     "479b2eebd29d98cf06a6012c3abd539fbcc1403b20dcca76a642b8ea8e09c28d",
@@ -202,13 +227,35 @@ def ref_harmony_roll(notes, min_notes=3):
     return roll
 
 
+def ref_melody_roll(notes):
+    roll = np.zeros((corpus.ROLL_HEIGHT, corpus.ROLL_WIDTH), dtype=np.float32)
+    tops = [max(n.pitch for n in members) for members in ref_frames(notes)]
+    for (c0, c1), pitch in zip(representations.equal_spans(
+            corpus.ROLL_WIDTH, max(len(tops), 1)), tops):
+        roll[pitch - corpus.PITCH_MIN, c0:c1] = 1.0
+    return roll
+
+
+def ref_random_free_row(rng, c0, c1, occupancy):
+    """Draw a uniform pitch row, re-drawing on overlap with ``occupancy``;
+    after 256 draws, the middle free row, or the last draw if none is."""
+    for _ in range(256):
+        row = int(rng.integers(corpus.PITCH_MIN, corpus.PITCH_MAX + 1)) \
+            - corpus.PITCH_MIN
+        if not occupancy[row, c0:c1].any():
+            return row
+    free = [r for r in range(corpus.ROLL_HEIGHT)
+            if not occupancy[r, c0:c1].any()]
+    return free[len(free) // 2] if free else row
+
+
 def ref_rhythm_roll(c, notes, seed):
     roll = np.zeros((corpus.ROLL_HEIGHT, corpus.ROLL_WIDTH), dtype=np.float32)
     rng = derive_rng(seed, "rhythm", c.parent_id, repr(c.start))
     occupancy = np.zeros(roll.shape, dtype=bool)
     for n in notes:
         c0, c1 = ref_note_columns(n)
-        row = representations._random_free_row(rng, c0, c1, occupancy)
+        row = ref_random_free_row(rng, c0, c1, occupancy)
         occupancy[row, c0:c1] = True
         roll[row, c0:c1] = 1.0
     return roll
@@ -224,7 +271,7 @@ def ref_dynamics_roll(c, notes, seed):
     for (c0, c1), members in zip(
             representations.equal_spans(corpus.ROLL_WIDTH, len(bins)), bins):
         for n in members:
-            row = representations._random_free_row(rng, c0, c1, occupancy)
+            row = ref_random_free_row(rng, c0, c1, occupancy)
             occupancy[row, c0:c1] = True
             roll[row, c0:c1] = n.velocity / 127.0
     return roll
@@ -309,26 +356,76 @@ def clip_of(notes, parent_id="r", start=0.0):
                        notes=tuple(notes))
 
 
+@st.composite
+def crowds(draw):
+    """None, or more notes than the keyboard has rows over one span, so the
+    random-row draws fall back and same-pitch notes overlap."""
+    if not draw(st.booleans()):
+        return []
+    onset, duration = draw(onsets(corpus.CLIP_SECONDS)), draw(durations)
+    return [corpus.NoteEvent(onset=onset, pitch=p, offset=onset + duration,
+                             velocity=v)
+            for p, v in draw(st.lists(st.tuples(pitches, velocities),
+                                      min_size=89, max_size=95))]
+
+
+# notes a clip cannot hold, which paint_roll leaves out
+late_notes = st.lists(st.builds(
+    lambda on, p, d, v: corpus.NoteEvent(onset=on, pitch=p, offset=on + d,
+                                         velocity=v),
+    st.floats(corpus.CLIP_SECONDS, 40.0), pitches, durations, velocities),
+    max_size=3)
+
+
 class TestAgainstPerNoteReferences:
     @settings(max_examples=150, deadline=None)
-    @given(notes=note_sets(), seed=st.integers(0, 3),
-           min_notes=st.integers(2, 3),
+    @given(notes=note_sets(), crowd=crowds(), late=late_notes,
+           seed=st.integers(0, 3), min_notes=st.integers(2, 3),
            max_velocity=st.none() | st.integers(127, 200))
-    def test_rolls(self, notes, seed, min_notes, max_velocity):
-        c = clip_of(notes)
-        rows = tuple(sorted(notes, key=lambda n: (n.onset, n.pitch)))
+    def test_rolls(self, tmp_path_factory, notes, crowd, late, seed,
+                   min_notes, max_velocity):
+        """Every roll's rectangles paint the per-note roll, survive a roll
+        file, and pool to its embedding bit for bit."""
+        c = clip_of(notes + crowd)
+        rows = tuple(sorted(notes + crowd, key=lambda n: (n.onset, n.pitch)))
         assert tuple(c.notes) == rows
-        for got, want in (
-                (corpus.paint_roll(c.notes, max_velocity),
-                 ref_paint_roll(rows, max_velocity)),
-                (representations.harmony_roll(c, min_notes),
+        path = tmp_path_factory.mktemp("rolls") / "a.roll"
+        for make, want in (
+                (lambda **kw: corpus.paint_roll(
+                    list(c.notes) + late, max_velocity, **kw),
+                 ref_paint_roll(rows + tuple(late), max_velocity)),
+                (lambda **kw: representations.melody_roll(c, **kw),
+                 ref_melody_roll(rows)),
+                (lambda **kw: representations.harmony_roll(c, min_notes, **kw),
                  ref_harmony_roll(rows, min_notes)),
-                (representations.rhythm_roll(c, seed),
+                (lambda **kw: representations.rhythm_roll(c, seed, **kw),
                  ref_rhythm_roll(c, rows, seed)),
-                (representations.dynamics_roll(c, seed),
+                (lambda **kw: representations.dynamics_roll(c, seed, **kw),
                  ref_dynamics_roll(c, rows, seed))):
+            got, rects = make(), make(rects=True)
             assert got.dtype == np.float32
             assert np.array_equal(got, want)
+            assert np.array_equal(corpus.paint(rects), want)
+            corpus.write_roll(path, rects)
+            assert np.array_equal(corpus.read_roll(path), want)
+            assert (concepts.default_embedder()(rects).tobytes()
+                    == concepts._pool_embed(want).tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(notes=note_sets().filter(bool), crowd=crowds(),
+           kernel=st.sampled_from([(24, 250), (88, 3000), (7, 600)]),
+           stride=st.sampled_from([(2, 200), (5, 450)]))
+    def test_masked_sensitivity(self, notes, crowd, kernel, stride):
+        """The per-note window product gives the heat map of painting and
+        pooling each masked roll, bit for bit."""
+        c = clip_of(notes + crowd)
+        cav = concepts.ConceptVector(
+            y=np.random.default_rng(len(notes)).normal(size=64))
+        painted = concepts.Embedder(fn=concepts._pool_embed, dim=64)
+        want = concepts.masked_sensitivity(c, painted, cav, kernel, stride)
+        got = concepts.masked_sensitivity(c, concepts.default_embedder(),
+                                          cav, kernel, stride)
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(notes=note_sets(limit=60.0).filter(bool), seed=st.integers(0, 50),

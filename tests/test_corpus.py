@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -895,40 +896,69 @@ class TestPianoRoll:
 
 
 class TestRollFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        roll = rng.random((88, 3000)).astype(np.float32)
-        path = tmp_path / "a.roll"
-        corpus.write_roll(path, roll)
-        assert np.array_equal(corpus.read_roll(path), roll)
+    NOTES = (note(0.0, 60, offset=1.0, velocity=100),
+             note(0.5, 60, offset=1.5, velocity=50),
+             note(2.0, 72, offset=29.0, velocity=127))
 
     @staticmethod
-    def _reference_bytes(roll):
-        roll = np.asarray(roll, dtype="<f4")
-        return (corpus.ROLL_MAGIC + struct.pack("<III", *roll.shape, 0)
-                + roll.tobytes(order="C"))
+    def _write(path, records):
+        """A roll file of (row, c0, c1, value) records, packed by hand."""
+        path.write_bytes(corpus.ROLL_MAGIC + struct.pack("<I", len(records))
+                         + b"".join(struct.pack("<iiif", *r)
+                                    for r in records))
 
-    @pytest.mark.parametrize("layout", ["C", "F", "float64", "view"])
-    def test_bytes_equal_tobytes_writer(self, tmp_path, layout):
-        rng = np.random.default_rng(1)
-        roll = rng.random((88, 3000))
-        roll = {"C": roll.astype(np.float32),
-                "F": np.asfortranarray(roll.astype(np.float32)),
-                "float64": roll,
-                "view": roll.astype(">f4")[:, ::2]}[layout]
+    def _refused(self, path, reason):
+        with pytest.raises(ParseError,
+                           match=f"^{re.escape(str(path))}: .*{reason}"):
+            corpus.read_roll(path)
+
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "a.roll"
-        corpus.write_roll(path, roll)
-        assert path.read_bytes() == self._reference_bytes(roll)
+        corpus.write_roll(path, corpus.paint_roll(self.NOTES, rects=True))
+        assert np.array_equal(corpus.read_roll(path),
+                              corpus.paint_roll(self.NOTES))
+
+    def test_bytes_are_the_records(self, tmp_path):
+        """Notes that overlap in a row are written as the disjoint runs
+        they paint, after the other notes."""
+        path, want = tmp_path / "a.roll", tmp_path / "b.roll"
+        corpus.write_roll(path, corpus.paint_roll(self.NOTES, rects=True))
+        self._write(want, [(51, 200, 2900, 1.0), (39, 0, 100, 100 / 127),
+                           (39, 100, 150, 50 / 127)])
+        assert path.read_bytes() == want.read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "a.roll"
-        path.write_bytes(b"NOPE" + b"\0" * 12)
-        with pytest.raises(ParseError):
-            corpus.read_roll(path)
+        path.write_bytes(b"PROL" + b"\0" * 12)
+        self._refused(path, "bad roll header")
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "a.roll"
-        corpus.write_roll(path, np.ones((4, 4), dtype=np.float32))
+        self._write(path, [(39, 0, 100, 1.0), (40, 0, 100, 1.0)])
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ParseError):
-            corpus.read_roll(path)
+        self._refused(path, "truncated")
+
+    @pytest.mark.parametrize("row", [-1, 88])
+    def test_row_outside_keyboard(self, tmp_path, row):
+        path = tmp_path / "a.roll"
+        self._write(path, [(0, 0, 10, 1.0), (row, 0, 10, 1.0)])
+        self._refused(path, "record 1: row outside 0..87")
+
+    @pytest.mark.parametrize("c0, c1", [(10, 10), (11, 10), (-1, 10),
+                                        (2990, 3001)])
+    def test_columns_outside_roll(self, tmp_path, c0, c1):
+        path = tmp_path / "a.roll"
+        self._write(path, [(5, c0, c1, 1.0)])
+        self._refused(path, "record 0: columns not")
+
+    def test_spans_overlapping_in_a_row(self, tmp_path):
+        path = tmp_path / "a.roll"
+        self._write(path, [(5, 50, 100, 1.0), (6, 0, 3000, 1.0),
+                           (5, 0, 51, 0.5)])
+        self._refused(path, "overlaps another in its row")
+
+    @pytest.mark.parametrize("value", [float("nan"), 0.0, -0.5, 1.5])
+    def test_value_outside_unit_interval(self, tmp_path, value):
+        path = tmp_path / "a.roll"
+        self._write(path, [(5, 0, 10, value)])
+        self._refused(path, r"record 0: value not in \(0, 1\]")
