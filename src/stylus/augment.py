@@ -21,17 +21,7 @@ APPLY_PROBABILITY = 0.5
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    max_shift: int = MAX_PITCH_SHIFT
-    dilation_range: tuple = DILATION_RANGE
-    velocity_delta: int = VELOCITY_DELTA
-    apply_probability: float = APPLY_PROBABILITY
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_shift < 0 or self.velocity_delta < 0:
-            raise ValueError("bounds must be non-negative")
-        if not 0.0 <= self.apply_probability <= 1.0:
-            raise ValueError("apply_probability must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -107,12 +97,11 @@ def augment(c: Clip, config: AugmentConfig = AugmentConfig(),
         return AugmentResult(clip=c, applied=False)
     key = clip_key if clip_key is not None else (c.parent_id, repr(c.start))
     rng = derive_rng(config.seed, "augment", key)
-    if rng.random() >= config.apply_probability:
+    if rng.random() >= APPLY_PROBABILITY:
         return AugmentResult(clip=c, applied=False)
-    out = pitch_shift(c, rng, config.max_shift)
+    out = pitch_shift(c, rng)
     shift = int(out.notes.pitch[0] - c.notes.pitch[0])
-    out, t, refill_missing = time_dilate(out, rng, parent,
-                                         config.dilation_range)
-    out = velocity_jitter(out, rng, config.velocity_delta)
+    out, t, refill_missing = time_dilate(out, rng, parent)
+    out = velocity_jitter(out, rng)
     return AugmentResult(clip=out, applied=True, pitch_shift=shift,
                          dilation=t, refill_missing=refill_missing)

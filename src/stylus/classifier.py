@@ -122,12 +122,11 @@ def label_index(class_labels, y) -> np.ndarray:
     return np.array([position[v] for v in y])
 
 
-def fit(X, y, config: LRConfig = LRConfig(),
-        max_iter: int = MAX_ITER) -> LRModel:
+def fit(X, y, config: LRConfig = LRConfig()) -> LRModel:
     """Deterministic full-batch L-BFGS with Armijo backtracking.
 
     Starts from zero weights and runs until the gradient infinity-norm
-    drops below ``GRAD_TOL`` or ``max_iter`` iterations pass. Each iteration
+    drops below ``GRAD_TOL`` or ``MAX_ITER`` iterations pass. Each iteration
     keeps the last ``LBFGS_HISTORY`` (s, y) pairs with positive curvature
     s.y, backtracks from a unit step until the Armijo condition holds, and
     restarts from steepest descent whenever the two-loop direction is not a
@@ -157,7 +156,7 @@ def fit(X, y, config: LRConfig = LRConfig(),
     history = deque(maxlen=LBFGS_HISTORY)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if np.abs(g).max() <= GRAD_TOL:
             converged = True
             break
@@ -180,9 +179,9 @@ def fit(X, y, config: LRConfig = LRConfig(),
             history.append((s, y_diff, 1.0 / sy))
         theta, loss, g = theta_new, loss_new, g_new
     else:
-        it = max_iter
+        it = MAX_ITER
         log.warning("fit stopped at max_iter=%d with |grad|_inf=%.3g > %.3g "
-                    "(C=%g, class_weight=%s, penalty=%s)", max_iter,
+                    "(C=%g, class_weight=%s, penalty=%s)", MAX_ITER,
                     float(np.abs(g).max()), GRAD_TOL, config.C,
                     config.class_weight, config.penalty)
     return LRModel(W=theta[:k * d].reshape(k, d), b=theta[k * d:],
@@ -275,15 +274,22 @@ def write_model(path, model: LRModel, vocabulary_hash: str = "") -> None:
 
 
 def read_model(path) -> LRModel:
-    """The model ``write_model`` wrote. A missing key, or a value of the
-    wrong type or shape, is a ValidationError naming the file."""
+    """The model ``write_model`` wrote. A missing key, a value of the wrong
+    type or shape, or a repeated class label is a ValidationError naming
+    the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         labels = tuple(payload["class_labels"])
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"class_labels repeat a label: {list(labels)}")
         d = payload["n_features"]
         W = np.array(payload["W"], dtype=float).reshape(len(labels), d)
-        return LRModel(W=W, b=np.array(payload["b"], dtype=float),
+        b = np.array(payload["b"], dtype=float)
+        if b.shape != (len(labels),):
+            raise ValueError(f"b has shape {b.shape}, not one value for "
+                             f"each of the {len(labels)} classes")
+        return LRModel(W=W, b=b,
                        class_labels=labels,
                        config=LRConfig(**payload["config"]),
                        n_iter=payload.get("n_iter", 0),

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -39,51 +39,38 @@ COMMANDS = ("ingest", "split", "extract", "train", "search", "evaluate",
             "concepts", "report", "gen-synthetic")
 
 
+def _key(default, *allowed):
+    """A --config key: its default, whose type is the key's kind, and its
+    allowed values, [low, high] for a number or each size of a list, or a
+    str's choices."""
+    return field(default=default, metadata={"allowed": allowed})
+
+
 @dataclass
 class RunConfig:
-    """Pipeline defaults; every value matches the published analysis."""
-    grid: float = features.GRID_SECONDS
-    n_values: tuple = features.NGRAM_SIZES
-    min_df: int = features.MIN_DF
-    max_df: int = features.MAX_DF
-    C: float = 1.0
-    class_weight: str = "balanced"
-    penalty: str = "L2"
-    top_k: int = 2000
-    n_permutations: int = 1000
-    n_importance: int = 1000
-    n_concept_iterations: int = concepts.N_ITERATIONS
-    bonferroni_m: int = concepts.N_CONCEPTS
-    search_iterations: int = 1000
-    n_bootstrap: int = 1000
-    hop: float = corpus.CLIP_SECONDS
-    min_chord_notes: int = representations.MIN_CHORD_NOTES
-
-
-# Each --config key's type and allowed values, checked at load, before a
-# subcommand reads or writes anything: a number in [low, high]; a list of
-# distinct ints, each in [low, high]; or one of a str's choices. A float
-# key also takes an int, and no key takes a bool. Also max_df >= min_df.
-# A count that sizes an array or a loop is at most sys.maxsize, the largest
-# array dimension.
-CONFIG_KEYS = {
-    "grid": (float, 0.001, corpus.MAX_RECORDING_SECONDS),
-    "n_values": (tuple, 1, features.MAX_FEATURE_SIZE),
-    "min_df": (int, 1, math.inf),
-    "max_df": (int, 1, math.inf),
-    "C": (float, *classifier.C_RANGE),
-    "class_weight": (str, classifier.CLASS_WEIGHTS),
-    "penalty": (str, classifier.PENALTIES),
-    "top_k": (int, 1, math.inf),
-    "n_permutations": (int, 1, sys.maxsize),
-    "n_importance": (int, 1, sys.maxsize),
-    "n_concept_iterations": (int, 1, sys.maxsize),
-    "bonferroni_m": (int, 1, math.inf),
-    "search_iterations": (int, 1, sys.maxsize),
-    "n_bootstrap": (int, 2, sys.maxsize),
-    "hop": (float, 15.0, corpus.CLIP_SECONDS),
-    "min_chord_notes": (int, 1, corpus.ROLL_HEIGHT),
-}
+    """Pipeline defaults and the values --config may set each to, checked
+    at load, before a subcommand reads or writes anything. A float key also
+    takes an int, no key takes a bool, a tuple key takes a list of distinct
+    ints, and max_df >= min_df. A count that sizes an array or a loop is at
+    most sys.maxsize, the largest array dimension."""
+    grid: float = _key(features.GRID_SECONDS, 0.001,
+                       corpus.MAX_RECORDING_SECONDS)
+    n_values: tuple = _key(features.NGRAM_SIZES, 1, features.MAX_FEATURE_SIZE)
+    min_df: int = _key(features.MIN_DF, 1, math.inf)
+    max_df: int = _key(features.MAX_DF, 1, math.inf)
+    C: float = _key(1.0, *classifier.C_RANGE)
+    class_weight: str = _key("balanced", *classifier.CLASS_WEIGHTS)
+    penalty: str = _key("L2", *classifier.PENALTIES)
+    top_k: int = _key(2000, 1, math.inf)
+    n_permutations: int = _key(1000, 1, sys.maxsize)
+    n_importance: int = _key(1000, 1, sys.maxsize)
+    n_concept_iterations: int = _key(concepts.N_ITERATIONS, 1, sys.maxsize)
+    bonferroni_m: int = _key(concepts.N_CONCEPTS, 1, math.inf)
+    search_iterations: int = _key(1000, 1, sys.maxsize)
+    n_bootstrap: int = _key(1000, 2, sys.maxsize)
+    hop: float = _key(corpus.CLIP_SECONDS, 15.0, corpus.CLIP_SECONDS)
+    min_chord_notes: int = _key(representations.MIN_CHORD_NOTES, 1,
+                                corpus.ROLL_HEIGHT)
 
 
 def _setup_logging():
@@ -97,7 +84,8 @@ def _setup_logging():
 def _refusal(key: str, value) -> str | None:
     """What ``value`` must be to set config key ``key`` and what it is
     ("be an int, got str"), or None if it may set it."""
-    kind, *allowed = CONFIG_KEYS[key]
+    spec = RunConfig.__dataclass_fields__[key]
+    kind, allowed = type(spec.default), spec.metadata["allowed"]
     items = value if isinstance(value, list) else [value]
     types = {tuple: (int,), float: (int, float)}.get(kind, (kind,))
     if (kind is tuple) != isinstance(value, list) or any(
@@ -106,8 +94,8 @@ def _refusal(key: str, value) -> str | None:
                 else f"{'an' if kind is int else 'a'} {kind.__name__}")
         return f"be {name}, got {type(value).__name__}"
     if kind is str:
-        return (None if value in allowed[0]
-                else f"be one of {list(allowed[0])}, got {value!r}")
+        return (None if value in allowed
+                else f"be one of {list(allowed)}, got {value!r}")
     lo, hi = allowed
     if kind is tuple:
         if not value or min(value) < lo or len(set(value)) < len(value):
@@ -134,7 +122,7 @@ def _load_config(args) -> RunConfig:
             raise corpus.ValidationError(
                 f"{args.config}: config must be a JSON object, "
                 f"got {type(overrides).__name__}")
-        unknown = set(overrides) - set(CONFIG_KEYS)
+        unknown = set(overrides) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise corpus.ValidationError(
                 f"unknown config keys: {sorted(unknown)}")
@@ -432,7 +420,7 @@ def cmd_rolls(run, config):
     for key, _, clip in run.clips(config.hop):
         paths = {"unified": str(roll_dir / f"{key}.roll")}
         corpus.write_roll(paths["unified"],
-                          corpus.to_piano_roll(clip, rects=True))
+                          corpus.paint_roll(clip.notes, rects=True))
         for name, rects in representations.factorised(
                 clip, run.args.seed, config.min_chord_notes):
             paths[name] = str(roll_dir / f"{key}.{name}.roll")
@@ -480,7 +468,7 @@ def cmd_concepts(run, config):
                     for e in es for seq in concepts.expand_concept(
                         e, min_chord_notes=config.min_chord_notes).sequences)
                 for c, es in by_concept.items()}
-    clip_rolls = {p: (corpus.to_piano_roll(clip, rects=True) for t in ts
+    clip_rolls = {p: (corpus.paint_roll(clip.notes, rects=True) for t in ts
                       for clip in corpus.segment_clips(t, config.hop))
                   for p, ts in by_performer.items()}
     matrix = concepts.sign_count_experiment(

@@ -3,8 +3,10 @@ and clustering."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,12 +44,15 @@ class ConceptExercise:
 class Embedder:
     """Roll -> ``dim`` values; ``fn`` must be deterministic and side-effect
     free, as ``masked_sensitivity`` calls it once per distinct masked roll.
-    ``fn`` receives painted rolls, but with ``pools`` (``fn`` is, or wraps,
-    ``_pool_embed``) a roll's rectangles, which ``masked_sensitivity`` then
-    pools note by note."""
+    ``fn`` receives painted rolls, but if it ``pools`` a roll's rectangles,
+    which ``masked_sensitivity`` then pools note by note."""
     fn: object      # PianoRoll -> 1-D vector
     dim: int
-    pools: bool = False
+
+    @property
+    def pools(self) -> bool:
+        """Whether ``fn`` is ``_pool_embed`` or wraps it (functools.wraps)."""
+        return inspect.unwrap(self.fn) is _pool_embed
 
     def __call__(self, roll) -> np.ndarray:
         if not self.pools and getattr(roll, "dtype", None) == corpus.RECT:
@@ -86,7 +91,7 @@ def _pool_embed(roll) -> np.ndarray:
 
 def default_embedder() -> Embedder:
     """Deterministic linear embedding: 8x8 average-pool grid, D = 64."""
-    return Embedder(fn=_pool_embed, dim=64, pools=True)
+    return Embedder(fn=_pool_embed, dim=64)
 
 
 @dataclass(frozen=True)
@@ -233,11 +238,15 @@ def sign_count_experiment(clip_rolls_by_performer: dict,
     """
     performers = tuple(sorted(clip_rolls_by_performer))
     concepts = tuple(sorted(concept_variants))
+    var_embs = {c: np.array([embedder(r) for r in concept_variants[c]])
+                for c in concepts}
+    for c in concepts:
+        if not len(var_embs[c]):
+            raise ValueError(f"concept {c}: no variant of its exercises lies "
+                             f"on the keyboard ({PITCH_MIN}..{PITCH_MAX})")
     clip_embs = {p: np.array([embedder(r)
                               for r in clip_rolls_by_performer[p]])
                  for p in performers}
-    var_embs = {c: np.array([embedder(r) for r in concept_variants[c]])
-                for c in concepts}
     observed = np.empty((len(performers), len(concepts), n_iter))
     null = np.empty_like(observed)
     for ci, concept in enumerate(concepts):
@@ -279,9 +288,7 @@ def _signed_rank_statistic(diffs):
         j = i
         while j < n and mags[j] == mags[i]:
             j += 1
-        mid2 = (i + 1) + j        # 2 * average of ranks i+1 .. j
-        for k in range(i, j):
-            rank2[mags[i]] = mid2
+        rank2[mags[i]] = (i + 1) + j    # 2 * average of ranks i+1 .. j
         i = j
     ranks2 = [rank2[abs(d)] for d in diffs]
     w2 = sum(r for r, d in zip(ranks2, diffs) if d > 0)
@@ -328,8 +335,7 @@ def wilcoxon_signed_rank(a, b) -> float:
     # doubled ranks r2 = 2r: Var(2 W+) = sum(r^2) = sum(r2^2) / 4
     var2 = sum(r * r for r in ranks2) / 4.0
     z = (w2 - mean2) / np.sqrt(var2)
-    from math import erfc, sqrt
-    return min(1.0, erfc(abs(z) / sqrt(2)))
+    return min(1.0, math.erfc(abs(z) / math.sqrt(2)))
 
 
 def bonferroni(p, m: int = N_CONCEPTS):

@@ -697,10 +697,6 @@ def paint_roll(notes, max_velocity: int | None = None,
     return out if rects else paint(out)
 
 
-def to_piano_roll(c: Clip, rects: bool = False) -> np.ndarray:
-    return paint_roll(c.notes, rects=rects)
-
-
 def write_roll(path, rects) -> None:
     """Write a roll's rectangles (``paint_roll(..., rects=True)``)."""
     rects = np.asarray(rects, RECT)

@@ -242,11 +242,13 @@ class PcaModel:
     maxs: np.ndarray
 
 
-def _preprocess(X, means, sds, mins, maxs):
-    Z = (X - means) / sds
+def _min_max(Z, mins, maxs):
     span = maxs - mins
-    span = np.where(span == 0, 1.0, span)
-    return (Z - mins) / span
+    return (Z - mins) / np.where(span == 0, 1.0, span)
+
+
+def _preprocess(X, means, sds, mins, maxs):
+    return _min_max((X - means) / sds, mins, maxs)
 
 
 def pca_fit(X) -> PcaModel:
@@ -262,9 +264,8 @@ def pca_fit(X) -> PcaModel:
     sds = X.std(axis=0)
     sds = np.where(sds == 0, 1.0, sds)
     Z = (X - means) / sds
-    mins = Z.min(axis=0)
-    maxs = Z.max(axis=0)
-    S = _preprocess(X, means, sds, mins, maxs)
+    mins, maxs = Z.min(axis=0), Z.max(axis=0)
+    S = _min_max(Z, mins, maxs)
     centred = S - S.mean(axis=0)
     _, sv, Vt = np.linalg.svd(centred, full_matrices=False)
     variance = sv ** 2 / (X.shape[0] - 1)

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
-                     note_columns, paint, rects_of, resolve)
+from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH,
+                     VELOCITY_MAX, Clip, note_columns, paint, rects_of,
+                     resolve)
 from .features import frame_pitches, quantise, skyline
 from .rng import derive_rng
 
 MIN_CHORD_NOTES = 3
-VELOCITY_CEILING = 127.0
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def dynamics_roll(c: Clip, seed: int = 0, rects: bool = False) -> np.ndarray:
                        axis=0).reshape(-1, 2).T
     rng = derive_rng(seed, "dynamics", c.parent_id, repr(c.start))
     out = resolve(rects_of(_random_free_rows(rng, c0, c1), c0, c1,
-                           frames.notes.velocity / VELOCITY_CEILING),
+                           frames.notes.velocity / VELOCITY_MAX),
                   last=True)
     return out if rects else paint(out)
 

@@ -25,17 +25,18 @@ NOTE_DURATION = 0.2
 # recordings per task, generated before their files are written: a file
 # after each recording made set-up 10-15% slower (they evict caches)
 WRITE_BATCH = 32
+# distinct features drawn for the shared pools, and for each performer
+N_BASE_NGRAMS = 20
+N_BASE_VOICINGS = 12
+N_SIGNATURE_NGRAMS = 5
+N_SIGNATURE_VOICINGS = 3
 
 
 @dataclass(frozen=True)
 class SyntheticConfig:
     n_performers: int = 10
     n_recordings: int = 40          # per performer, half solo / half trio
-    n_signature_ngrams: int = 5
-    n_signature_voicings: int = 3
     signature_rate: float = 3.0     # multiple of the base-feature rate
-    n_base_ngrams: int = 20
-    n_base_voicings: int = 12
     events_per_recording: int = 40
     seed: int = 0
 
@@ -72,15 +73,13 @@ def build_pools(config: SyntheticConfig):
     """Base feature pools plus per-performer signature features."""
     rng = derive_rng(config.seed, "pools")
     taken: set = set()
-    base_ngrams = _distinct(_random_ngram, rng, config.n_base_ngrams, taken)
-    base_voicings = _distinct(_random_voicing, rng, config.n_base_voicings,
-                              taken)
+    base_ngrams = _distinct(_random_ngram, rng, N_BASE_NGRAMS, taken)
+    base_voicings = _distinct(_random_voicing, rng, N_BASE_VOICINGS, taken)
     signatures = {}
     for p in range(config.n_performers):
         signatures[p] = (
-            _distinct(_random_ngram, rng, config.n_signature_ngrams, taken),
-            _distinct(_random_voicing, rng, config.n_signature_voicings,
-                      taken))
+            _distinct(_random_ngram, rng, N_SIGNATURE_NGRAMS, taken),
+            _distinct(_random_voicing, rng, N_SIGNATURE_VOICINGS, taken))
     return base_ngrams, base_voicings, signatures
 
 

@@ -158,9 +158,3 @@ class TestAugmentPipeline:
         c = clip([])
         r = augment.augment(c)
         assert not r.applied and r.clip is c
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AugmentConfig(max_shift=-1)
-        with pytest.raises(ValueError):
-            AugmentConfig(apply_probability=1.5)

@@ -150,14 +150,15 @@ class TestFit:
         assert m.converged
         assert m.n_iter <= ceiling
 
-    def test_only_max_iter_stop_logs_a_warning(self, caplog):
+    def test_only_max_iter_stop_logs_a_warning(self, caplog, monkeypatch):
         import logging
         rng = np.random.default_rng(8)
         X, y = self._separable(rng)
         with caplog.at_level(logging.WARNING, logger="stylus"):
             assert classifier.fit(X, y, LRConfig(C=1.0)).converged
             assert not caplog.records
-            m = classifier.fit(X, y, LRConfig(C=1.0), max_iter=2)
+            monkeypatch.setattr(classifier, "MAX_ITER", 2)
+            m = classifier.fit(X, y, LRConfig(C=1.0))
         assert not m.converged and m.n_iter == 2
         assert len(caplog.records) == 1
         assert "max_iter" in caplog.records[0].message
@@ -339,6 +340,30 @@ class TestModelFile:
         path.write_text(json.dumps(payload))     # NaN and Infinity tokens
         with pytest.raises(ValidationError,
                            match=re.escape(f"{path}: C must be positive")):
+            classifier.read_model(path)
+
+    def _written(self, tmp_path, **changes):
+        """A written two-class model's path, its JSON keys changed."""
+        m = LRModel(W=np.zeros((2, 3)), b=np.zeros(2),
+                    class_labels=("a", "b"), config=LRConfig())
+        path = tmp_path / "model.json"
+        classifier.write_model(path, m, "")
+        path.write_text(json.dumps({**json.loads(path.read_text()),
+                                    **changes}))
+        return path
+
+    @pytest.mark.parametrize("b", [[5.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+    def test_b_not_one_value_per_class_refused(self, tmp_path, b):
+        path = self._written(tmp_path, b=b)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: b has shape {np.shape(b)}, not one value for "
+                f"each of the 2 classes")):
+            classifier.read_model(path)
+
+    def test_repeated_class_label_refused(self, tmp_path):
+        path = self._written(tmp_path, class_labels=["a", "a"])
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: class_labels repeat a label: ['a', 'a']")):
             classifier.read_model(path)
 
     def test_predict_width_mismatch(self):

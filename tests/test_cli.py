@@ -5,7 +5,9 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import shutil
+import sys
 import weakref
 import zlib
 from pathlib import Path
@@ -331,8 +333,8 @@ class TestPipeline:
             live.append(sum(r() is not None for r in made))
             return write(path, roll)
 
-        monkeypatch.setattr(corpus, "to_piano_roll",
-                            tracked(corpus.to_piano_roll))
+        monkeypatch.setattr(corpus, "paint_roll",
+                            tracked(corpus.paint_roll))
         for name in ("melody", "harmony", "rhythm", "dynamics"):
             fn = getattr(representations, f"{name}_roll")
             monkeypatch.setattr(representations, f"{name}_roll", tracked(fn))
@@ -426,6 +428,27 @@ class TestPipeline:
         assert sorted(p.name for p in out.iterdir()) == ["run.json",
                                                          "splits.csv"]
 
+    def test_concept_without_variant_refused(self, workspace, tmp_path,
+                                             capsys):
+        # every transposition of concept 9's chord lies above the keyboard
+        _, manifest, out = workspace
+        exercises = tmp_path / "ex.jsonl"
+        exercises.write_text("".join(json.dumps(
+            {"concept_id": i, "chords": [[48 + i, 52 + i, 55 + i]]}) + "\n"
+            for i in range(3)) + json.dumps(
+            {"concept_id": 9, "chords": [[120, 124, 127]]}) + "\n")
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(out / "splits.csv", run / "splits.csv")
+        capsys.readouterr()
+        assert cli.main(["concepts", "--manifest", manifest,
+                         "--out", str(run), "--seed", "0",
+                         "--exercises", str(exercises)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "stylus: concept 9: no variant of its exercises lies on the "
+            "keyboard (21..108)"]
+        assert [p.name for p in run.iterdir()] == ["splits.csv"]
+
     def test_concepts_renders_rolls_as_it_embeds_them(self, workspace,
                                                       tmp_path, monkeypatch):
         # two exercises per concept
@@ -440,7 +463,7 @@ class TestPipeline:
         cfg.write_text('{"n_concept_iterations": 1, "bonferroni_m": 3}')
         variant_rolls, clip_rolls = [], []     # weak references
         live, sizes = [], []
-        expand, paint = concepts.expand_concept, corpus.to_piano_roll
+        expand, paint = concepts.expand_concept, corpus.paint_roll
         render = concepts.render_chord_sequence
 
         def tracked_expand(*args, **kwargs):
@@ -453,8 +476,8 @@ class TestPipeline:
             variant_rolls.append(weakref.ref(roll))
             return roll
 
-        def tracked_paint(clip, **kwargs):
-            roll = paint(clip, **kwargs)
+        def tracked_paint(notes, **kwargs):
+            roll = paint(notes, **kwargs)
             clip_rolls.append(weakref.ref(roll))
             return roll
 
@@ -465,7 +488,7 @@ class TestPipeline:
 
         monkeypatch.setattr(concepts, "expand_concept", tracked_expand)
         monkeypatch.setattr(concepts, "render_chord_sequence", tracked_render)
-        monkeypatch.setattr(corpus, "to_piano_roll", tracked_paint)
+        monkeypatch.setattr(corpus, "paint_roll", tracked_paint)
         monkeypatch.setattr(concepts, "default_embedder",
                             lambda: concepts.Embedder(fn=embed, dim=64))
         run = tmp_path / "run"
@@ -1008,14 +1031,14 @@ class TestStaleArtifacts:
 
 
 def _boundaries(key):
-    """(value, allowed) pairs at the edges of ``key``'s entry in
-    cli.CONFIG_KEYS, plus non-finite numbers and values of the wrong
-    type."""
-    kind, *allowed = cli.CONFIG_KEYS[key]
+    """(value, allowed) pairs at the edges of the values RunConfig allows
+    ``key``, plus non-finite numbers and values of the wrong type."""
+    spec = RunConfig.__dataclass_fields__[key]
+    kind, allowed = type(spec.default), spec.metadata["allowed"]
     odd = [(math.nan, False), (math.inf, False), (-math.inf, False),
            (True, False), ("1", False), (None, False)]
     if kind is str:
-        return [(c, True) for c in allowed[0]] + [("bogus", False)] + odd
+        return [(c, True) for c in allowed] + [("bogus", False)] + odd
     lo, hi = allowed
     if kind is float:
         edges = [(lo, True), (math.nextafter(lo, -math.inf), False),
@@ -1034,17 +1057,48 @@ def _boundaries(key):
 
 @st.composite
 def boundary_overrides(draw):
-    keys = draw(st.lists(st.sampled_from(list(cli.CONFIG_KEYS)),
-                         min_size=1, max_size=3, unique=True))
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    keys = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                         unique=True))
     return {k: draw(st.sampled_from(_boundaries(k))) for k in keys}
 
 
 class TestConfigKeys:
-    """cli.CONFIG_KEYS decides every --config key when it is loaded."""
+    """RunConfig's allowed values decide every --config key when it is
+    loaded."""
 
-    def test_table_keys_are_the_run_config_fields(self):
-        assert list(cli.CONFIG_KEYS) == [
-            f.name for f in dataclasses.fields(RunConfig)]
+    def test_kinds_and_allowed_values(self):
+        """Each key's kind (its default's type) and allowed values."""
+        assert {f.name: (type(f.default).__name__, f.metadata["allowed"])
+                for f in dataclasses.fields(RunConfig)} == {
+            "grid": ("float", (0.001, 86400.0)),
+            "n_values": ("tuple", (1, 10)),
+            "min_df": ("int", (1, math.inf)),
+            "max_df": ("int", (1, math.inf)),
+            "C": ("float", (0.001, 1000.0)),
+            "class_weight": ("str", ("none", "balanced")),
+            "penalty": ("str", ("none", "L2")),
+            "top_k": ("int", (1, math.inf)),
+            "n_permutations": ("int", (1, sys.maxsize)),
+            "n_importance": ("int", (1, sys.maxsize)),
+            "n_concept_iterations": ("int", (1, sys.maxsize)),
+            "bonferroni_m": ("int", (1, math.inf)),
+            "search_iterations": ("int", (1, sys.maxsize)),
+            "n_bootstrap": ("int", (2, sys.maxsize)),
+            "hop": ("float", (15.0, 30.0)),
+            "min_chord_notes": ("int", (1, 88)),
+        }
+
+    def test_readme_table_names_each_key_once(self):
+        """README's --config table names every RunConfig field exactly
+        once, and nothing else."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("| key | allowed values |\n", 1)[1]
+        rows = table[:table.index("\n\n")].splitlines()[1:]
+        named = [k for row in rows
+                 for k in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(named) == sorted(
+            f.name for f in dataclasses.fields(RunConfig))
 
     def test_defaults_are_allowed(self):
         defaults = dataclasses.asdict(RunConfig())

@@ -9,6 +9,7 @@ replaced, kept here as references.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import random
@@ -297,18 +298,16 @@ def ref_augment(c, notes, config, parent):
     if not notes:
         return False, notes, 0, 1.0, False
     rng = derive_rng(config.seed, "augment", (c.parent_id, repr(c.start)))
-    if rng.random() >= config.apply_probability:
+    if rng.random() >= 0.5:
         return False, notes, 0, 1.0, False
     p_min = min(n.pitch for n in notes)
     p_max = max(n.pitch for n in notes)
-    bound = min(config.max_shift, p_min - corpus.PITCH_MIN,
-                corpus.PITCH_MAX - p_max)
+    bound = min(6, p_min - corpus.PITCH_MIN, corpus.PITCH_MAX - p_max)
     s = int(rng.integers(-bound, bound + 1)) if bound > 0 else 0
     notes = [replace(n, pitch=n.pitch + s) for n in notes]
-    t = float(rng.uniform(*config.dilation_range))
+    t = float(rng.uniform(0.8, 1.2))
     out, refill_missing = ref_time_dilate(c, notes, t, parent)
-    draws = rng.integers(-config.velocity_delta, config.velocity_delta + 1,
-                         size=len(out))
+    draws = rng.integers(-12, 13, size=len(out))
     out = [replace(n, velocity=int(np.clip(n.velocity + d, corpus.VELOCITY_MIN,
                                            corpus.VELOCITY_MAX)))
            for n, d in zip(out, draws)]
@@ -421,10 +420,36 @@ class TestAgainstPerNoteReferences:
         c = clip_of(notes + crowd)
         cav = concepts.ConceptVector(
             y=np.random.default_rng(len(notes)).normal(size=64))
-        painted = concepts.Embedder(fn=concepts._pool_embed, dim=64)
+        painted = concepts.Embedder(
+            fn=lambda roll: concepts._pool_embed(roll), dim=64)
+        assert not painted.pools
         want = concepts.masked_sensitivity(c, painted, cav, kernel, stride)
         got = concepts.masked_sensitivity(c, concepts.default_embedder(),
                                           cav, kernel, stride)
+        assert got.tobytes() == want.tobytes()
+
+    def test_wrapped_pool_embed_keeps_the_product_path(self, monkeypatch):
+        """An embedder whose fn wraps _pool_embed with functools.wraps, as a
+        tracer does, receives rectangles and takes the product path."""
+        c = clip_of([corpus.NoteEvent(onset=0.5 * i, offset=0.5 * i + 0.4,
+                                      pitch=40 + i, velocity=30 + i)
+                     for i in range(40)])
+        cav = concepts.ConceptVector(
+            y=np.random.default_rng(0).normal(size=64))
+        seen = []
+
+        @functools.wraps(concepts._pool_embed)
+        def traced(roll):
+            seen.append(roll.dtype)
+            return concepts._pool_embed(roll)
+
+        wrapped = concepts.Embedder(fn=traced, dim=64)
+        assert wrapped.pools and concepts.default_embedder().pools
+        monkeypatch.setattr(concepts, "paint_roll", None)  # never painted
+        got = concepts.masked_sensitivity(c, wrapped, cav)
+        assert seen == [corpus.RECT]      # the whole roll, as rectangles
+        want = concepts.masked_sensitivity(c, concepts.default_embedder(),
+                                           cav)
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=150, deadline=None)

@@ -860,7 +860,7 @@ class TestPianoRoll:
 
     def test_shape_and_placement(self):
         c = Clip("r", "p", 0.0, notes=(note(1.0, 60, offset=1.5, velocity=100),))
-        roll = corpus.to_piano_roll(c)
+        roll = corpus.paint_roll(c.notes)
         assert roll.shape == (88, 3000)
         assert roll[60 - 21, 100:150].min() == 1.0
         assert roll[60 - 21, 99] == 0.0 and roll[60 - 21, 150] == 0.0
@@ -868,7 +868,7 @@ class TestPianoRoll:
     def test_velocity_normalised_to_clip_max(self):
         c = Clip("r", "p", 0.0, notes=(note(0.0, 60, velocity=50),
                                        note(1.0, 62, velocity=100)))
-        roll = corpus.to_piano_roll(c)
+        roll = corpus.paint_roll(c.notes)
         assert roll.max() == 1.0
         assert roll[60 - 21, 0] == np.float32(0.5)
 

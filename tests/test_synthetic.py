@@ -115,11 +115,11 @@ class TestPools:
 
     def test_pool_sizes(self):
         base_ngrams, base_voicings, signatures = synthetic.build_pools(SMALL)
-        assert len(base_ngrams) == SMALL.n_base_ngrams
-        assert len(base_voicings) == SMALL.n_base_voicings
+        assert len(base_ngrams) == synthetic.N_BASE_NGRAMS == 20
+        assert len(base_voicings) == synthetic.N_BASE_VOICINGS == 12
         assert len(signatures) == SMALL.n_performers
-        assert all(len(sn) == SMALL.n_signature_ngrams
-                   and len(sv) == SMALL.n_signature_voicings
+        assert all(len(sn) == synthetic.N_SIGNATURE_NGRAMS == 5
+                   and len(sv) == synthetic.N_SIGNATURE_VOICINGS == 3
                    for sn, sv in signatures.values())
 
     def test_ngram_constraints(self):
