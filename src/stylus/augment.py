@@ -33,11 +33,12 @@ class AugmentResult:
     refill_missing: bool = False
 
 
-def pitch_shift(c: Clip, rng, max_shift: int = MAX_PITCH_SHIFT) -> Clip:
-    """Shift every pitch by one uniform integer draw, bounded so the whole
-    clip stays on the keyboard. Intervals are preserved."""
+def pitch_shift(c: Clip, rng) -> Clip:
+    """Shift every pitch by one uniform integer draw of at most
+    ``MAX_PITCH_SHIFT``, bounded so the whole clip stays on the keyboard.
+    Intervals are preserved."""
     n = c.notes
-    bound = min(max_shift, int(n.pitch.min()) - PITCH_MIN,
+    bound = min(MAX_PITCH_SHIFT, int(n.pitch.min()) - PITCH_MIN,
                 PITCH_MAX - int(n.pitch.max()))
     s = int(rng.integers(-bound, bound + 1)) if bound > 0 else 0
     if s == 0:
@@ -46,15 +47,15 @@ def pitch_shift(c: Clip, rng, max_shift: int = MAX_PITCH_SHIFT) -> Clip:
                                       n.velocity))
 
 
-def time_dilate(c: Clip, rng, parent: Transcription | None = None,
-                dilation_range: tuple = DILATION_RANGE) -> tuple[Clip, float, bool]:
-    """Scale all note times by a uniform draw t.
+def time_dilate(c: Clip, rng, parent: Transcription | None = None
+                ) -> tuple[Clip, float, bool]:
+    """Scale all note times by a uniform draw t in ``DILATION_RANGE``.
 
     With t > 1, notes pushed past the 30 s boundary are dropped; with t < 1,
     parent notes just beyond the original clip whose scaled onset lands
     inside the window are pulled in. Returns (clip, t, refill_missing).
     """
-    t = float(rng.uniform(*dilation_range))
+    t = float(rng.uniform(*DILATION_RANGE))
     n = c.notes
     onset, offset = n.onset * t, n.offset * t
     kept = (onset < CLIP_SECONDS) & ((t <= 1) | (offset <= CLIP_SECONDS))
@@ -75,11 +76,11 @@ def time_dilate(c: Clip, rng, parent: Transcription | None = None,
     return replace(c, notes=notes), t, refill_missing
 
 
-def velocity_jitter(c: Clip, rng, delta: int = VELOCITY_DELTA) -> Clip:
-    """Perturb every velocity independently by U(-delta, delta), clamped to
-    the valid MIDI range [1, 127]."""
+def velocity_jitter(c: Clip, rng) -> Clip:
+    """Perturb every velocity independently by a uniform integer draw in
+    +-``VELOCITY_DELTA``, clamped to the valid MIDI range [1, 127]."""
     n = c.notes
-    draws = rng.integers(-delta, delta + 1, size=len(n))
+    draws = rng.integers(-VELOCITY_DELTA, VELOCITY_DELTA + 1, size=len(n))
     return replace(c, notes=NoteArray(
         n.onset, n.offset, n.pitch,
         np.clip(n.velocity + draws, VELOCITY_MIN, VELOCITY_MAX)))

@@ -60,7 +60,7 @@ class LRModel:
     config: LRConfig
     n_iter: int = 0
     converged: bool = False
-    vocabulary_hash: str = ""    # of the vocabulary trained on; "" unknown
+    vocabulary_hash: str = ""    # of the vocabulary trained on; "" from fit
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -218,18 +218,8 @@ def top_k_accuracy(probs, y, class_labels, k: int = 1) -> float:
     return float(hits.mean())
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    iterations: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-
-
-def sample_config(space: SearchSpace, trial: int) -> LRConfig:
-    rng = derive_rng(space.seed, "search", trial)
+def sample_config(seed: int, trial: int) -> LRConfig:
+    rng = derive_rng(seed, "search", trial)
     lo, hi = np.log10(C_RANGE[0]), np.log10(C_RANGE[1])
     c = float(10.0 ** rng.uniform(lo, hi))
     cw = str(rng.choice(CLASS_WEIGHTS))
@@ -237,16 +227,18 @@ def sample_config(space: SearchSpace, trial: int) -> LRConfig:
     return LRConfig(C=c, class_weight=cw, penalty=pen)
 
 
-def random_search(space: SearchSpace, X_train, y_train, X_val, y_val):
-    """Sample configs, fit on train, score top-1 on validation.
+def random_search(iterations: int, seed: int, X_train, y_train, X_val,
+                  y_val):
+    """Sample ``iterations`` (at least one) configs, fit on train, score
+    top-1 on validation.
 
     Returns (best_config, best_accuracy, trial log). The winning config is
     not refit on train + validation. Ties go to the earliest trial.
     """
     trials = []
     best = None
-    for i in range(space.iterations):
-        config = sample_config(space, i)
+    for i in range(iterations):
+        config = sample_config(seed, i)
         model = fit(X_train, y_train, config)
         acc = top_k_accuracy(predict_proba(model, X_val), y_val,
                              model.class_labels, k=1)
@@ -256,7 +248,7 @@ def random_search(space: SearchSpace, X_train, y_train, X_val, y_val):
     return best[1], best[2], trials
 
 
-def write_model(path, model: LRModel, vocabulary_hash: str = "") -> None:
+def write_model(path, model: LRModel, vocabulary_hash: str) -> None:
     payload = {
         "class_labels": list(model.class_labels),
         "config": {"C": model.config.C,
@@ -292,9 +284,9 @@ def read_model(path) -> LRModel:
         return LRModel(W=W, b=b,
                        class_labels=labels,
                        config=LRConfig(**payload["config"]),
-                       n_iter=payload.get("n_iter", 0),
-                       converged=payload.get("converged", False),
-                       vocabulary_hash=payload.get("vocabulary_hash", ""))
+                       n_iter=payload["n_iter"],
+                       converged=payload["converged"],
+                       vocabulary_hash=payload["vocabulary_hash"])
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"{path}: {reason}") from None

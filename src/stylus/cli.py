@@ -235,16 +235,15 @@ class Run:
         return f.X[rows], [f.performers[i] for i in rows]
 
     def model(self) -> classifier.LRModel:
-        """The trained model, refused if trained on another vocabulary (an
-        empty stored hash, from older model files, is accepted)."""
+        """The trained model, refused unless trained on this vocabulary."""
         model = classifier.read_model(_require(self.out / "model.json",
                                                "model"))
         current = _vocab_hash(self.features.vocab)
-        if model.vocabulary_hash and model.vocabulary_hash != current:
+        if model.vocabulary_hash != current:
             raise corpus.ValidationError(
                 f"model.json was trained on vocabulary "
-                f"{model.vocabulary_hash}, but vocabulary.csv hashes to "
-                f"{current}; retrain the model")
+                f"{model.vocabulary_hash or '(none recorded)'}, but "
+                f"vocabulary.csv hashes to {current}; retrain the model")
         return model
 
     def write_info(self, config: RunConfig, started: float) -> None:
@@ -310,14 +309,15 @@ def cmd_train(run, config):
 
 
 def cmd_search(run, config):
-    space = classifier.SearchSpace(iterations=config.search_iterations,
-                                   seed=run.args.seed)
     best, acc, trials = classifier.random_search(
-        space, *run.rows("train"), *run.rows("validation"))
+        config.search_iterations, run.args.seed, *run.rows("train"),
+        *run.rows("validation"))
     classifier.write_trial_log(run.out / "trials.csv", trials)
+    # a --config file: train --config best_config.json trains this model
     with open(run.out / "best_config.json", "w", encoding="utf-8") as fh:
         json.dump({"C": best.C, "class_weight": best.class_weight,
-                   "penalty": best.penalty, "val_top1": acc}, fh)
+                   "penalty": best.penalty}, fh)
+    run.record["val_top1"] = acc
     print(f"best config C={best.C:.3f} class_weight={best.class_weight} "
           f"penalty={best.penalty} (val top-1 {acc:.3f})")
 
@@ -419,8 +419,7 @@ def cmd_rolls(run, config):
     index = {}
     for key, _, clip in run.clips(config.hop):
         paths = {"unified": str(roll_dir / f"{key}.roll")}
-        corpus.write_roll(paths["unified"],
-                          corpus.paint_roll(clip.notes, rects=True))
+        corpus.write_roll(paths["unified"], corpus.paint_roll(clip.notes))
         for name, rects in representations.factorised(
                 clip, run.args.seed, config.min_chord_notes):
             paths[name] = str(roll_dir / f"{key}.{name}.roll")
@@ -464,11 +463,11 @@ def cmd_concepts(run, config):
     # each roll's rectangles are made only when sign_count_experiment
     # embeds them
     variants = {c: (concepts.render_chord_sequence(
-                        seq, c, config.min_chord_notes, rects=True)
+                        seq, config.min_chord_notes)
                     for e in es for seq in concepts.expand_concept(
                         e, min_chord_notes=config.min_chord_notes).sequences)
                 for c, es in by_concept.items()}
-    clip_rolls = {p: (corpus.paint_roll(clip.notes, rects=True) for t in ts
+    clip_rolls = {p: (corpus.paint_roll(clip.notes) for t in ts
                       for clip in corpus.segment_clips(t, config.hop))
                   for p, ts in by_performer.items()}
     matrix = concepts.sign_count_experiment(

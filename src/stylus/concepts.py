@@ -97,7 +97,6 @@ def default_embedder() -> Embedder:
 @dataclass(frozen=True)
 class ConceptVector:
     y: np.ndarray
-    concept_id: int = 0
     random_seed: int = 0
 
 
@@ -139,26 +138,23 @@ def exercise_variants(e: ConceptExercise,
     return variants
 
 
-def render_chord_sequence(seq, concept_id: int = 0,
-                          min_chord_notes: int = MIN_CHORD_NOTES,
-                          rects: bool = False) -> np.ndarray:
-    """Render a chord sequence through the harmony-roll conventions: chord
-    i sounds from i * 0.5 s for 0.4 s at velocity 64. With ``rects``, the
-    roll's rectangles."""
+def render_chord_sequence(seq, min_chord_notes: int = MIN_CHORD_NOTES
+                          ) -> np.ndarray:
+    """The rectangles of a chord sequence's harmony roll: chord i sounds
+    from i * 0.5 s for 0.4 s at velocity 64."""
     onset = np.repeat(np.arange(len(seq)) * 0.5, [len(ch) for ch in seq])
     notes = NoteArray(onset, onset + 0.4, [p for ch in seq for p in ch],
                       np.full(onset.size, 64))
-    clip = Clip(parent_id=f"concept-{concept_id}", performer="",
-                start=0.0, notes=notes)
-    return harmony_roll(clip, min_notes=min_chord_notes, rects=rects)
+    return harmony_roll(Clip(parent_id="", performer="", start=0.0,
+                             notes=notes), min_notes=min_chord_notes)
 
 
 @dataclass(frozen=True)
 class VariantRolls(Sequence):
-    """An exercise's variant rolls, each rendered when it is read, so a
-    reader that embeds and drops each roll holds one roll at a time."""
+    """An exercise's variant rolls, each rendered and painted when it is
+    read, so a reader that embeds and drops each roll holds one roll at a
+    time."""
     sequences: list
-    concept_id: int = 0
     min_chord_notes: int = MIN_CHORD_NOTES
 
     def __len__(self):
@@ -167,18 +163,17 @@ class VariantRolls(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return replace(self, sequences=self.sequences[i])
-        return render_chord_sequence(self.sequences[i], self.concept_id,
-                                     self.min_chord_notes)
+        return corpus.paint(render_chord_sequence(self.sequences[i],
+                                                  self.min_chord_notes))
 
 
 def expand_concept(e: ConceptExercise,
                    min_chord_notes: int = MIN_CHORD_NOTES) -> VariantRolls:
     return VariantRolls(exercise_variants(e, min_chord_notes),
-                        e.concept_id, min_chord_notes)
+                        min_chord_notes)
 
 
-def train_cav(concept_acts, random_acts, seed: int = 0,
-              concept_id: int = 0) -> ConceptVector:
+def train_cav(concept_acts, random_acts, seed: int = 0) -> ConceptVector:
     """Direction separating concept activations from random activations.
 
     The vector is the decision direction of a binary logistic regression
@@ -193,10 +188,8 @@ def train_cav(concept_acts, random_acts, seed: int = 0,
     X = np.vstack([concept_acts, random_acts])
     y = [1] * len(concept_acts) + [0] * len(random_acts)
     model = classifier.fit(X, y, classifier.LRConfig(C=1.0, penalty="L2"))
-    idx = {lab: i for i, lab in enumerate(model.class_labels)}
-    direction = model.W[idx[1]] - model.W[idx[0]]
-    return ConceptVector(y=direction, concept_id=concept_id,
-                         random_seed=seed)
+    # the class labels are sorted: (0, 1)
+    return ConceptVector(y=model.W[1] - model.W[0], random_seed=seed)
 
 
 def concept_score(roll, embedder: Embedder, cav: ConceptVector) -> float:
@@ -262,11 +255,10 @@ def sign_count_experiment(clip_rolls_by_performer: dict,
             rng = derive_rng(seed, "random-dataset", concept, i)
             random_emb = pool[rng.choice(len(pool), size=size,
                                          replace=False)]
-            cav = train_cav(concept_emb, random_emb, concept_id=concept)
+            cav = train_cav(concept_emb, random_emb)
             rng_null = derive_rng(seed, "null-dataset", concept, i)
             pick = rng_null.choice(len(pool), size=2 * size, replace=False)
-            cav_null = train_cav(pool[pick[:size]], pool[pick[size:]],
-                                 concept_id=concept)
+            cav_null = train_cav(pool[pick[:size]], pool[pick[size:]])
             for pi, p in enumerate(performers):
                 scores = clip_embs[p] @ cav.y
                 observed[pi, ci, i] = sign_count_ratio(scores)
@@ -364,12 +356,11 @@ def _interp_grid(values: np.ndarray, row_centres, col_centres) -> np.ndarray:
     return fp.T
 
 
-def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
-                       kernel: tuple = MASK_KERNEL,
-                       stride: tuple = MASK_STRIDE) -> np.ndarray:
+def masked_sensitivity(clip: Clip, embedder: Embedder,
+                       cav: ConceptVector) -> np.ndarray:
     """Relative concept-score change when the notes whose onset cell lies
-    under a sliding kernel are removed, interpolated back to an 88x3000
-    heatmap.
+    under a sliding ``MASK_KERNEL`` (rows x columns, moved by ``MASK_STRIDE``)
+    are removed, interpolated back to an 88x3000 heatmap.
 
     Kernel positions that remove the same notes share one score, so each
     distinct masked roll is embedded once. A pooling embedder's windows sum
@@ -377,11 +368,7 @@ def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
     drops a note of a row where notes overlap (the largest value is not
     linear): such a roll is made whole.
     """
-    kh, kw = kernel
-    if not (1 <= kh <= ROLL_HEIGHT and 1 <= kw <= ROLL_WIDTH):
-        raise ValueError(f"kernel {kernel} is not within 1..88 x 1..3000")
-    if min(stride) < 1:
-        raise ValueError(f"stride {stride} has a step below 1")
+    (kh, kw), stride = MASK_KERNEL, MASK_STRIDE
     notes = clip.notes
     if not len(notes):
         raise ValueError("clip has no notes")
@@ -413,8 +400,8 @@ def masked_sensitivity(clip: Clip, embedder: Embedder, cav: ConceptVector,
             scores[k] = (s0 - float(emb @ cav.y)) / s0
         todo &= ~linear
     for k in np.flatnonzero(todo).tolist():
-        s1 = concept_score(paint_roll(notes[~sets[k]], max_velocity,
-                                      rects=True), embedder, cav)
+        s1 = concept_score(paint_roll(notes[~sets[k]], max_velocity),
+                           embedder, cav)
         scores[k] = (s0 - s1) / s0
     return _interp_grid(scores[inverse].reshape(len(row_starts), -1),
                         row_starts + (kh - 1) / 2, col_starts + (kw - 1) / 2)

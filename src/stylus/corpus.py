@@ -525,15 +525,11 @@ def _parse_lines(path, lines) -> list[NoteEvent]:
     return notes
 
 
-def write_note_events(path, notes) -> None:
-    """Write a NoteArray, or a NoteEvent sequence, as JSONL in one write:
-    per note, the line ``json.dumps`` writes, with times as floats and
-    pitch/velocity as ints (``json`` spells them with their ``__repr__``)."""
-    if isinstance(notes, NoteArray):
-        rows = zip(*(c.tolist() for c in notes.columns()))
-    else:
-        rows = ((float(n.onset), float(n.offset), int(n.pitch),
-                 int(n.velocity)) for n in notes)
+def write_note_events(path, notes: NoteArray) -> None:
+    """Write notes as JSONL in one write: per note, the line ``json.dumps``
+    writes, with times as floats and pitch/velocity as ints (``json`` spells
+    them with their ``__repr__``)."""
+    rows = zip(*(c.tolist() for c in notes.columns()))
     fr, ir = float.__repr__, int.__repr__
     Path(path).write_text("".join([
         f'{{"onset": {fr(on)}, "offset": {fr(off)}, "pitch": {ir(p)}, '
@@ -679,11 +675,10 @@ def paint(rects) -> np.ndarray:
     return roll
 
 
-def paint_roll(notes, max_velocity: int | None = None,
-               rects: bool = False) -> np.ndarray:
-    """Paint a NoteArray (or NoteEvent sequence) into an 88x3000 roll with
-    velocity / max-velocity values; where notes overlap, the largest value
-    wins. With ``rects``, the roll's rectangles instead of its pixels.
+def paint_roll(notes, max_velocity: int | None = None) -> np.ndarray:
+    """The rectangles of a NoteArray's (or NoteEvent sequence's) 88x3000
+    roll, with velocity / max-velocity values; where notes overlap, the
+    largest value wins. ``paint`` gives its pixels.
 
     ``max_velocity`` overrides the normalisation ceiling; by default the
     largest velocity among the painted notes is used.
@@ -692,13 +687,12 @@ def paint_roll(notes, max_velocity: int | None = None,
     notes = notes[notes.onset < CLIP_SECONDS]
     if max_velocity is None:
         max_velocity = notes.velocity.max(initial=1)
-    out = resolve(rects_of(notes.pitch - PITCH_MIN, *note_columns(notes),
-                           notes.velocity / max_velocity))
-    return out if rects else paint(out)
+    return resolve(rects_of(notes.pitch - PITCH_MIN, *note_columns(notes),
+                            notes.velocity / max_velocity))
 
 
 def write_roll(path, rects) -> None:
-    """Write a roll's rectangles (``paint_roll(..., rects=True)``)."""
+    """Write a roll's rectangles (``paint_roll``'s, say)."""
     rects = np.asarray(rects, RECT)
     with open(path, "wb") as fh:
         fh.write(_ROLL_HEADER.pack(ROLL_MAGIC, len(rects)))

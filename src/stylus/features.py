@@ -69,19 +69,12 @@ class Frames:
     """
     notes: NoteArray
     index: np.ndarray
-    grid: float
     recording: np.ndarray | None = None
 
     @property
     def starts(self) -> np.ndarray:
         """Position of each frame's first note."""
         return _run_starts(self.index)
-
-    @property
-    def time(self) -> np.ndarray:
-        """Grid time of each frame in its recording."""
-        return _grid_frames(self.notes.onset[self.starts],
-                            self.grid) * self.grid
 
 
 def quantise(t, grid: float = GRID_SECONDS) -> Frames:
@@ -90,7 +83,7 @@ def quantise(t, grid: float = GRID_SECONDS) -> Frames:
     Clip) or a batch (a list of Transcriptions). Both the feature and the
     clip path group notes here."""
     if hasattr(t, "notes"):
-        return Frames(t.notes, _grid_frames(t.notes.onset, grid), grid)
+        return Frames(t.notes, _grid_frames(t.notes.onset, grid))
     notes = NoteArray.concatenate([r.notes for r in t])
     recording = np.repeat(np.arange(len(t)), [len(r.notes) for r in t])
     frame = _grid_frames(notes.onset, grid)
@@ -98,7 +91,7 @@ def quantise(t, grid: float = GRID_SECONDS) -> Frames:
     first = np.flatnonzero(np.diff(recording)) + 1
     shift = np.zeros_like(frame)
     shift[first] = frame[first - 1] + 1 - frame[first]
-    return Frames(notes, frame + np.cumsum(shift), grid, recording)
+    return Frames(notes, frame + np.cumsum(shift), recording)
 
 
 def skyline(frames: Frames) -> NoteArray:
@@ -123,14 +116,6 @@ def _sizes(n_values) -> set:
     return sizes
 
 
-def _counters(recording, size: int):
-    """Each of ``size`` items' recording (None: all one recording's), and
-    an empty Counter per recording."""
-    if recording is None:
-        return np.zeros(size, dtype=np.int64), [Counter()]
-    return recording, [Counter() for _ in range(recording[-1] + 1)]
-
-
 def _count_codes(recording, codes, base: int, n: int, lo: int,
                  counts) -> None:
     """Set ``counts[r][feature]`` to the number of times each code occurs
@@ -147,22 +132,21 @@ def _count_codes(recording, codes, base: int, n: int, lo: int,
         counts[r][feat] = c
 
 
-def extract_ngrams(melody: NoteArray, n_values=NGRAM_SIZES, recording=None):
-    """Count transposition-invariant n-grams over the melody.
+def extract_ngrams(melody: NoteArray, recording, n_values=NGRAM_SIZES):
+    """Count transposition-invariant n-grams over a batch's melody, a
+    Counter per recording.
 
     Windows spanning more than 12 semitones, or containing a silence longer
     than 2 s between successive notes (pre-quantisation times), are skipped.
-    For a batch, ``recording`` holds each note's recording (nondecreasing,
-    every recording present): no window crosses from one recording into the
-    next, and each recording gets a Counter. Without it the melody is one
-    recording's and gets one Counter.
+    ``recording`` holds each note's recording (nondecreasing, every
+    recording present), and no window crosses from one into the next.
     """
     sizes = _sizes(n_values)
     pitch = melody.pitch
-    rec, counts = _counters(recording, pitch.size)
+    counts = [Counter() for _ in range(recording[-1] + 1)]
     # a window breaks between notes at a silence or a recording boundary
     breaks = melody.onset[1:] - melody.offset[:-1] > MAX_MELODY_GAP
-    breaks |= np.diff(rec) != 0
+    breaks |= np.diff(recording) != 0
     base = 2 * MAX_NGRAM_SPAN + 1
     # per window: lowest and highest pitch, whether it holds no break, and
     # the code of its pitches above the first, plus 12, in base 25
@@ -178,9 +162,9 @@ def extract_ngrams(melody: NoteArray, n_values=NGRAM_SIZES, recording=None):
                                        + MAX_NGRAM_SPAN)
         if n in sizes:
             kept = whole & (high - low <= MAX_NGRAM_SPAN)
-            _count_codes(rec[:kept.size][kept], code[kept], base, n,
+            _count_codes(recording[:kept.size][kept], code[kept], base, n,
                          -MAX_NGRAM_SPAN, counts)
-    return counts if recording is not None else counts[0]
+    return counts
 
 
 def frame_pitches(frames: Frames):
@@ -198,13 +182,13 @@ def extract_voicings(frames: Frames, n_values=VOICING_SIZES):
     """Count chord voicings as semitone offsets above the lowest note.
 
     Frame size counts distinct pitches; frames with two or more adjacent
-    gaps above 15 semitones are discarded as transcription errors. A batch
-    gets one Counter per recording, one recording a Counter.
+    gaps above 15 semitones are discarded as transcription errors. Each
+    recording of the batch gets a Counter.
     """
     sizes = _sizes(n_values)
     pitch, starts, widths = frame_pitches(frames)
-    rec, counts = _counters(None if frames.recording is None
-                            else frames.recording[frames.starts], starts.size)
+    rec = frames.recording[frames.starts]
+    counts = [Counter() for _ in range(rec[-1] + 1)]
     base = PITCH_MAX - PITCH_MIN + 1
     for n in sizes:
         chosen = widths == n
@@ -213,7 +197,7 @@ def extract_voicings(frames: Frames, n_values=VOICING_SIZES):
         codes = (chords[kept] - chords[kept, :1]) @ base ** np.arange(
             n - 1, -1, -1)
         _count_codes(rec[chosen][kept], codes, base, n, 0, counts)
-    return counts if frames.recording is not None else counts[0]
+    return counts
 
 
 def extract_batch(recordings, keys: dict, grid: float = GRID_SECONDS,
@@ -223,8 +207,8 @@ def extract_batch(recordings, keys: dict, grid: float = GRID_SECONDS,
     Equal keys are one object, also across the calls that share ``keys``,
     a dict from each key made so far to itself."""
     frames = quantise(recordings, grid)
-    melody = extract_ngrams(skyline(frames), n_values,
-                            frames.recording[frames.starts])
+    melody = extract_ngrams(skyline(frames), frames.recording[frames.starts],
+                            n_values)
     harmony = extract_voicings(frames, n_values)
     return [(t.recording_id, {keys.setdefault(k, k): c for k, c in chain(
                 zip(zip(repeat(KIND_MELODY), m), m.values()),

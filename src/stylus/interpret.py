@@ -59,9 +59,6 @@ def permutation_importance(model: LRModel, X_test, y_test, columns,
     partial = X[:, columns] @ model.W[:, columns].T
     losses = np.empty(n_iter)
     for i in range(n_iter):
-        if columns.size == 0:
-            losses[i] = 0.0
-            continue
         rng = derive_rng(seed, "perm-importance", group, i)
         losses[i] = baseline - _permuted_accuracy(
             logits, partial, y_idx, rng)
@@ -121,10 +118,12 @@ def pearson_r(a, b) -> float:
 
 
 def left_tail_permutation_p(observed: float, null_samples) -> float:
-    """Monte Carlo left-tailed p with the add-one estimator (never 0)."""
+    """Monte Carlo left-tailed p with the add-one estimator (never 0). A
+    NaN null sample counts as at or below ``observed``, so it can only
+    raise p."""
     null_samples = np.asarray(null_samples, dtype=float)
-    n = null_samples.size
-    return (float((null_samples <= observed).sum()) + 1.0) / (n + 1.0)
+    at_or_below = ~(null_samples > observed)
+    return (float(at_or_below.sum()) + 1.0) / (null_samples.size + 1.0)
 
 
 @dataclass(frozen=True)
@@ -134,13 +133,13 @@ class CorrelationReport:
     corrected_alpha_factor: int = 2
 
 
-def _per_tag_weights(X, y, tags, columns, config, performers):
+def _per_tag_weights(X, y, tags, columns, config):
+    """Per tag, each class's weight row of a fit on the tag's rows."""
     out = {}
     for tag in sorted(set(tags)):
         rows = [i for i, t in enumerate(tags) if t == tag]
         model = fit(X[np.ix_(rows, columns)], [y[i] for i in rows], config)
-        idx = {lab: i for i, lab in enumerate(model.class_labels)}
-        out[tag] = {p: model.W[idx[p]] for p in performers if p in idx}
+        out[tag] = dict(zip(model.class_labels, model.W))
     return out
 
 
@@ -154,7 +153,9 @@ def dataset_weight_correlation(X, y, tags, columns, config: LRConfig,
     left-tailed p by refitting with tag labels shuffled across recordings
     within each performer. The within-performer shuffle keeps every
     performer's count of rows per tag, so each null refit sees the same
-    classes as the observed fits.
+    classes as the observed fits. A performer missing from one tag, or
+    whose observed r is undefined (a constant weight vector), is excluded
+    with a warning.
     """
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
@@ -174,23 +175,29 @@ def dataset_weight_correlation(X, y, tags, columns, config: LRConfig,
             log.warning("performer %s missing from one dataset tag; "
                         "excluded from correlation", p)
     columns = np.asarray(columns, dtype=int)
-    by_tag = _per_tag_weights(X, y, tags, columns, config, kept)
+    by_tag = _per_tag_weights(X, y, tags, columns, config)
     a, b = tag_values
     observed = {p: pearson_r(by_tag[a][p], by_tag[b][p]) for p in kept}
+    for p in [p for p, r in observed.items() if np.isnan(r)]:
+        log.warning("performer %s has a constant weight vector in one "
+                    "dataset tag, so r is undefined; excluded from "
+                    "correlation", p)
+        del observed[p]
 
     tag_arr = np.asarray(tags)
     rows_of = [np.flatnonzero(np.asarray(y) == p) for p in performers]
-    null = {p: np.empty(n_perm) for p in kept}
+    null = {p: np.empty(n_perm) for p in observed}
     for i in range(n_perm):
         rng = derive_rng(seed, "tag-shuffle", i)
         shuffled = tag_arr.copy()
         for rows in rows_of:
             shuffled[rows] = tag_arr[rng.permutation(rows)]
         by_tag_null = _per_tag_weights(X, y, shuffled.tolist(), columns,
-                                       config, kept)
-        for p in kept:
+                                       config)
+        for p in observed:
             null[p][i] = pearson_r(by_tag_null[a][p], by_tag_null[b][p])
-    pvals = {p: left_tail_permutation_p(observed[p], null[p]) for p in kept}
+    pvals = {p: left_tail_permutation_p(r, null[p])
+             for p, r in observed.items()}
     return CorrelationReport(r=observed, p=pvals)
 
 
@@ -209,7 +216,6 @@ def bootstrap_weight_sd(X, y, config: LRConfig, n_boot: int = 1000,
     reference = fit(X, y, config)
     samples = np.zeros((n_boot,) + reference.W.shape)
     present = np.zeros((n_boot, len(reference.class_labels)), dtype=bool)
-    label_idx = {lab: i for i, lab in enumerate(reference.class_labels)}
     for i in range(n_boot):
         rng = derive_rng(seed, "bootstrap", i)
         while True:
@@ -218,9 +224,8 @@ def bootstrap_weight_sd(X, y, config: LRConfig, n_boot: int = 1000,
             if len(set(resampled_y)) >= 2:
                 break
         model = fit(X[rows], resampled_y, config)
-        for lab, weights in zip(model.class_labels, model.W):
-            samples[i, label_idx[lab]] = weights
-            present[i, label_idx[lab]] = True
+        idx = label_index(reference.class_labels, model.class_labels)
+        samples[i, idx], present[i, idx] = model.W, True
     omitted = int((~present).sum())
     if omitted:
         log.warning("bootstrap: %d (resample, class) pairs omitted, the "

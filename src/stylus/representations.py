@@ -21,7 +21,6 @@ class FactorisedRolls:
     harmony: np.ndarray
     rhythm: np.ndarray
     dynamics: np.ndarray
-    parent_id: str = ""
 
 
 def equal_spans(total: int, parts: int) -> list[tuple[int, int]]:
@@ -37,24 +36,23 @@ def equal_spans(total: int, parts: int) -> list[tuple[int, int]]:
 
 
 def melody_roll(c: Clip, rects: bool = False) -> np.ndarray:
-    """Skyline notes laid left-to-right with equal spacing, binary values.
-    With ``rects``, this and each roll function here return rectangles."""
+    """Skyline notes laid left-to-right with equal spacing, binary values;
+    with ``rects``, the roll's rectangles, which the other roll functions
+    here always return."""
     melody = skyline(quantise(c)).pitch
     spans = np.reshape(equal_spans(ROLL_WIDTH, melody.size), (-1, 2))
     out = rects_of(melody - PITCH_MIN, *spans.T, 1.0)
     return out if rects else paint(out)
 
 
-def harmony_roll(c: Clip, min_notes: int = MIN_CHORD_NOTES,
-                 rects: bool = False) -> np.ndarray:
+def harmony_roll(c: Clip, min_notes: int = MIN_CHORD_NOTES) -> np.ndarray:
     """Chords (onset bins with >= min_notes distinct pitches), equal spacing,
     binary values. No upper bound on chord size."""
     pitch, _, sizes = frame_pitches(quantise(c))
     chords = sizes >= min_notes
     spans = np.repeat(equal_spans(ROLL_WIDTH, int(chords.sum())),
                       sizes[chords], axis=0).reshape(-1, 2)
-    out = rects_of(pitch[np.repeat(chords, sizes)] - PITCH_MIN, *spans.T, 1.0)
-    return out if rects else paint(out)
+    return rects_of(pitch[np.repeat(chords, sizes)] - PITCH_MIN, *spans.T, 1.0)
 
 
 def _random_free_row(rng, busy):
@@ -79,15 +77,14 @@ def _random_free_rows(rng, c0, c1) -> list:
     return rows
 
 
-def rhythm_roll(c: Clip, seed: int = 0, rects: bool = False) -> np.ndarray:
+def rhythm_roll(c: Clip, seed: int = 0) -> np.ndarray:
     """Source onset/offset columns with pitches re-drawn uniformly."""
     rng = derive_rng(seed, "rhythm", c.parent_id, repr(c.start))
     c0, c1 = note_columns(c.notes)
-    out = resolve(rects_of(_random_free_rows(rng, c0, c1), c0, c1, 1.0))
-    return out if rects else paint(out)
+    return resolve(rects_of(_random_free_rows(rng, c0, c1), c0, c1, 1.0))
 
 
-def dynamics_roll(c: Clip, seed: int = 0, rects: bool = False) -> np.ndarray:
+def dynamics_roll(c: Clip, seed: int = 0) -> np.ndarray:
     """Onset bins (no minimum size) with equal spacing, random pitches and
     velocity / 127 values; where no row is free, the later note's wins."""
     frames = quantise(c)
@@ -97,21 +94,20 @@ def dynamics_roll(c: Clip, seed: int = 0, rects: bool = False) -> np.ndarray:
                        np.diff(starts, append=len(frames.notes)),
                        axis=0).reshape(-1, 2).T
     rng = derive_rng(seed, "dynamics", c.parent_id, repr(c.start))
-    out = resolve(rects_of(_random_free_rows(rng, c0, c1), c0, c1,
-                           frames.notes.velocity / VELOCITY_MAX),
-                  last=True)
-    return out if rects else paint(out)
+    return resolve(rects_of(_random_free_rows(rng, c0, c1), c0, c1,
+                            frames.notes.velocity / VELOCITY_MAX), last=True)
 
 
 def factorised(c: Clip, seed: int = 0, min_chord_notes: int = MIN_CHORD_NOTES):
     """Each factorised roll's name and rectangles, made when it is read."""
     yield "melody", melody_roll(c, rects=True)
-    yield "harmony", harmony_roll(c, min_chord_notes, rects=True)
-    yield "rhythm", rhythm_roll(c, seed, rects=True)
-    yield "dynamics", dynamics_roll(c, seed, rects=True)
+    yield "harmony", harmony_roll(c, min_chord_notes)
+    yield "rhythm", rhythm_roll(c, seed)
+    yield "dynamics", dynamics_roll(c, seed)
 
 
 def factorise(c: Clip, seed: int = 0,
               min_chord_notes: int = MIN_CHORD_NOTES) -> FactorisedRolls:
+    """The four factorised rolls, painted."""
     return FactorisedRolls(**{name: paint(r) for name, r in factorised(
-        c, seed, min_chord_notes)}, parent_id=c.parent_id)
+        c, seed, min_chord_notes)})

@@ -25,7 +25,7 @@ CONFIG = {"min_df": 3, "top_k": 20, "n_importance": 4, "n_permutations": 4,
 
 OUTPUT_SHA256 = {
     "best_config.json":
-        "49dc45e6863270b0e62025a3f2fefd4906c80d5a4ffe2d036a1b86aaa7ba6862",
+        "e954bcb67f791fb3a5f83b9e26f05388530f2ae478944d0b1051ddbb1ba707c5",
     "correlations.csv":
         "cd88624e53beeccb0c844f1baa721f183bb5a0683d9ffb4c3af1160a8b3aeb7a",
     "evaluation.json":

@@ -33,7 +33,7 @@ class TestPitchShift:
         seen = set()
         for i in range(200):
             rng = derive_rng(i, "t")
-            out = augment.pitch_shift(c, rng, max_shift=6)
+            out = augment.pitch_shift(c, rng)
             s = out.notes[0].pitch - 23
             seen.add(s)
         assert seen == set(range(-2, 3))
@@ -57,42 +57,42 @@ class TestTimeDilate:
         notes = [note(t, 60 + (t % 12)) for t in range(0, 50, 2)]
         return Transcription("r", "p", "solo", notes=tuple(notes))
 
-    def test_compression_refills_from_parent(self):
+    def test_compression_refills_from_parent(self, monkeypatch):
         parent = self._parent()
         c = clip([note(n.onset, n.pitch) for n in parent.notes
                   if n.onset < 30], parent="r")
         rng = derive_rng(0, "compress")
-        out, t, missing = augment.time_dilate(c, rng, parent,
-                                              dilation_range=(0.8, 0.8))
+        monkeypatch.setattr(augment, "DILATION_RANGE", (0.8, 0.8))
+        out, t, missing = augment.time_dilate(c, rng, parent)
         assert t == 0.8
         assert not missing
         # parent notes at 30..36 s scale into the window
         assert len(out.notes) > len(c.notes)
         assert max(n.onset for n in out.notes) < 30.0
 
-    def test_stretch_drops_notes_past_window(self):
+    def test_stretch_drops_notes_past_window(self, monkeypatch):
         c = clip([note(1.0, 60), note(28.0, 62, offset=29.0)])
         rng = derive_rng(0, "stretch")
-        out, t, _ = augment.time_dilate(c, rng, None,
-                                        dilation_range=(1.2, 1.2))
+        monkeypatch.setattr(augment, "DILATION_RANGE", (1.2, 1.2))
+        out, t, _ = augment.time_dilate(c, rng, None)
         assert t == 1.2
         # 28 s scales to 33.6 s: dropped; 1 s note survives
         assert [n.pitch for n in out.notes] == [60]
         assert out.notes[0].onset == pytest.approx(1.2)
 
-    def test_missing_parent_flag_and_warning(self, caplog):
+    def test_missing_parent_flag_and_warning(self, caplog, monkeypatch):
         import logging
         c = clip([note(1.0, 60)])
+        monkeypatch.setattr(augment, "DILATION_RANGE", (0.9, 0.9))
         with caplog.at_level(logging.WARNING, logger="stylus"):
-            _, t, missing = augment.time_dilate(c, derive_rng(0, "m"), None,
-                                                dilation_range=(0.9, 0.9))
+            _, t, missing = augment.time_dilate(c, derive_rng(0, "m"), None)
         assert missing
         assert any("refill" in r.message for r in caplog.records)
 
-    def test_identity_no_refill_flag(self):
+    def test_identity_no_refill_flag(self, monkeypatch):
         c = clip([note(1.0, 60)])
-        _, t, missing = augment.time_dilate(c, derive_rng(0, "i"), None,
-                                            dilation_range=(1.1, 1.1))
+        monkeypatch.setattr(augment, "DILATION_RANGE", (1.1, 1.1))
+        _, t, missing = augment.time_dilate(c, derive_rng(0, "i"), None)
         assert not missing
 
 

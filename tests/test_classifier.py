@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stylus import classifier
-from stylus.classifier import LRConfig, LRModel, SearchSpace
+from stylus.classifier import LRConfig, LRModel
 from stylus.corpus import ValidationError
 
 
@@ -270,10 +270,9 @@ class TestTopKAccuracy:
 
 class TestSearch:
     def test_sample_config_ranges_and_determinism(self):
-        space = SearchSpace(iterations=50, seed=9)
         for trial in range(50):
-            c1 = classifier.sample_config(space, trial)
-            c2 = classifier.sample_config(space, trial)
+            c1 = classifier.sample_config(9, trial)
+            c2 = classifier.sample_config(9, trial)
             assert (c1.C, c1.class_weight, c1.penalty) == \
                 (c2.C, c2.class_weight, c2.penalty)
             assert 0.001 <= c1.C <= 1000.0
@@ -281,8 +280,7 @@ class TestSearch:
             assert c1.penalty in ("none", "L2")
 
     def test_log_uniform_spread(self):
-        space = SearchSpace(iterations=400, seed=0)
-        logs = np.array([np.log10(classifier.sample_config(space, t).C)
+        logs = np.array([np.log10(classifier.sample_config(0, t).C)
                          for t in range(400)])
         # log10 C ~ U(-3, 3): mean near 0, both halves populated
         assert abs(logs.mean()) < 0.5
@@ -293,9 +291,8 @@ class TestSearch:
         X = rng.normal(size=(40, 4))
         X[:20] += 3
         y = ["a"] * 20 + ["b"] * 20
-        space = SearchSpace(iterations=5, seed=1)
         best, acc, trials = classifier.random_search(
-            space, X[::2], y[::2], X[1::2], y[1::2])
+            5, 1, X[::2], y[::2], X[1::2], y[1::2])
         assert len(trials) == 5
         assert acc == max(t[2] for t in trials)
         winner = next(t for t in trials if t[2] == acc)   # earliest tie
@@ -358,6 +355,17 @@ class TestModelFile:
         with pytest.raises(ValidationError, match=re.escape(
                 f"{path}: b has shape {np.shape(b)}, not one value for "
                 f"each of the 2 classes")):
+            classifier.read_model(path)
+
+    @pytest.mark.parametrize("key", ["n_iter", "converged",
+                                     "vocabulary_hash"])
+    def test_missing_fit_record_refused(self, tmp_path, key):
+        path = self._written(tmp_path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: missing key '{key}'")):
             classifier.read_model(path)
 
     def test_repeated_class_label_refused(self, tmp_path):

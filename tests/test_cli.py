@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -278,6 +279,28 @@ class TestPipeline:
         assert len(lines) == 4   # header + 3 trials
         best = json.loads((out / "best_config.json").read_text())
         assert best["penalty"] in ("none", "L2")
+
+    def test_train_takes_the_config_search_writes(self, workspace, tmp_path):
+        _, manifest, out = workspace
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("splits.csv", "features.csv", "features.table",
+                     "vocabulary.csv"):
+            shutil.copy(out / name, run / name)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"search_iterations": 3}')
+        argv = ["--manifest", manifest, "--out", str(run), "--seed", "0"]
+        assert cli.main(["search", *argv, "--config", str(cfg)]) == EXIT_OK
+        best = json.loads((run / "best_config.json").read_text())
+        assert sorted(best) == ["C", "class_weight", "penalty"]
+        with open(run / "trials.csv") as fh:
+            top1 = [float(row["val_top1"]) for row in csv.DictReader(fh)]
+        record = json.loads((run / "run.json").read_text())
+        assert record["val_top1"] == max(top1)
+        assert cli.main(["train", *argv, "--config",
+                         str(run / "best_config.json")]) == EXIT_OK
+        model = json.loads((run / "model.json").read_text())
+        assert model["config"] == best
 
     def test_train_before_extract_fails_cleanly(self, tmp_path, workspace):
         _, manifest, _ = workspace
@@ -848,13 +871,21 @@ class TestStaleArtifacts:
         assert code == EXIT_VALIDATION
         assert trained["vocabulary_hash"] in err and current in err
 
-    def test_model_without_hash_accepted(self, workspace, tmp_path):
+    def test_model_without_hash_accepted(self, workspace, tmp_path, capsys):
+        """A model.json with an empty vocabulary hash, which no writer
+        makes, is refused with one line that says to retrain."""
         manifest, run = self._copy(workspace, tmp_path)
         payload = json.loads((run / "model.json").read_text())
         payload["vocabulary_hash"] = ""
         (run / "model.json").write_text(json.dumps(payload))
         assert cli.main(["evaluate", "--manifest", manifest,
-                         "--out", str(run), "--seed", "0"]) == EXIT_OK
+                         "--out", str(run), "--seed", "0"]) == EXIT_VALIDATION
+        current = cli._vocab_hash(features.read_vocabulary(
+            run / "vocabulary.csv"))
+        assert capsys.readouterr().err == (
+            f"stylus: model.json was trained on vocabulary (none recorded), "
+            f"but vocabulary.csv hashes to {current}; retrain the model\n")
+        assert not (run / "evaluation.json").exists()
 
     def test_recording_missing_from_manifest(self, workspace, tmp_path,
                                              capsys):
@@ -1240,6 +1271,7 @@ class TestRunContext:
     EXTRA_KEYS = {**{c: {"feature_counts"} for c in FEATURE_COMMANDS},
                   **{c: {"notes"} for c in ("ingest", "extract", "rolls",
                                             "augment", "concepts")},
+                  "search": {"feature_counts", "val_top1"},
                   "split": set(), "gen-synthetic": {"synthetic"}}
 
     @pytest.fixture(scope="class")

@@ -384,26 +384,27 @@ class TestAgainstPerNoteReferences:
     def test_rolls(self, tmp_path_factory, notes, crowd, late, seed,
                    min_notes, max_velocity):
         """Every roll's rectangles paint the per-note roll, survive a roll
-        file, and pool to its embedding bit for bit."""
+        file, and pool to its embedding bit for bit; melody_roll also
+        paints it."""
         c = clip_of(notes + crowd)
         rows = tuple(sorted(notes + crowd, key=lambda n: (n.onset, n.pitch)))
         assert tuple(c.notes) == rows
         path = tmp_path_factory.mktemp("rolls") / "a.roll"
-        for make, want in (
-                (lambda **kw: corpus.paint_roll(
-                    list(c.notes) + late, max_velocity, **kw),
+        painted = representations.melody_roll(c)
+        assert painted.dtype == np.float32
+        assert np.array_equal(painted, ref_melody_roll(rows))
+        for rects, want in (
+                (corpus.paint_roll(list(c.notes) + late, max_velocity),
                  ref_paint_roll(rows + tuple(late), max_velocity)),
-                (lambda **kw: representations.melody_roll(c, **kw),
+                (representations.melody_roll(c, rects=True),
                  ref_melody_roll(rows)),
-                (lambda **kw: representations.harmony_roll(c, min_notes, **kw),
+                (representations.harmony_roll(c, min_notes),
                  ref_harmony_roll(rows, min_notes)),
-                (lambda **kw: representations.rhythm_roll(c, seed, **kw),
+                (representations.rhythm_roll(c, seed),
                  ref_rhythm_roll(c, rows, seed)),
-                (lambda **kw: representations.dynamics_roll(c, seed, **kw),
+                (representations.dynamics_roll(c, seed),
                  ref_dynamics_roll(c, rows, seed))):
-            got, rects = make(), make(rects=True)
-            assert got.dtype == np.float32
-            assert np.array_equal(got, want)
+            assert rects.dtype == corpus.RECT
             assert np.array_equal(corpus.paint(rects), want)
             corpus.write_roll(path, rects)
             assert np.array_equal(corpus.read_roll(path), want)
@@ -423,9 +424,12 @@ class TestAgainstPerNoteReferences:
         painted = concepts.Embedder(
             fn=lambda roll: concepts._pool_embed(roll), dim=64)
         assert not painted.pools
-        want = concepts.masked_sensitivity(c, painted, cav, kernel, stride)
-        got = concepts.masked_sensitivity(c, concepts.default_embedder(),
-                                          cav, kernel, stride)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concepts, "MASK_KERNEL", kernel)
+            mp.setattr(concepts, "MASK_STRIDE", stride)
+            want = concepts.masked_sensitivity(c, painted, cav)
+            got = concepts.masked_sensitivity(
+                c, concepts.default_embedder(), cav)
         assert got.tobytes() == want.tobytes()
 
     def test_wrapped_pool_embed_keeps_the_product_path(self, monkeypatch):
@@ -479,9 +483,10 @@ class TestAgainstPerNoteReferences:
                                           offset=end, velocity=64)]
         parent = corpus.Transcription("r", "p", "solo", notes=notes)
         for c in corpus.segment_clips(parent):
-            got, got_t, missing = augment.time_dilate(
-                c, derive_rng(0, "t"), parent if with_parent else None,
-                dilation_range=(t, t))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(augment, "DILATION_RANGE", (t, t))
+                got, got_t, missing = augment.time_dilate(
+                    c, derive_rng(0, "t"), parent if with_parent else None)
             assert got_t == t
             assert (tuple(got.notes), missing) == ref_time_dilate(
                 c, tuple(c.notes), t, parent if with_parent else None)

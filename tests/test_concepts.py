@@ -1,6 +1,5 @@
 import itertools
 import json
-import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from stylus import concepts
+from stylus import concepts, corpus
 from stylus.concepts import ConceptExercise, Embedder
-from stylus.corpus import (PITCH_MIN, Clip, NoteEvent, paint_roll,
+from stylus.corpus import (PITCH_MIN, Clip, NoteEvent, paint, paint_roll,
                            time_to_column)
 from stylus.rng import derive_rng
 
@@ -94,8 +93,9 @@ class TestExerciseVariants:
 
 class TestRendering:
     def test_chords_rendered_through_harmony_conventions(self):
-        roll = concepts.render_chord_sequence(((60, 64, 67), (62, 65, 69)))
-        assert roll.shape == (88, 3000)
+        rects = concepts.render_chord_sequence(((60, 64, 67), (62, 65, 69)))
+        assert rects.dtype == corpus.RECT
+        roll = paint(rects)
         # two chords: equal halves of the roll
         assert roll[60 - 21, 0:1500].all()
         assert roll[62 - 21, 1500:3000].all()
@@ -110,7 +110,7 @@ class TestRendering:
     def test_variant_rolls_render_each_read_like_the_eager_list(self):
         e = ConceptExercise(concept_id=2, chords=((60, 64, 67), (62, 65, 69)))
         rolls = concepts.expand_concept(e, min_chord_notes=2)
-        want = [concepts.render_chord_sequence(seq, 2, 2)
+        want = [paint(concepts.render_chord_sequence(seq, 2))
                 for seq in concepts.exercise_variants(e, min_chord_notes=2)]
         assert len(rolls) == len(want)
         for got in (list(rolls), [rolls[i] for i in range(len(rolls))],
@@ -268,20 +268,6 @@ class TestMaskedSensitivity:
             concepts.masked_sensitivity(c, sum_embedder(),
                                         concepts.ConceptVector(y=np.ones(1)))
 
-    @pytest.mark.parametrize("kernel", [(100, 250), (0, 250), (24, 3001)])
-    def test_kernel_outside_roll_rejected(self, kernel):
-        with pytest.raises(ValueError, match=re.escape(str(kernel))):
-            concepts.masked_sensitivity(self._clip(), sum_embedder(),
-                                        concepts.ConceptVector(y=np.ones(1)),
-                                        kernel=kernel)
-
-    @pytest.mark.parametrize("stride", [(0, 200), (2, -1)])
-    def test_stride_below_one_rejected(self, stride):
-        with pytest.raises(ValueError, match=re.escape(str(stride))):
-            concepts.masked_sensitivity(self._clip(), sum_embedder(),
-                                        concepts.ConceptVector(y=np.ones(1)),
-                                        stride=stride)
-
 
 def reference_interp_grid(values, row_centres, col_centres, height, width):
     """One np.interp per grid row, then one per image column."""
@@ -303,7 +289,8 @@ def reference_sensitivity(clip, embedder, cav, kernel, stride):
     """
     notes = clip.notes
     max_velocity = max(n.velocity for n in notes)
-    s0 = concepts.concept_score(paint_roll(notes, max_velocity), embedder, cav)
+    s0 = concepts.concept_score(paint(paint_roll(notes, max_velocity)),
+                                embedder, cav)
     (kh, kw), (sh, sw) = kernel, stride
     row_starts = list(range(0, 88 - kh + 1, sh))
     col_starts = list(range(0, 3000 - kw + 1, sw))
@@ -322,7 +309,7 @@ def reference_sensitivity(clip, embedder, cav, kernel, stride):
             if not removed:
                 continue
             removed_sets.add(tuple(removed))
-            s1 = concepts.concept_score(paint_roll(keep, max_velocity),
+            s1 = concepts.concept_score(paint(paint_roll(keep, max_velocity)),
                                         embedder, cav)
             values[ri, ci] = (s0 - s1) / s0
     heat = reference_interp_grid(
@@ -383,9 +370,11 @@ class TestSensitivityOracle:
         ref_calls, calls = [], []
         want, n_sets = reference_sensitivity(
             clip, squared_pool_embedder(ref_calls), self.CAV, kernel, stride)
-        got = concepts.masked_sensitivity(
-            clip, squared_pool_embedder(calls), self.CAV, kernel=kernel,
-            stride=stride)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concepts, "MASK_KERNEL", kernel)
+            mp.setattr(concepts, "MASK_STRIDE", stride)
+            got = concepts.masked_sensitivity(
+                clip, squared_pool_embedder(calls), self.CAV)
         assert np.array_equal(got, want)
         assert len(calls) == 1 + n_sets
 

@@ -24,6 +24,11 @@ def note(onset, pitch, offset=None, velocity=64):
                      velocity=velocity)
 
 
+def write_notes(path, events):
+    """Write a note file of NoteEvents."""
+    corpus.write_note_events(path, NoteArray.from_events(events))
+
+
 class TestNoteEvent:
     def test_valid_note(self):
         n = note(1.0, 60)
@@ -143,8 +148,7 @@ class TestTranscription:
         """A note at 1e16 s would wrap its int64 frame; one ending past
         1e9 s would ask for 33M clips."""
         path = tmp_path / "long.jsonl"
-        corpus.write_note_events(path, (note(0.0, 60),
-                                        note(onset, 62, offset=2 * onset)))
+        write_notes(path, (note(0.0, 60), note(onset, 62, offset=2 * onset)))
         with pytest.raises(ValidationError, match="^long: duration"):
             corpus.parse_note_events(path)
 
@@ -153,14 +157,14 @@ class TestJsonlRoundTrip:
     def test_round_trip(self, tmp_path):
         notes = (note(0.25, 60, velocity=80), note(1.5, 72, velocity=40))
         path = tmp_path / "r.jsonl"
-        corpus.write_note_events(path, notes)
+        write_notes(path, notes)
         t = corpus.parse_note_events(path, "r", "p", "trio")
         assert tuple(t.notes) == notes
         assert (t.recording_id, t.performer, t.dataset_tag) == ("r", "p", "trio")
 
     def test_recording_id_defaults_to_stem(self, tmp_path):
         path = tmp_path / "take7.jsonl"
-        corpus.write_note_events(path, (note(0.0, 60),))
+        write_notes(path, (note(0.0, 60),))
         assert corpus.parse_note_events(path).recording_id == "take7"
 
     def test_malformed_line_reports_line_number(self, tmp_path):
@@ -219,12 +223,10 @@ class TestWriteNoteEvents:
         path = tmp_path_factory.mktemp("w") / "r.jsonl"
         events = [NoteEvent(onset=on, offset=off, pitch=p, velocity=v)
                   for on, off, p, v in rows]
-        corpus.write_note_events(path, events)
-        assert path.read_bytes() == json_text(rows)
-        notes = NoteArray.from_events(events)
-        corpus.write_note_events(path, notes)
+        corpus.write_note_events(path, NoteArray.from_events(events))
+        # notes are written in NoteArray order: stable by (onset, pitch)
         assert path.read_bytes() == json_text(
-            zip(*(c.tolist() for c in notes.columns())))
+            sorted(rows, key=lambda r: (r[0], r[2])))
 
     def test_numpy_scalar_fields_write_plain_numbers(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -232,7 +234,7 @@ class TestWriteNoteEvents:
                           pitch=np.int64(60), velocity=np.int64(64))
         with pytest.raises(TypeError):   # why the writer converts
             json.dumps({"pitch": event.pitch})
-        corpus.write_note_events(path, [event])
+        write_notes(path, [event])
         assert path.read_text() == ('{"onset": 0.3, "offset": 0.5, '
                                     '"pitch": 60, "velocity": 64}\n')
 
@@ -626,7 +628,7 @@ class TestNoteStore:
 
     def test_file_edited_after_writing_is_decoded(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        corpus.write_note_events(path, (note(0.25, 60), note(1.5, 72)))
+        write_notes(path, (note(0.25, 60), note(1.5, 72)))
         write_store(tmp_path / "notes.store", path)
         edited = path.read_bytes().replace(b'"pitch": 72', b'"pitch": 73')
         assert len(edited) == path.stat().st_size
@@ -639,7 +641,7 @@ class TestNoteStore:
     def test_moved_file_still_hits(self, tmp_path):
         path = tmp_path / "a" / "r.jsonl"
         path.parent.mkdir()
-        corpus.write_note_events(path, (note(0.25, 60), note(1.5, 72)))
+        write_notes(path, (note(0.25, 60), note(1.5, 72)))
         write_store(tmp_path / "notes.store", path)
         moved = tmp_path / "b" / "s.jsonl"
         path.parent.rename(moved.parent)
@@ -656,7 +658,7 @@ class TestNoteStore:
             (tmp_path / d).mkdir()
             files = [tmp_path / d / f"{i}.jsonl" for i in range(3)]
             for f, notes in zip(files, (one, (note(0.0, 21),), one)):
-                corpus.write_note_events(f, notes)
+                write_notes(f, notes)
             write_store(tmp_path / d / "notes.store", *files)
             stores.append((tmp_path / d / "notes.store").read_bytes())
         assert stores[0] == stores[1]
@@ -665,7 +667,7 @@ class TestNoteStore:
 
     def test_missing_store_is_empty(self, tmp_path):
         path = tmp_path / "r.jsonl"
-        corpus.write_note_events(path, (note(0.25, 60),))
+        write_notes(path, (note(0.25, 60),))
         store = corpus.NoteStore(tmp_path / "notes.store")
         corpus.parse_note_events(path, store=store)
         assert store.counts == {"from_store": 0, "decoded": 1}
@@ -690,7 +692,7 @@ class TestNoteStore:
             "block", "index"])
     def test_damaged_store_refused(self, tmp_path, damage, reason):
         path = tmp_path / "r.jsonl"
-        corpus.write_note_events(path, (note(0.25, 60), note(1.5, 72)))
+        write_notes(path, (note(0.25, 60), note(1.5, 72)))
         store_path = tmp_path / "notes.store"
         write_store(store_path, path)
         store_path.write_bytes(damage(store_path.read_bytes()))
@@ -702,7 +704,7 @@ class TestNoteStore:
 
     def test_failed_write_keeps_the_earlier_store(self, tmp_path):
         good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
-        corpus.write_note_events(good, (note(0.25, 60),))
+        write_notes(good, (note(0.25, 60),))
         bad.write_text(V.replace('"velocity": 64', '"velocity": 0') + "\n")
         store_path = tmp_path / "notes.store"
         for earlier in (None, good):
@@ -850,6 +852,11 @@ class TestSegmentation:
             corpus.segment_clips(self._recording(60.0), hop=31.0)
 
 
+def painted(notes, max_velocity=None):
+    """The pixels of ``paint_roll``'s rectangles."""
+    return corpus.paint(corpus.paint_roll(notes, max_velocity))
+
+
 class TestPianoRoll:
     def test_time_to_column(self):
         assert corpus.time_to_column(0.0) == 0
@@ -860,7 +867,7 @@ class TestPianoRoll:
 
     def test_shape_and_placement(self):
         c = Clip("r", "p", 0.0, notes=(note(1.0, 60, offset=1.5, velocity=100),))
-        roll = corpus.paint_roll(c.notes)
+        roll = painted(c.notes)
         assert roll.shape == (88, 3000)
         assert roll[60 - 21, 100:150].min() == 1.0
         assert roll[60 - 21, 99] == 0.0 and roll[60 - 21, 150] == 0.0
@@ -868,31 +875,31 @@ class TestPianoRoll:
     def test_velocity_normalised_to_clip_max(self):
         c = Clip("r", "p", 0.0, notes=(note(0.0, 60, velocity=50),
                                        note(1.0, 62, velocity=100)))
-        roll = corpus.paint_roll(c.notes)
+        roll = painted(c.notes)
         assert roll.max() == 1.0
         assert roll[60 - 21, 0] == np.float32(0.5)
 
     def test_max_velocity_override(self):
-        roll = corpus.paint_roll((note(0.0, 60, velocity=64),),
-                                 max_velocity=127)
+        roll = painted((note(0.0, 60, velocity=64),), max_velocity=127)
         assert roll[60 - 21, 0] == np.float32(64 / 127)
 
     def test_very_short_note_paints_one_column(self):
-        roll = corpus.paint_roll((note(1.0, 60, offset=1.001),))
+        roll = painted((note(1.0, 60, offset=1.001),))
         assert roll[60 - 21].sum() == 1.0
 
     def test_overlapping_notes_keep_maximum(self):
-        roll = corpus.paint_roll((note(0.0, 60, offset=1.0, velocity=100),
-                                  note(0.5, 60, offset=1.5, velocity=50)),
-                                 max_velocity=100)
+        roll = painted((note(0.0, 60, offset=1.0, velocity=100),
+                        note(0.5, 60, offset=1.5, velocity=50)),
+                       max_velocity=100)
         assert roll[60 - 21, 60] == 1.0
 
     def test_offset_clamped_to_clip_end(self):
-        roll = corpus.paint_roll((note(29.5, 60, offset=31.0),))
+        roll = painted((note(29.5, 60, offset=31.0),))
         assert roll[60 - 21, 2999] == 1.0
 
     def test_empty_roll(self):
-        assert corpus.paint_roll(()).sum() == 0.0
+        assert len(corpus.paint_roll(())) == 0
+        assert painted(()).sum() == 0.0
 
 
 class TestRollFile:
@@ -914,15 +921,14 @@ class TestRollFile:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.roll"
-        corpus.write_roll(path, corpus.paint_roll(self.NOTES, rects=True))
-        assert np.array_equal(corpus.read_roll(path),
-                              corpus.paint_roll(self.NOTES))
+        corpus.write_roll(path, corpus.paint_roll(self.NOTES))
+        assert np.array_equal(corpus.read_roll(path), painted(self.NOTES))
 
     def test_bytes_are_the_records(self, tmp_path):
         """Notes that overlap in a row are written as the disjoint runs
         they paint, after the other notes."""
         path, want = tmp_path / "a.roll", tmp_path / "b.roll"
-        corpus.write_roll(path, corpus.paint_roll(self.NOTES, rects=True))
+        corpus.write_roll(path, corpus.paint_roll(self.NOTES))
         self._write(want, [(51, 200, 2900, 1.0), (39, 0, 100, 100 / 127),
                            (39, 100, 150, 50 / 127)])
         assert path.read_bytes() == want.read_bytes()

@@ -68,17 +68,31 @@ def random_transcription(rng, max_notes=20, lo=40, hi=90):
     return transcription(notes)
 
 
+def ngrams_of_one(melody, n_values=NGRAM_SIZES) -> Counter:
+    """``extract_ngrams`` of a batch of one recording: its Counter."""
+    [counts] = features.extract_ngrams(
+        melody, np.zeros(len(melody), dtype=np.int64), n_values)
+    return counts
+
+
+def voicings_of_one(t, n_values=VOICING_SIZES) -> Counter:
+    """``extract_voicings`` of a batch of one recording: its Counter."""
+    [counts] = features.extract_voicings(features.quantise([t]), n_values)
+    return counts
+
+
 class TestQuantise:
     def test_frame_grouping_rounds_to_nearest(self):
         t = transcription([note(0.04, 60), note(0.05, 62), note(0.14, 64)])
         frames = features.quantise(t)
         # 0.04 -> frame 0; 0.05 and 0.14 round to frame 1
-        assert list(frames.time) == [0.0, pytest.approx(0.1)]
+        assert frames.index.tolist() == [0, 1, 1]
+        assert frames.starts.tolist() == [0, 1]
         assert frames.notes.pitch[frames.index == 1].tolist() == [62, 64]
 
     def test_tie_rounds_up(self):
         t = transcription([note(0.35, 60)])
-        assert features.quantise(t).time[0] == pytest.approx(0.4)
+        assert features.quantise(t).index.tolist() == [4]   # 0.4 s
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
@@ -109,55 +123,55 @@ class TestNgrams:
 
     def test_deltas_from_first_note(self):
         m = self._melody([(0.0, 60), (0.5, 59), (1.0, 58), (1.5, 57)])
-        counts = features.extract_ngrams(m)
+        counts = ngrams_of_one(m)
         assert counts[(0, -1, -2)] == 2
         assert counts[(0, -1, -2, -3)] == 1
 
     def test_span_filter(self):
         m = self._melody([(0.0, 60), (0.5, 73), (1.0, 60)])
-        assert features.extract_ngrams(m) == Counter()  # span 13 > 12
+        assert ngrams_of_one(m) == Counter()  # span 13 > 12
 
     def test_span_of_twelve_kept(self):
         m = self._melody([(0.0, 60), (0.5, 72), (1.0, 60)])
-        assert features.extract_ngrams(m)[(0, 12, 0)] == 1
+        assert ngrams_of_one(m)[(0, 12, 0)] == 1
 
     def test_gap_filter_uses_raw_times(self):
         m = NoteArray.from_events([note(0.0, 60, offset=0.2),
                                    note(2.3, 62, offset=2.5),  # 2.1 s silence
                                    note(2.6, 64, offset=2.8)])
-        assert features.extract_ngrams(m) == Counter()
+        assert ngrams_of_one(m) == Counter()
 
     def test_gap_of_two_seconds_kept(self):
         m = NoteArray.from_events([note(0.0, 60, offset=0.2),
                                    note(2.2, 62, offset=2.4),
                                    note(2.5, 64, offset=2.7)])
-        assert features.extract_ngrams(m)[(0, 2, 4)] == 1
+        assert ngrams_of_one(m)[(0, 2, 4)] == 1
 
 
 class TestVoicings:
     def test_offsets_above_bass(self):
         t = transcription([note(0.0, 48), note(0.0, 52), note(0.0, 55)])
-        counts = features.extract_voicings(features.quantise(t))
+        counts = voicings_of_one(t)
         assert counts[(0, 4, 7)] == 1
 
     def test_distinct_pitch_counting(self):
         # doubled pitch: only two distinct pitches, below minimum size
         t = transcription([note(0.0, 48), note(0.01, 48), note(0.0, 55)])
-        assert features.extract_voicings(features.quantise(t)) == Counter()
+        assert voicings_of_one(t) == Counter()
 
     def test_size_bounds(self):
         small = transcription([note(0.0, 48), note(0.0, 52)])
-        assert features.extract_voicings(features.quantise(small)) == Counter()
+        assert voicings_of_one(small) == Counter()
         big = transcription([note(0.0, 40 + 3 * i) for i in range(8)])
-        assert features.extract_voicings(features.quantise(big)) == Counter()
+        assert voicings_of_one(big) == Counter()
 
     def test_two_large_leaps_discarded(self):
         t = transcription([note(0.0, 30), note(0.0, 46), note(0.0, 62)])
-        assert features.extract_voicings(features.quantise(t)) == Counter()
+        assert voicings_of_one(t) == Counter()
 
     def test_one_large_leap_kept(self):
         t = transcription([note(0.0, 30), note(0.0, 46), note(0.0, 50)])
-        counts = features.extract_voicings(features.quantise(t))
+        counts = voicings_of_one(t)
         assert counts[(0, 16, 20)] == 1
 
 
@@ -442,8 +456,11 @@ class TestBatchOracle:
         a = transcription([note(0.0, 60), note(0.44, 62), note(5.0, 64)])
         b = transcription([note(0.06, 60), note(0.3, 62)])
         frames = features.quantise([a, b])
-        assert np.array_equal(frames.time, np.concatenate(
-            [features.quantise(a).time, features.quantise(b).time]))
+        # each recording's frames are its own, moved past the one before
+        for r, t in enumerate((a, b)):
+            own = features.quantise(t).index
+            moved = frames.index[frames.recording == r]
+            assert np.array_equal(moved - moved[0], own - own[0])
         assert frames.index.tolist() == [0, 4, 50, 51, 53]
         assert frames.recording.tolist() == [0, 0, 0, 1, 1]
 
@@ -469,16 +486,16 @@ class TestFeatureSizeLimit:
         m = NoteArray.from_events(note(0.5 * i, 60 + 12 * (i % 2))
                                   for i in range(14))
         with pytest.raises(ValueError, match=r"\[1, 10\], got \[11, 14\]"):
-            features.extract_ngrams(m, n_values=(14, 11))
-        assert features.extract_ngrams(m, n_values=(10,)) == {
+            ngrams_of_one(m, n_values=(14, 11))
+        assert ngrams_of_one(m, n_values=(10,)) == {
             (0, 12) * 5: 3, (0, -12) * 5: 2}
 
     def test_voicing_codes_past_the_limit_refused(self):
         pitches = [21, 36, 51, 66, 81, 96, 97, 98, 99, 108]
-        frames = features.quantise(transcription(note(0.0, p)
-                                                 for p in pitches))
-        assert features.extract_voicings(frames, n_values=(10,)) == {
-            tuple(p - 21 for p in pitches): 1}
+        frames = features.quantise([transcription(note(0.0, p)
+                                                  for p in pitches)])
+        assert features.extract_voicings(frames, n_values=(10,)) == [{
+            tuple(p - 21 for p in pitches): 1}]
         for sizes in [(11,), (0, 3)]:
             with pytest.raises(ValueError, match="feature sizes"):
                 features.extract_voicings(frames, n_values=sizes)

@@ -229,6 +229,11 @@ class TestStatistics:
     def test_left_tail_p_never_zero(self):
         assert interpret.left_tail_permutation_p(-np.inf, np.zeros(99)) == 0.01
 
+    def test_left_tail_p_counts_nan_null_at_or_below(self):
+        null = np.array([np.nan, 0.9, 0.1])
+        assert interpret.left_tail_permutation_p(0.5, null) == 3 / 4
+        assert interpret.left_tail_permutation_p(-1.0, null) == 2 / 4
+
 
 class TestDatasetCorrelation:
     def _data(self, rng, flip_trio=False):
@@ -279,6 +284,30 @@ class TestDatasetCorrelation:
                 X, y, tags, [0, 1, 2, 3], LRConfig(), n_perm=5, seed=0)
         assert set(report.r) == {"a", "b"}
         assert any("missing" in r.message for r in caplog.records)
+
+    def test_undefined_r_excluded(self, caplog):
+        """Columns 0-2 are zero in every trio row, so each performer's trio
+        weights on them are constant and r is undefined: it was reported
+        as NaN with p = 1 / (n_perm + 1), the smallest p there is."""
+        import logging
+        rng = np.random.default_rng(3)
+        X, y, tags = [], [], []
+        for tag in ("solo", "trio"):
+            for p, col in (("a", 0), ("b", 1)):
+                for _ in range(10):
+                    row = rng.normal(scale=0.1, size=4)
+                    row[col] += 2.0
+                    if tag == "trio":
+                        row[:3] = 0.0
+                    X.append(row)
+                    y.append(p)
+                    tags.append(tag)
+        with caplog.at_level(logging.WARNING, logger="stylus"):
+            report = interpret.dataset_weight_correlation(
+                np.array(X), y, tags, [0, 1, 2], LRConfig(), n_perm=9)
+        assert report.r == {} and report.p == {}
+        assert sorted(r.getMessage().split()[1] for r in caplog.records
+                      if "undefined" in r.getMessage()) == ["a", "b"]
 
     def test_few_rows_per_performer_survive_the_shuffle(self):
         # 3 performers x 2 rows per tag: a shuffle of tags across all

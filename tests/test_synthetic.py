@@ -180,8 +180,9 @@ class TestRecordings:
                     yield tuple(p - window[0] for p in window)
 
         allowed = {s for p in patterns for s in slices(p)}
-        extracted = features.extract_ngrams(
-            features.skyline(features.quantise(t)))
+        frames = features.quantise([t])
+        [extracted] = features.extract_ngrams(
+            features.skyline(frames), frames.recording[frames.starts])
         assert set(extracted) <= allowed
 
 
