@@ -117,9 +117,14 @@ def _lbfgs_direction(g, history) -> np.ndarray:
 
 
 def label_index(class_labels, y) -> np.ndarray:
-    """Each label of ``y`` as its position in ``class_labels``."""
+    """Each label of ``y`` as its position in ``class_labels``, the
+    performers a model was trained on; any other is a ValidationError."""
     position = {lab: i for i, lab in enumerate(class_labels)}
-    return np.array([position[v] for v in y])
+    try:
+        return np.array([position[v] for v in y])
+    except KeyError as exc:
+        raise ValidationError(f"performer {exc.args[0]!r} has no training "
+                              f"recording") from None
 
 
 def fit(X, y, config: LRConfig = LRConfig()) -> LRModel:

@@ -153,7 +153,7 @@ def _require(path: Path, what: str):
 
 def _load_features(out_dir: Path):
     """(FeatureTable, vocabulary) in ``out_dir``: the counts come from
-    features.table if it was written from features.csv's exact bytes."""
+    features.table, refused unless written from features.csv's bytes."""
     table = features.read_feature_counts(
         _require(out_dir / "features.csv", "feature dump"))
     vocab = features.read_vocabulary(
@@ -212,8 +212,7 @@ class Run:
 
     @cached_property
     def features(self) -> Features:
-        """The feature dump in --out, labelled from the manifest; run.json's
-        ``feature_counts`` says where the counts came from."""
+        """The feature dump in --out, labelled from the manifest."""
         table, vocab = _load_features(self.out)
         by_id = {e.recording_id: e for e in self.manifest}
         rids = table.recording_ids
@@ -223,7 +222,6 @@ class Run:
                 f"features.csv names {len(missing)} recording(s) missing "
                 f"from the manifest: {', '.join(missing)}")
         X = features.tfidf(features.count_matrix(table, vocab))
-        self.record["feature_counts"] = table.source
         return Features(rids, vocab, X, [by_id[r].performer for r in rids],
                         [by_id[r].dataset_tag for r in rids])
 
@@ -572,7 +570,7 @@ def main(argv=None) -> int:
         run = Run(args)
         HANDLERS[args.command](run, config)
         run.write_info(config, started)
-    except (corpus.ValidationError, corpus.ParseError, ValueError) as exc:
+    except ValueError as exc:   # ValidationError and ParseError too
         print(f"stylus: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

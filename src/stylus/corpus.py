@@ -100,35 +100,27 @@ def read_utf8(path, error=ValidationError, data=None) -> str:
 @contextmanager
 def open_table(path, columns, header_error=ValidationError, data=None):
     """Yield the non-blank rows of a CSV table (``data``: its bytes, if read)
-    as tuples of their fields in ``columns`` (two or more). A header that
-    does not parse or lacks a column raises ``header_error``; a short row, a
-    csv error or a ValueError raised in the block becomes a ValidationError
-    naming the file and line, as does a byte that is not UTF-8."""
-    with (open(path, newline="", encoding="utf-8") if data is None else
-          io.StringIO(read_utf8(path, data=data), newline="")) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-        except csv.Error as exc:
-            raise header_error(f"{path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError:
-            read_utf8(path)
-            raise
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise header_error(f"{path}:{reader.line_num}: header lacks "
-                               f"column(s) {', '.join(missing)}")
-        pick = itemgetter(*(header.index(c) for c in columns))
-        try:
-            yield map(pick, filter(None, reader))
-        except UnicodeDecodeError:
-            read_utf8(path)
-            raise
-        except (csv.Error, IndexError, ValueError) as exc:
-            reason = ("too few fields" if isinstance(exc, IndexError)
-                      else str(exc))
-            raise ValidationError(
-                f"{path}:{reader.line_num}: {reason}") from None
+    as tuples of their fields in ``columns`` (two or more). A byte that is
+    not UTF-8 raises a ValidationError naming the file and line, before any
+    row is read. A header that does not parse or lacks a column raises
+    ``header_error``; a short row, a csv error or a ValueError raised in the
+    block becomes a ValidationError naming the file and line."""
+    reader = csv.reader(io.StringIO(read_utf8(path, data=data), newline=""))
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise header_error(f"{path}:{reader.line_num}: {exc}") from None
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise header_error(f"{path}:{reader.line_num}: header lacks "
+                           f"column(s) {', '.join(missing)}")
+    pick = itemgetter(*(header.index(c) for c in columns))
+    try:
+        yield map(pick, filter(None, reader))
+    except (csv.Error, IndexError, ValueError) as exc:
+        reason = ("too few fields" if isinstance(exc, IndexError)
+                  else str(exc))
+        raise ValidationError(f"{path}:{reader.line_num}: {reason}") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -578,13 +570,15 @@ def write_splits(path, assignment: dict[str, str]) -> None:
 
 
 def read_splits(path) -> dict[str, str]:
-    """Recording id to split; a missing column, a short row or an unknown
-    split is a ValidationError naming the line."""
+    """Recording id to split; a missing column, a short row, an unknown split
+    or a repeated recording id is a ValidationError naming the line."""
     out = {}
     with open_table(path, SPLIT_COLUMNS) as rows:
         for rid, split in rows:
             if split not in SPLITS:
                 raise ValueError(f"unknown split {split!r}")
+            if rid in out:
+                raise ValueError(f"recording id {rid!r} repeated")
             out[rid] = split
     return out
 

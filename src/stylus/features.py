@@ -279,19 +279,15 @@ def build_vocabulary(per_recording_counts, min_df: int = MIN_DF,
 class FeatureTable:
     """Feature counts as columns: triple ``i`` counts ``count[i]`` of
     feature ``keys[key[i]]``, a (kind, feature tuple) pair, in recording
-    ``recording_ids[row[i]]``. Recordings keep their order of first
-    appearance. Tables are equal when their ids, in order, and their
-    per-recording counts are; ``source`` says where the counts came from."""
+    ``recording_ids[row[i]]``."""
     recording_ids: tuple
     keys: tuple
     row: np.ndarray
     key: np.ndarray
     count: np.ndarray
-    source: str = "counts"
 
     @classmethod
-    def from_dicts(cls, recording_ids, per_recording_counts,
-                   source: str = "counts") -> FeatureTable:
+    def from_dicts(cls, recording_ids, per_recording_counts) -> FeatureTable:
         """The table of per-recording dicts keyed by (kind, feature tuple);
         the recording ids must be distinct, as a manifest's are."""
         if len(set(recording_ids)) < len(recording_ids):
@@ -310,7 +306,7 @@ class FeatureTable:
                    rank[key], np.fromiter(
                        chain.from_iterable(c.values() for c in
                                            per_recording_counts),
-                       dtype=float, count=n), source)
+                       dtype=float, count=n))
 
     def to_dicts(self) -> list[dict]:
         """Each recording's counts keyed by (kind, feature tuple)."""
@@ -319,11 +315,6 @@ class FeatureTable:
                            self.count.tolist()):
             out[r][self.keys[k]] = c
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, FeatureTable)
-                and self.recording_ids == other.recording_ids
-                and self.to_dicts() == other.to_dicts())
 
 
 def count_matrix(table, vocab: FeatureVocabulary) -> np.ndarray:
@@ -382,10 +373,11 @@ class _TableFile(BlockFile):
     magic, what, writes = b"FTB2", "feature table", "extract"
     blocks = (("u1",), ("<u4", "<u4", "<f8"))
 
-    def get(self, key: bytes) -> FeatureTable | None:
+    def get(self, key: bytes, dump) -> FeatureTable:
+        """The table of the bytes of ``dump`` whose SHA-256 is ``key``."""
         blocks = self.read(key, *self.blocks)
         if blocks is None:
-            return None
+            raise self._error(f"was not written from {dump}")
         (names,), (row, col, counts) = blocks
         try:
             rids, keys = json.loads(names.tobytes())
@@ -394,7 +386,7 @@ class _TableFile(BlockFile):
             raise self._error(f"block invalid: {exc}") from None
         if not ((row < len(rids)).all() and (col < len(keys)).all()):
             raise self._error("index out of bounds")
-        return FeatureTable(tuple(rids), keys, row, col, counts, "table")
+        return FeatureTable(tuple(rids), keys, row, col, counts)
 
 
 def write_feature_table(path, table: FeatureTable) -> None:
@@ -409,34 +401,14 @@ def write_feature_table(path, table: FeatureTable) -> None:
 
 
 def read_feature_counts(path) -> FeatureTable:
-    """The FeatureTable of a feature dump: from the ".table" file beside it
-    if its key is the SHA-256 of the dump's bytes (``write_feature_table``),
-    else parsed from the dump. A table that does not validate is a
-    ValidationError naming it. Parsing keeps recordings in order of first
-    appearance, lets a repeated (recording, feature) row overwrite the
-    earlier one and parses each distinct (feature_kind, feature_string)
-    once; a missing column, a short row or a field that is not an integer
-    is a ValidationError naming the file and line.
+    """The FeatureTable of a feature dump, read from the ".table" file
+    beside it under the SHA-256 of the dump's bytes (``write_feature_table``).
+    A dump without a table so keyed, edited or left by a failed extract, or
+    a table that does not validate, is a ValidationError naming the table.
     """
     with open(path, "rb") as fh:
         key = hashlib.file_digest(fh, "sha256").digest()
-    stored = _TableFile(Path(path).with_suffix(".table")).get(key)
-    if stored is not None:
-        return stored
-    by_rid: dict[str, dict] = {}
-    keys: dict[tuple, tuple] = {}
-    with open_table(path, FEATURE_COLUMNS) as rows:
-        for rid, kind, text, count in rows:
-            counts = by_rid.get(rid)
-            if counts is None:
-                counts = by_rid[rid] = {}
-            if not kind:
-                continue
-            key = keys.get((kind, text))
-            if key is None:
-                key = keys[kind, text] = (kind, parse_feature_string(text))
-            counts[key] = int(count)
-    return FeatureTable.from_dicts(list(by_rid), list(by_rid.values()), "csv")
+    return _TableFile(Path(path).with_suffix(".table")).get(key, path)
 
 
 def write_vocabulary(path, vocab: FeatureVocabulary) -> None:
@@ -446,12 +418,17 @@ def write_vocabulary(path, vocab: FeatureVocabulary) -> None:
 
 
 def read_vocabulary(path) -> FeatureVocabulary:
-    """Vocabulary from ``write_vocabulary``'s file; malformed rows are
-    ValidationErrors as in ``read_feature_counts``."""
-    feats, dfs = [], []
+    """Vocabulary from ``write_vocabulary``'s file. A missing column, a short
+    row, a field that is not an integer, a kind other than melody or harmony
+    or a repeated (kind, feature) is a ValidationError naming the line."""
+    dfs: dict = {}
     with open_table(path, VOCABULARY_COLUMNS[1:]) as rows:
         for kind, text, df in rows:
-            feats.append((kind, parse_feature_string(text)))
-            dfs.append(int(df))
-    return FeatureVocabulary(features=tuple(feats),
-                             document_frequency=tuple(dfs))
+            if kind not in (KIND_MELODY, KIND_HARMONY):
+                raise ValueError(f"unknown kind {kind!r}")
+            feat = (kind, parse_feature_string(text))
+            if feat in dfs:
+                raise ValueError(f"{kind} feature {text!r} repeated")
+            dfs[feat] = int(df)
+    return FeatureVocabulary(features=tuple(dfs),
+                             document_frequency=tuple(dfs.values()))

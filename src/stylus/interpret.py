@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,15 +30,39 @@ def _accuracy(logits, y_idx) -> float:
                   == y_idx).mean())
 
 
-def _permuted_accuracy(logits, partial, y_idx, rng):
-    """Accuracy after one shared row permutation of a column group.
-
-    The model is linear, so the group adds ``partial = X[:, cols] @
-    W[:, cols].T`` to the logits, and shuffling the group's rows shuffles
-    the rows of ``partial``.
-    """
-    perm = rng.permutation(partial.shape[0])
-    return _accuracy(logits - partial + partial[perm], y_idx)
+def _importance(model: LRModel, X_test, y_test, columns, k, n_iter: int,
+                seed: int, stream: str, group: str) -> ImportanceReport:
+    """Mean accuracy loss over ``n_iter`` shuffles of a column group: all
+    of ``columns`` if ``k`` is None, else ``k`` of them drawn afresh each
+    iteration. Iteration ``i`` draws from ``derive_rng(seed, stream,
+    group, i)``: the subset, then one row permutation shared by the group's
+    columns. The model is linear, so the group adds ``partial = X[:, cols]
+    @ W[:, cols].T`` to the logits, and shuffling the group's rows shuffles
+    the rows of ``partial``."""
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
+    columns = np.asarray(columns, dtype=int)
+    if k is not None and k > columns.size:
+        raise ValueError(f"K={k} exceeds the {columns.size} features "
+                         "of this group")
+    X = np.asarray(X_test, dtype=float)
+    logits = decision_function(model, X)
+    y_idx = label_index(model.class_labels, y_test)
+    baseline = _accuracy(logits, y_idx)
+    if k is None:
+        partial = X[:, columns] @ model.W[:, columns].T
+    losses = np.empty(n_iter)
+    for i in range(n_iter):
+        rng = derive_rng(seed, stream, group, i)
+        if k is not None:
+            subset = rng.choice(columns, size=k, replace=False)
+            partial = X[:, subset] @ model.W[:, subset].T
+        perm = rng.permutation(partial.shape[0])
+        losses[i] = baseline - _accuracy(logits - partial + partial[perm],
+                                         y_idx)
+    return ImportanceReport(group=group,
+                            mean_accuracy_loss=float(losses.mean()),
+                            sd=float(losses.std()), iterations=n_iter)
 
 
 def permutation_importance(model: LRModel, X_test, y_test, columns,
@@ -49,48 +73,17 @@ def permutation_importance(model: LRModel, X_test, y_test, columns,
     Each iteration applies one shared row permutation to every selected
     column, preserving within-group covariance.
     """
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    X = np.asarray(X_test, dtype=float)
-    logits = decision_function(model, X)
-    columns = np.asarray(columns, dtype=int)
-    y_idx = label_index(model.class_labels, y_test)
-    baseline = _accuracy(logits, y_idx)
-    partial = X[:, columns] @ model.W[:, columns].T
-    losses = np.empty(n_iter)
-    for i in range(n_iter):
-        rng = derive_rng(seed, "perm-importance", group, i)
-        losses[i] = baseline - _permuted_accuracy(
-            logits, partial, y_idx, rng)
-    return ImportanceReport(group=group,
-                            mean_accuracy_loss=float(losses.mean()),
-                            sd=float(losses.std()), iterations=n_iter)
+    return _importance(model, X_test, y_test, columns, None, n_iter, seed,
+                       "perm-importance", group)
 
 
 def subset_importance(model: LRModel, X_test, y_test, columns, k: int,
                       n_iter: int = 1000, seed: int = 0,
                       group: str = "") -> ImportanceReport:
     """Mean accuracy loss over random K-column subsets of a feature group."""
-    if n_iter < 1:
-        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    columns = np.asarray(columns, dtype=int)
-    if k > columns.size:
-        raise ValueError(f"K={k} exceeds the {columns.size} features "
-                         "of this group")
-    X = np.asarray(X_test, dtype=float)
-    logits = decision_function(model, X)
-    y_idx = label_index(model.class_labels, y_test)
-    baseline = _accuracy(logits, y_idx)
-    losses = np.empty(n_iter)
-    for i in range(n_iter):
-        rng = derive_rng(seed, "subset-importance", group, i)
-        subset = rng.choice(columns, size=k, replace=False)
-        partial = X[:, subset] @ model.W[:, subset].T
-        losses[i] = baseline - _permuted_accuracy(
-            logits, partial, y_idx, rng)
-    return ImportanceReport(group=group or f"subset-{k}",
-                            mean_accuracy_loss=float(losses.mean()),
-                            sd=float(losses.std()), iterations=n_iter)
+    report = _importance(model, X_test, y_test, columns, k, n_iter, seed,
+                         "subset-importance", group)
+    return report if group else replace(report, group=f"subset-{k}")
 
 
 def top_k_features(W, k: int) -> np.ndarray:

@@ -4,9 +4,7 @@ Runs every analysis subcommand (``search``, ``evaluate``, ``importance``,
 ``correlate``, ``pca``, ``report``) over the fixed-seed corpus of
 ``test_feature_path`` with small counts, and pins the SHA-256 of what each
 writes, so a change to a table writer, the solver or an interpretation
-method that moves a byte shows here. The pins hold when each subcommand
-reads the feature table extract wrote, and when that table is deleted and
-each parses ``features.csv``.
+method that moves a byte shows here.
 """
 
 import hashlib
@@ -43,10 +41,9 @@ OUTPUT_SHA256 = {
 }
 
 
-def _run(tmp_path_factory, table=True):
-    """Every analysis subcommand run over the pinned corpus, each recording
-    in run.json where its counts came from. Without ``table``,
-    features.table is deleted after extract."""
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """Every analysis subcommand run over the pinned corpus."""
     root = tmp_path_factory.mktemp("analysis_path")
     manifest = synthetic.write_corpus(root / "corpus", CORPUS)
     cfg = root / "cfg.json"
@@ -57,33 +54,10 @@ def _run(tmp_path_factory, table=True):
         assert cli.main([command, "--manifest", str(manifest),
                          "--out", str(out), "--seed", "0",
                          "--config", str(cfg)]) == EXIT_OK
-        record = json.loads((out / "run.json").read_text())
-        if command == "extract" and not table:
-            (out / "features.table").unlink()
-        elif command not in ("split", "extract"):
-            assert record["feature_counts"] == ("table" if table else "csv")
     return out
-
-
-@pytest.fixture(scope="module")
-def run_dir(tmp_path_factory):
-    return _run(tmp_path_factory)
-
-
-@pytest.fixture(scope="module")
-def parsed_run_dir(tmp_path_factory):
-    """features.table deleted after extract, so each subcommand parses the
-    dump."""
-    return _run(tmp_path_factory, table=False)
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
 def test_output_pinned(run_dir, name):
     data = (run_dir / name).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]
-
-
-@pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
-def test_output_pinned_when_each_parses_the_dump(parsed_run_dir, name):
-    data = (parsed_run_dir / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]

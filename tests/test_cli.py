@@ -143,7 +143,7 @@ class TestExitCodes:
             f"stylus: {notes}:2: not UTF-8: byte 0xff: invalid start byte"]
         assert not (tmp_path / "run" / "ingest.csv").exists()
 
-    # the bad byte in the first text chunk, read with the header, or past it
+    # the bad byte on the first row, or 400 rows past it
     @pytest.mark.parametrize("rows_before", [1, 400])
     def test_manifest_not_utf8_names_file_and_line(self, capsys, tmp_path,
                                                    rows_before):
@@ -705,14 +705,10 @@ def _reseal(data, start):
     return data[:-20] + crc + data[-16:]
 
 
-def _feature_counts_record(out):
-    return json.loads((out / "run.json").read_text())["feature_counts"]
-
-
 class TestFeatureTable:
-    """``extract`` writes ``features.table``, which the feature-loading
-    subcommands read in place of parsing ``features.csv``, only while it
-    was written from the exact bytes of that file."""
+    """``extract`` writes ``features.table``, the one source of counts for
+    the feature-loading subcommands, which refuse it unless it was written
+    from the exact bytes of ``features.csv``."""
     CORPUS = synthetic.SyntheticConfig(n_performers=3, n_recordings=4,
                                        events_per_recording=20, seed=2)
 
@@ -734,24 +730,13 @@ class TestFeatureTable:
                          "--out", str(out), "--seed", "0",
                          "--config", str(cfg)])
 
-    def _train(self, manifest, out):
-        assert self._run("train", manifest, out) == EXIT_OK
-        return (out / "model.json").read_bytes()
+    @staticmethod
+    def _refusal(out):
+        return [f"stylus: {out / 'features.table'}: feature table was not "
+                f"written from {out / 'features.csv'}; re-run extract"]
 
-    def test_run_json_says_where_counts_came_from(self, run):
-        manifest, out = run
-        model = self._train(manifest, out)
-        assert _feature_counts_record(out) == "table"
-        for command in ("search", "evaluate", "importance", "correlate",
-                        "pca", "report"):
-            assert self._run(command, manifest, out) == EXIT_OK
-            assert _feature_counts_record(out) == "table"
-        (out / "features.table").unlink()
-        assert self._train(manifest, out) == model
-        assert _feature_counts_record(out) == "csv"
-
-    def test_edited_dump_is_parsed(self, run):
-        manifest, out = run
+    @staticmethod
+    def _edit_first_count(out):
         path = out / "features.csv"
         data = path.read_bytes()
         # the last digit of the first count, so the file keeps its size
@@ -760,10 +745,32 @@ class TestFeatureTable:
                          + data[end + 1:])
         edited = path.read_bytes()
         assert len(edited) == len(data) and edited != data
-        model = self._train(manifest, out)
-        assert _feature_counts_record(out) == "csv"
-        (out / "features.table").unlink()
-        assert self._train(manifest, out) == model
+
+    def test_edited_dump_is_parsed(self, run, capsys):
+        """An edited dump is not parsed: it is refused."""
+        manifest, out = run
+        self._edit_first_count(out)
+        capsys.readouterr()
+        assert self._run("train", manifest, out) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == self._refusal(out)
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("change", ["edit", "delete"])
+    def test_dump_without_its_table_refused_by_every_loader(self, run,
+                                                            capsys, change):
+        manifest, out = run
+        assert self._run("train", manifest, out) == EXIT_OK
+        if change == "edit":
+            self._edit_first_count(out)
+        else:
+            (out / "features.table").unlink()
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        for command in ("train", "search", "evaluate", "importance",
+                        "correlate", "pca", "report"):
+            capsys.readouterr()
+            assert self._run(command, manifest, out) == EXIT_VALIDATION
+            assert capsys.readouterr().err.splitlines() == self._refusal(out)
+            assert {p: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("damage, reason", [
         (lambda b, names: b[:-1], "truncated"),
@@ -811,9 +818,9 @@ class TestFeatureTable:
         monkeypatch.undo()
         assert (out / "features.csv").read_bytes() != before
         assert not list(out.glob("*.tmp"))
-        table = features.read_feature_counts(out / "features.csv")
-        assert table.source == "csv"
-        assert {len(f) for _, f in table.keys} == {3}
+        with pytest.raises(corpus.ValidationError) as info:
+            features.read_feature_counts(out / "features.csv")
+        assert [f"stylus: {info.value}"] == self._refusal(out)
 
     def test_extract_writes_identical_tables(self, run, tmp_path):
         manifest, out = run
@@ -845,8 +852,8 @@ class TestStaleArtifacts:
         _, manifest, out = workspace
         run = tmp_path / "run"
         run.mkdir()
-        for name in ("splits.csv", "features.csv", "vocabulary.csv",
-                     "model.json"):
+        for name in ("splits.csv", "features.csv", "features.table",
+                     "vocabulary.csv", "model.json"):
             shutil.copy(out / name, run / name)
         return manifest, run
 
@@ -930,7 +937,13 @@ class TestStaleArtifacts:
                          "--seed", "0"])
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert f"{path}:{line}: " in err and what in err
+        if name == "features.csv":
+            # features.csv is not parsed: edited, it has no table
+            assert err.splitlines() == [
+                f"stylus: {run / 'features.table'}: feature table was not "
+                f"written from {path}; re-run extract"]
+        else:
+            assert f"{path}:{line}: " in err and what in err
         assert "Traceback" not in err
 
     def test_manifest_row_missing_fields_exits_1(self, workspace, tmp_path,
@@ -1092,6 +1105,46 @@ def boundary_overrides(draw):
     keys = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3,
                          unique=True))
     return {k: draw(st.sampled_from(_boundaries(k))) for k in keys}
+
+
+class TestPerformerWithoutTraining:
+    """``split`` stratifies by dataset tag only, so a valid manifest can
+    hold a performer whose one recording is held out. A subcommand that
+    scores that performer exits 1 naming it, before it writes anything."""
+    CORPUS = synthetic.SyntheticConfig(n_performers=3, n_recordings=10,
+                                       seed=5)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("lonely")
+        manifest = synthetic.write_corpus(root / "corpus", self.CORPUS)
+        _, _, tag, path = Path(manifest).read_text().splitlines()[1].split(",")
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write(f"lonely,performer_99,{tag},{path}\n")
+        cfg = root / "cfg.json"
+        cfg.write_text('{"min_df": 2, "search_iterations": 2, '
+                       '"n_importance": 2}')
+        return manifest, cfg
+
+    # each seed puts the recording in the split the subcommand scores
+    @pytest.mark.parametrize("command, seed, split", [
+        ("evaluate", 20, "test"), ("importance", 20, "test"),
+        ("search", 78, "validation")])
+    def test_exits_1_naming_the_performer(self, inputs, tmp_path, capsys,
+                                          command, seed, split):
+        manifest, cfg = inputs
+        out = tmp_path / "run"
+        argv = ["--manifest", str(manifest), "--out", str(out),
+                "--seed", str(seed), "--config", str(cfg)]
+        for step in ("split", "extract", "train"):
+            assert cli.main([step, *argv]) == EXIT_OK
+        assert corpus.read_splits(out / "splits.csv")["lonely"] == split
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert cli.main([command, *argv]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "stylus: performer 'performer_99' has no training recording"]
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestConfigKeys:
@@ -1268,10 +1321,10 @@ class TestRunContext:
                         "correlate", "pca", "report"}
     BASE_KEYS = {"command", "seed", "config", "manifest", "manifest_sha256",
                  "version", "wall_time_seconds"}
-    EXTRA_KEYS = {**{c: {"feature_counts"} for c in FEATURE_COMMANDS},
+    EXTRA_KEYS = {**{c: set() for c in FEATURE_COMMANDS},
                   **{c: {"notes"} for c in ("ingest", "extract", "rolls",
                                             "augment", "concepts")},
-                  "search": {"feature_counts", "val_top1"},
+                  "search": {"val_top1"},
                   "split": set(), "gen-synthetic": {"synthetic"}}
 
     @pytest.fixture(scope="class")

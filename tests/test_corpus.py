@@ -806,6 +806,13 @@ class TestSplits:
         with pytest.raises(ValidationError):
             corpus.read_splits(path)
 
+    def test_read_rejects_repeated_recording(self, tmp_path):
+        path = tmp_path / "splits.csv"
+        path.write_text("recording_id,split\nr1,train\nr2,test\nr1,test\n")
+        with pytest.raises(ValidationError) as info:
+            corpus.read_splits(path)
+        assert str(info.value) == f"{path}:4: recording id 'r1' repeated"
+
 
 class TestSegmentation:
     def _recording(self, duration, step=1.0):

@@ -6,9 +6,7 @@ extraction, the feature dump or the solver that moves a byte shows here.
 The pins hold when extract takes the whole corpus as one batch, at the
 default bound, and when it closes a batch every 7 notes, after each
 recording; when extract reads the note store ``ingest`` wrote, and
-when it runs before ``ingest`` and decodes every note file; and when train
-reads the feature table extract wrote, and when that table is deleted and
-train parses ``features.csv``.
+and when it runs before ``ingest`` and decodes every note file.
 """
 
 import hashlib
@@ -38,10 +36,9 @@ OUTPUT_SHA256 = {
 
 
 def _run(tmp_path_factory,
-         commands=("ingest", "split", "extract", "train"), table=True):
+         commands=("ingest", "split", "extract", "train")):
     """A run of ``commands`` over the pinned corpus; extract's run.json
-    says where its notes came from, and train's where its counts came from.
-    Without ``table``, features.table is deleted after extract."""
+    says where its notes came from."""
     root = tmp_path_factory.mktemp("feature_path")
     manifest = synthetic.write_corpus(root / "corpus", CORPUS)
     cfg = root / "cfg.json"
@@ -51,13 +48,8 @@ def _run(tmp_path_factory,
         assert cli.main([command, "--manifest", str(manifest),
                          "--out", str(out), "--seed", "0",
                          "--config", str(cfg)]) == EXIT_OK
-        record = json.loads((out / "run.json").read_text())
         if command == "extract":
-            notes = record["notes"]
-            if not table:
-                (out / "features.table").unlink()
-        if command == "train":
-            assert record["feature_counts"] == ("table" if table else "csv")
+            notes = json.loads((out / "run.json").read_text())["notes"]
     n = CORPUS.n_performers * CORPUS.n_recordings
     assert notes == ({"from_store": n, "decoded": 0}
                      if commands.index("ingest") < commands.index("extract")
@@ -74,12 +66,6 @@ def run_dir(tmp_path_factory):
 def decoded_run_dir(tmp_path_factory):
     """extract before ingest, so it finds no note store and decodes."""
     return _run(tmp_path_factory, ("split", "extract", "train", "ingest"))
-
-
-@pytest.fixture(scope="module")
-def parsed_run_dir(tmp_path_factory):
-    """features.table deleted after extract, so train parses the dump."""
-    return _run(tmp_path_factory, table=False)
 
 
 @pytest.fixture(scope="module")
@@ -104,10 +90,4 @@ def test_output_pinned_in_small_batches(small_batch_run_dir, name):
 @pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
 def test_output_pinned_when_extract_decodes(decoded_run_dir, name):
     data = (decoded_run_dir / name).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]
-
-
-@pytest.mark.parametrize("name", sorted(OUTPUT_SHA256))
-def test_output_pinned_when_train_parses_the_dump(parsed_run_dir, name):
-    data = (parsed_run_dir / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == OUTPUT_SHA256[name]
