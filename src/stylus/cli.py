@@ -412,38 +412,40 @@ def cmd_pca(run, config):
 
 
 def cmd_rolls(run, config):
-    roll_dir = run.out / "rolls"
-    roll_dir.mkdir(parents=True, exist_ok=True)
+    store_path = run.out / corpus.ROLLS_NAME
     index = {}
-    for key, _, clip in run.clips(config.hop):
-        paths = {"unified": str(roll_dir / f"{key}.roll")}
-        corpus.write_roll(paths["unified"], corpus.paint_roll(clip.notes))
-        for name, rects in representations.factorised(
-                clip, run.args.seed, config.min_chord_notes):
-            paths[name] = str(roll_dir / f"{key}.{name}.roll")
-            corpus.write_roll(paths[name], rects)
-        del rects   # hold one clip's rolls at a time
-        index[key] = paths
+    with corpus.RollStore.create(store_path) as store:
+        for key, _, clip in run.clips(config.hop):
+            names = {"unified": f"{key}.roll"}
+            corpus.write_roll(store, corpus.paint_roll(clip.notes),
+                              names["unified"])
+            for name, rects in representations.factorised(
+                    clip, run.args.seed, config.min_chord_notes):
+                names[name] = f"{key}.{name}.roll"
+                corpus.write_roll(store, rects, names[name])
+            del rects   # hold one clip's rolls at a time
+            index[key] = {k: os.path.join(store_path, n)
+                          for k, n in names.items()}
     with open(run.out / "rolls.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)
-    print(f"wrote {len(index)} clips x 5 rolls to {roll_dir}")
+    print(f"wrote {len(index)} clips x 5 rolls to {store_path}")
 
 
 def cmd_augment(run, config):
-    preview_dir = run.out / "augment_preview"
-    preview_dir.mkdir(parents=True, exist_ok=True)
     aconfig = augment_mod.AugmentConfig(seed=run.args.seed)
     audit = []
-    for key, t, clip in run.clips(config.hop):
-        result = augment_mod.augment(clip, aconfig, parent=t)
-        corpus.write_note_events(preview_dir / f"{key}.before.jsonl",
-                                 clip.notes)
-        corpus.write_note_events(preview_dir / f"{key}.after.jsonl",
-                                 result.clip.notes)
-        audit.append({"clip": key, "applied": result.applied,
-                      "pitch_shift": result.pitch_shift,
-                      "dilation": result.dilation,
-                      "refill_missing": result.refill_missing})
+    with (corpus.replacing(run.out / "augment_preview.jsonl") as tmp,
+          open(tmp, "w", encoding="utf-8", newline="\n") as fh):
+        for key, t, clip in run.clips(config.hop):
+            result = augment_mod.augment(clip, aconfig, parent=t)
+            before, after = (", ".join(corpus.note_objects(c.notes))
+                             for c in (clip, result.clip))
+            fh.write(f'{{"clip": {json.dumps(key)}, "before": [{before}], '
+                     f'"after": [{after}]}}\n')
+            audit.append({"clip": key, "applied": result.applied,
+                          "pitch_shift": result.pitch_shift,
+                          "dilation": result.dilation,
+                          "refill_missing": result.refill_missing})
     with open(run.out / "augment_audit.json", "w", encoding="utf-8") as fh:
         json.dump(audit, fh, indent=2)
     print(f"previewed augmentation for {len(audit)} clips")

@@ -35,20 +35,18 @@ CLIP_SECONDS = 30.0
 MAX_RECORDING_SECONDS = 86_400.0
 
 # A roll is kept as rectangles: per painted span its pitch row, first and
-# past-the-end column and value, the spans of a row disjoint. A roll file is
-# a header (magic, record count), then the records.
+# past-the-end column and value, the spans of a row disjoint.
 RECT = np.dtype([("row", "<i4"), ("c0", "<i4"), ("c1", "<i4"),
                  ("value", "<f4")])
-_ROLL_HEADER = struct.Struct("<4sI")
-ROLL_MAGIC = b"PRR1"
 
 # A block file is a header (magic, block count, index offset), the blocks,
-# then the index: per block its 32-byte content key, the CRC-32 of its bytes,
-# its offset and its row count. A block is one or more columns of that many
+# then the index: per block its 32-byte key, the CRC-32 of its bytes, its
+# offset and its row count. A block is one or more columns of that many
 # rows each, one after another, in dtypes its reader names; a key's blocks
 # keep their order. A note store's block is a file's notes: onset and offset
 # as float64, pitch and velocity as uint8, 18 bytes a note.
 STORE_NAME = "notes.store"
+ROLLS_NAME = "rolls.store"
 _BLOCK_HEADER = struct.Struct("<4sQQ")
 _BLOCK_INDEX = np.dtype([("key", "V32"), ("crc", "<u4"), ("start", "<u8"),
                          ("count", "<u8")])
@@ -227,10 +225,7 @@ class NoteArray:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            return NoteEvent(onset=float(self.onset[key]),
-                             pitch=int(self.pitch[key]),
-                             offset=float(self.offset[key]),
-                             velocity=int(self.velocity[key]))
+            return _events(*(c[[key]] for c in self.columns()))[0]
         # a slice, mask or ascending index keeps the (onset, pitch) order
         out = object.__new__(NoteArray)
         out.onset, out.offset, out.pitch, out.velocity = (
@@ -333,9 +328,21 @@ def parse_note_events(path, recording_id: str = "", performer: str = "",
     return t
 
 
+@contextmanager
+def replacing(path):
+    """Yield a temporary path whose file replaces ``path`` if the block ends
+    without an exception; otherwise it is removed and ``path`` kept."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 class BlockFile:
-    """The blocks in the file at ``path`` by content key (none if there is
-    no file); ``create`` writes a file. A subclass names its ``magic``,
+    """The blocks in the file at ``path`` by key (none if there is no
+    file); ``create`` writes a file. A subclass names its ``magic``,
     ``what`` it is and the subcommand that ``writes`` it, which the error
     for a damaged file asks to re-run."""
     magic, what, writes = b"", "", ""
@@ -366,24 +373,18 @@ class BlockFile:
     @classmethod
     @contextmanager
     def create(cls, path):
-        """Yield an empty file whose ``write`` appends each block to a
-        temporary file. It replaces ``path`` if the block ends without an
-        exception; a file already there stays otherwise."""
-        tmp = Path(path).with_name(Path(path).name + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(bytes(_BLOCK_HEADER.size))
-                out = cls(path, fh)
-                yield out
-                at = fh.tell()
-                fh.write(np.array([(k, *b) for k, bs in out._index.items()
-                                   for b in bs], _BLOCK_INDEX).tobytes())
-                fh.seek(0)
-                fh.write(_BLOCK_HEADER.pack(
-                    cls.magic, sum(map(len, out._index.values())), at))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        """Yield an empty file whose ``write`` appends each block, written
+        in place of ``path`` (``replacing``)."""
+        with replacing(path) as tmp, open(tmp, "wb") as fh:
+            fh.write(bytes(_BLOCK_HEADER.size))
+            out = cls(path, fh)
+            yield out
+            at = fh.tell()
+            fh.write(np.array([(k, *b) for k, bs in out._index.items()
+                               for b in bs], _BLOCK_INDEX).tobytes())
+            fh.seek(0)
+            fh.write(_BLOCK_HEADER.pack(
+                cls.magic, sum(map(len, out._index.values())), at))
 
     def read(self, key: bytes, *blocks) -> list | None:
         """Each of ``key``'s blocks as read-only columns in the dtypes that
@@ -452,6 +453,11 @@ class NoteStore(BlockFile):
             self.write(key, notes.columns(), _NOTE_BLOCK)
 
 
+class RollStore(BlockFile):
+    """Rolls, each a block of RECT records keyed by its name's SHA-256."""
+    magic, what, writes = b"RLS1", "roll store", "rolls"
+
+
 def _split_lines(text: str) -> list[str]:
     """``text`` cut at universal newlines: "\n", "\r\n" or a lone "\r"."""
     return (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text
@@ -517,16 +523,19 @@ def _parse_lines(path, lines) -> list[NoteEvent]:
     return notes
 
 
-def write_note_events(path, notes: NoteArray) -> None:
-    """Write notes as JSONL in one write: per note, the line ``json.dumps``
-    writes, with times as floats and pitch/velocity as ints (``json`` spells
-    them with their ``__repr__``)."""
+def note_objects(notes: NoteArray, end: str = "") -> list[str]:
+    """Per note, the object ``json.dumps`` writes for its NoteEvent, then
+    ``end``: float times and int pitch and velocity, spelt by ``__repr__``."""
     rows = zip(*(c.tolist() for c in notes.columns()))
     fr, ir = float.__repr__, int.__repr__
-    Path(path).write_text("".join([
-        f'{{"onset": {fr(on)}, "offset": {fr(off)}, "pitch": {ir(p)}, '
-        f'"velocity": {ir(v)}}}\n' for on, off, p, v in rows]),
-        encoding="utf-8", newline="\n")
+    return [f'{{"onset": {fr(on)}, "offset": {fr(off)}, "pitch": {ir(p)}, '
+            f'"velocity": {ir(v)}}}{end}' for on, off, p, v in rows]
+
+
+def write_note_events(path, notes: NoteArray) -> None:
+    """Write notes as JSONL in one write, a line per ``note_objects``."""
+    Path(path).write_text("".join(note_objects(notes, "\n")),
+                          encoding="utf-8", newline="\n")
 
 
 def read_manifest(path, data=None) -> list[ManifestEntry]:
@@ -685,26 +694,26 @@ def paint_roll(notes, max_velocity: int | None = None) -> np.ndarray:
                             notes.velocity / max_velocity))
 
 
-def write_roll(path, rects) -> None:
-    """Write a roll's rectangles (``paint_roll``'s, say)."""
-    rects = np.asarray(rects, RECT)
-    with open(path, "wb") as fh:
-        fh.write(_ROLL_HEADER.pack(ROLL_MAGIC, len(rects)))
-        fh.write(rects.tobytes())
+def write_roll(store: RollStore, rects, name: str) -> None:
+    """Write a roll's rectangles (``paint_roll``'s, say) as member ``name``
+    of ``store``, a RollStore being created."""
+    store.write(hashlib.sha256(name.encode()).digest(), [rects], (RECT,))
 
 
 def read_roll(path) -> np.ndarray:
-    """The 88x3000 float32 roll in a roll file. A damaged file is a
-    ParseError naming it: a bad header, a size other than the header's
-    record count implies, or a record off the roll, empty, overlapping
-    another in its row, or with a value not in (0, 1]."""
-    data = Path(path).read_bytes()
-    if len(data) < _ROLL_HEADER.size or data[:4] != ROLL_MAGIC:
-        raise ParseError(f"{path}: bad roll header")
-    n = _ROLL_HEADER.unpack_from(data)[1]
-    if len(data) != _ROLL_HEADER.size + n * RECT.itemsize:
-        raise ParseError(f"{path}: truncated roll: {n} records declared")
-    rects = np.frombuffer(data, RECT, n, _ROLL_HEADER.size)
+    """The 88x3000 float32 roll ``path.name`` of the roll store
+    ``path.parent``. A ParseError names ``path`` if the store lacks it or is
+    damaged, or a record is off the roll, empty, overlapping another in its
+    row, or with a value not in (0, 1]."""
+    path = Path(path)
+    try:
+        blocks = RollStore(path.parent).read(
+            hashlib.sha256(path.name.encode()).digest(), (RECT,))
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if blocks is None:
+        raise ParseError(f"{path}: no such roll in the store; re-run rolls")
+    rects = blocks[0][0]
     row, c0, c1, value = (rects[f] for f in RECT.names)
     for bad, what in (((row < 0) | (row >= ROLL_HEIGHT), "row outside 0..87"),
                       ((c0 < 0) | (c0 >= c1) | (c1 > ROLL_WIDTH),

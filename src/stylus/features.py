@@ -308,14 +308,6 @@ class FeatureTable:
                                            per_recording_counts),
                        dtype=float, count=n))
 
-    def to_dicts(self) -> list[dict]:
-        """Each recording's counts keyed by (kind, feature tuple)."""
-        out: list[dict] = [{} for _ in self.recording_ids]
-        for r, k, c in zip(self.row.tolist(), self.key.tolist(),
-                           self.count.tolist()):
-            out[r][self.keys[k]] = c
-        return out
-
 
 def count_matrix(table, vocab: FeatureVocabulary) -> np.ndarray:
     """Recording x vocabulary counts of a FeatureTable, or of per-recording

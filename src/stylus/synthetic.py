@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import (MANIFEST_COLUMNS, NoteArray, Transcription,
+from .corpus import (MANIFEST_COLUMNS, NoteArray, Transcription, replacing,
                      write_note_events, write_table)
 from .rng import derive_rng
 
@@ -184,7 +184,7 @@ def write_corpus(out_dir, config: SyntheticConfig = SyntheticConfig()):
     recording has its own stream, so the bytes match. No manifest on error."""
     out_dir, workers = Path(out_dir), write_plan(config)["workers"]
     (out_dir / "notes").mkdir(parents=True, exist_ok=True)
-    manifest, tmp = out_dir / "manifest.csv", out_dir / "manifest.csv.tmp"
+    manifest = out_dir / "manifest.csv"
     manifest.unlink(missing_ok=True)
     fixed = [itertools.repeat(a)
              for a in (out_dir.absolute(), build_pools(config), config)]
@@ -194,11 +194,8 @@ def write_corpus(out_dir, config: SyntheticConfig = SyntheticConfig()):
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers) as pool:
             done = list(pool.map(_write_batch, *fixed, _batches(config)))
-    try:
+    with replacing(manifest) as tmp:
         write_table(tmp, MANIFEST_COLUMNS, (
             [*row, str(out_dir / "notes" / f"{row[0]}.jsonl")]
             for rows in done for row in rows))
-        os.replace(tmp, manifest)
-    finally:
-        tmp.unlink(missing_ok=True)
     return manifest

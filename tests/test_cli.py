@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stylus
-from stylus import cli, concepts, corpus, features, representations, synthetic
+from stylus import (augment, cli, concepts, corpus, features,
+                    representations, synthetic)
 from stylus.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         RunConfig)
 
@@ -352,9 +353,9 @@ class TestPipeline:
                 return roll
             return make
 
-        def counting_write(path, roll):
+        def counting_write(store, roll, name):
             live.append(sum(r() is not None for r in made))
-            return write(path, roll)
+            return write(store, roll, name)
 
         monkeypatch.setattr(corpus, "paint_roll",
                             tracked(corpus.paint_roll))
@@ -383,6 +384,22 @@ class TestPipeline:
         audit = json.loads((out / "augment_audit.json").read_text())
         assert audit and {"clip", "applied", "pitch_shift",
                           "dilation"} <= set(audit[0])
+        # per clip, in audit order, its notes and augment's output
+        previews = [json.loads(line) for line in
+                    (out / "augment_preview.jsonl").read_text().splitlines()]
+        assert [p["clip"] for p in previews] == [a["clip"] for a in audit]
+        aconfig = augment.AugmentConfig(seed=0)
+        clips = [(t, clip) for e in corpus.read_manifest(manifest)
+                 for t in [corpus.parse_note_events(
+                     e.path, e.recording_id, e.performer, e.dataset_tag)]
+                 for clip in corpus.segment_clips(t)]
+        assert len(clips) == len(previews)
+        for (t, clip), preview in zip(clips, previews):
+            after = augment.augment(clip, aconfig, parent=t).clip
+            for side, notes in (("before", clip.notes),
+                                ("after", after.notes)):
+                assert corpus.NoteArray.from_events(
+                    corpus.NoteEvent(**n) for n in preview[side]) == notes
 
     def test_importance_report(self, workspace, tmp_path):
         _, manifest, out = workspace
@@ -587,8 +604,8 @@ class TestStreamedRecordings:
     @pytest.mark.parametrize("command, index", [
         ("ingest", ["ingest.csv"]),
         ("extract", ["features.csv", "vocabulary.csv"]),
-        ("rolls", ["rolls.json"]),
-        ("augment", ["augment_audit.json"]),
+        ("rolls", ["rolls.json", corpus.ROLLS_NAME]),
+        ("augment", ["augment_audit.json", "augment_preview.jsonl"]),
     ])
     def test_invalid_last_recording_writes_no_index(self, manifest, tmp_path,
                                                     capsys, command, index):
@@ -604,6 +621,44 @@ class TestStreamedRecordings:
         assert code == EXIT_VALIDATION
         assert str(bad) in err and "Traceback" not in err
         assert not any((out / name).exists() for name in index)
+
+    @pytest.mark.parametrize("command, files", [
+        ("rolls", ["rolls.json", corpus.ROLLS_NAME]),
+        ("augment", ["augment_audit.json", "augment_preview.jsonl"]),
+    ])
+    def test_invalid_last_recording_keeps_the_earlier_files(
+            self, manifest, tmp_path, command, files):
+        out = tmp_path / "run"
+        argv = [command, "--manifest", str(manifest), "--out", str(out)]
+        assert cli.main(argv) == EXIT_OK
+        earlier = {name: (out / name).read_bytes() for name in files}
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"onset": 1.0, "offset": 0.5, "pitch": 60, '
+                       '"velocity": 64}\n')
+        with open(manifest, "a") as fh:
+            fh.write(f"bad,performer_00,solo,{bad}\n")
+        assert cli.main(argv) == EXIT_VALIDATION
+        assert {name: (out / name).read_bytes() for name in files} == earlier
+        assert not list(out.glob("*.tmp"))
+
+    def test_rolls_and_augment_files_do_not_grow_with_the_corpus(
+            self, tmp_path):
+        """rolls and augment create the same files in --out for a 2- and a
+        4-recording corpus: one roll store and one preview file, not one
+        file per roll or per clip."""
+        made, clips = [], []
+        for n in (1, 2):
+            config = dataclasses.replace(self.CORPUS, n_recordings=n)
+            manifest = synthetic.write_corpus(tmp_path / f"corpus{n}", config)
+            out = tmp_path / f"run{n}"
+            for command in ("rolls", "augment"):
+                assert cli.main([command, "--manifest", str(manifest),
+                                 "--out", str(out)]) == EXIT_OK
+            made.append(sorted(str(p.relative_to(out))
+                               for p in out.rglob("*")))
+            clips.append(len(json.loads((out / "rolls.json").read_text())))
+        assert clips[0] < clips[1]
+        assert made[0] == made[1]
 
 
 def _notes_record(out):

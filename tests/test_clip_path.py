@@ -71,25 +71,48 @@ def dense_bytes(roll):
             + roll.astype("<f4").tobytes())
 
 
-def dir_digest(path, data):
-    """SHA-256 of the sorted ``name digest`` lines of the files in ``path``,
-    each digest that of ``data(file)``."""
-    return _sha("".join(f"{p.name} {_sha(data(p))}\n"
-                        for p in sorted(path.iterdir())).encode())
+def listing_digest(files):
+    """SHA-256 of the sorted ``name digest`` lines of ``files``, a mapping of
+    file name to bytes: the digest of a directory holding those files."""
+    return _sha("".join(f"{name} {_sha(data)}\n"
+                        for name, data in sorted(files.items())).encode())
+
+
+def old_roll_files(out):
+    """The ``rolls/`` directory rolls were written to one file each: per
+    roll store member that ``rolls.json`` names, the roll ``read_roll``
+    reads, in ``dense_bytes``."""
+    index = json.loads((out / "rolls.json").read_text())
+    return {Path(p).name: dense_bytes(corpus.read_roll(p))
+            for paths in index.values() for p in paths.values()}
+
+
+def old_preview_files(path):
+    """The ``augment_preview/`` directory previews were written to: per line
+    of the preview file, a ``<clip>.before.jsonl`` and a
+    ``<clip>.after.jsonl`` note file, each note the line ``json.dumps``
+    writes for its object."""
+    files = {}
+    for line in path.read_text().splitlines():
+        preview = json.loads(line)
+        for side in ("before", "after"):
+            files[f"{preview['clip']}.{side}.jsonl"] = "".join(
+                json.dumps(n) + "\n" for n in preview[side]).encode()
+    return files
 
 
 def output_digests(out):
-    """SHA-256 of every file directly in ``out`` but ``run.json`` (it
-    records the wall time), with the absolute paths in ``rolls.json`` made
-    relative; a subdirectory's digest is its ``dir_digest`` of the files'
-    bytes, but for ``rolls/``, where it is that of each roll ``read_roll``
-    reads, in ``dense_bytes``."""
+    """SHA-256 of every file in ``out`` but ``run.json`` (it records the
+    wall time), with the ``out`` prefix of the paths in ``rolls.json``
+    removed; the roll store's and the preview file's are the
+    ``listing_digest`` of the directories that held them as one file per
+    roll and per preview, ``old_roll_files`` and ``old_preview_files``."""
     got = {}
     for path in sorted(out.iterdir()):
-        if path.is_dir():
-            got[path.name + "/"] = dir_digest(path, (
-                lambda p: dense_bytes(corpus.read_roll(p)))
-                if path.name == "rolls" else Path.read_bytes)
+        if path.name == corpus.ROLLS_NAME:
+            got["rolls/"] = listing_digest(old_roll_files(out))
+        elif path.name == "augment_preview.jsonl":
+            got["augment_preview/"] = listing_digest(old_preview_files(path))
         elif path.name != "run.json":
             data = path.read_bytes()
             if path.name == "rolls.json":
@@ -123,8 +146,8 @@ class TestPinnedOutputs:
         assert output_digests(run_dir[2]) == OUTPUT_SHA256
 
     def test_roll_files(self, run_dir):
-        assert dir_digest(run_dir[2] / "rolls",
-                          Path.read_bytes) == ROLL_FILES_SHA256
+        assert _sha((run_dir[2] / corpus.ROLLS_NAME).read_bytes()
+                    ) == ROLL_STORE_SHA256
 
     def test_masked_sensitivity_heat_maps(self, run_dir):
         assert heat_map_digests(run_dir[1]) == HEAT_MAP_SHA256
@@ -151,8 +174,9 @@ OUTPUT_SHA256 = {
         "46cd7e50de12493be4d7139c735795988cf699f87379dc59d7648225e86e1efa",
     "rolls/":
         "755ba331348aa16ffb9e6bc78804cda9fb3119d7f3e07171c6191b22d41bcff8",
+    # each entry a roll store member path
     "rolls.json":
-        "a530aefa532ea28dc6d4f7f17b2f561a7998c56423f27eb730e4e743ef32e728",
+        "79ff36f160d77eaf89810bc4d1c19c36c92976b54ddf732895df406f9535eaf2",
     # the two sign-count files as written with plain float cells
     "sign_counts.csv":
         "fda82ffab5a374152d9173ed06d36c8619019487eaa449990caf68f11a86a9c4",
@@ -161,9 +185,9 @@ OUTPUT_SHA256 = {
     "splits.csv":
         "594f3c2db3b4321a36c7fd3c97572ec511c7edc74dad526a1971c60c1a89e189",
 }
-# the rectangle files themselves, as first written
-ROLL_FILES_SHA256 = (
-    "1fd0ca89d4b1feba831a50100a2214770f4f4865e418e3e33aaa7b6270c605a9")
+# the roll store itself, as first written
+ROLL_STORE_SHA256 = (
+    "d2b726cd3b184b7a534031d9bdd2f10b651398533eae972b520fe5ad978b2fd5")
 HEAT_MAP_SHA256 = [
     "1ba70cfd075cb1ae72e0c5471338d7ca1124c25f6a5b3c1ee4daf48b667c3244",
     "479b2eebd29d98cf06a6012c3abd539fbcc1403b20dcca76a642b8ea8e09c28d",
@@ -383,13 +407,13 @@ class TestAgainstPerNoteReferences:
            max_velocity=st.none() | st.integers(127, 200))
     def test_rolls(self, tmp_path_factory, notes, crowd, late, seed,
                    min_notes, max_velocity):
-        """Every roll's rectangles paint the per-note roll, survive a roll
-        file, and pool to its embedding bit for bit; melody_roll also
+        """Every roll's rectangles paint the per-note roll, survive the
+        roll store, and pool to its embedding bit for bit; melody_roll also
         paints it."""
         c = clip_of(notes + crowd)
         rows = tuple(sorted(notes + crowd, key=lambda n: (n.onset, n.pitch)))
         assert tuple(c.notes) == rows
-        path = tmp_path_factory.mktemp("rolls") / "a.roll"
+        store = tmp_path_factory.mktemp("rolls") / corpus.ROLLS_NAME
         painted = representations.melody_roll(c)
         assert painted.dtype == np.float32
         assert np.array_equal(painted, ref_melody_roll(rows))
@@ -406,8 +430,9 @@ class TestAgainstPerNoteReferences:
                  ref_dynamics_roll(c, rows, seed))):
             assert rects.dtype == corpus.RECT
             assert np.array_equal(corpus.paint(rects), want)
-            corpus.write_roll(path, rects)
-            assert np.array_equal(corpus.read_roll(path), want)
+            with corpus.RollStore.create(store) as out:
+                corpus.write_roll(out, rects, "a.roll")
+            assert np.array_equal(corpus.read_roll(store / "a.roll"), want)
             assert (concepts.default_embedder()(rects).tobytes()
                     == concepts._pool_embed(want).tobytes())
 

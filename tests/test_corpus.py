@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -910,68 +911,105 @@ class TestPianoRoll:
 
 
 class TestRollFile:
+    """``read_roll`` reads a member of the roll store ``write_roll`` wrote,
+    and refuses, naming the member, one it cannot find or a damaged one."""
     NOTES = (note(0.0, 60, offset=1.0, velocity=100),
              note(0.5, 60, offset=1.5, velocity=50),
              note(2.0, 72, offset=29.0, velocity=127))
 
     @staticmethod
-    def _write(path, records):
-        """A roll file of (row, c0, c1, value) records, packed by hand."""
-        path.write_bytes(corpus.ROLL_MAGIC + struct.pack("<I", len(records))
-                         + b"".join(struct.pack("<iiif", *r)
-                                    for r in records))
+    def _pack(records, name="a.roll"):
+        """A roll store of one member packed by hand: the header (magic,
+        block count, index offset), the (row, c0, c1, value) records, then
+        the index row (the name's SHA-256, the records' CRC-32, offset and
+        count)."""
+        data = b"".join(struct.pack("<iiif", *r) for r in records)
+        return (struct.pack("<4sQQ", b"RLS1", 1, 20 + len(data)) + data
+                + hashlib.sha256(name.encode()).digest()
+                + struct.pack("<IQQ", zlib.crc32(data), 20, len(records)))
 
-    def _refused(self, path, reason):
+    def _refused(self, tmp_path, records, reason, damage=bytes,
+                 member="a.roll"):
+        store = tmp_path / corpus.ROLLS_NAME
+        store.write_bytes(damage(self._pack(records)))
+        path = store / member
         with pytest.raises(ParseError,
                            match=f"^{re.escape(str(path))}: .*{reason}"):
             corpus.read_roll(path)
 
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "a.roll"
-        corpus.write_roll(path, corpus.paint_roll(self.NOTES))
-        assert np.array_equal(corpus.read_roll(path), painted(self.NOTES))
+        store = tmp_path / corpus.ROLLS_NAME
+        with corpus.RollStore.create(store) as out:
+            corpus.write_roll(out, corpus.paint_roll(self.NOTES), "a.roll")
+            corpus.write_roll(out, corpus.paint_roll(self.NOTES[2:]),
+                              "b.roll")
+        assert np.array_equal(corpus.read_roll(store / "a.roll"),
+                              painted(self.NOTES))
+        assert np.array_equal(corpus.read_roll(store / "b.roll"),
+                              painted(self.NOTES[2:]))
 
     def test_bytes_are_the_records(self, tmp_path):
         """Notes that overlap in a row are written as the disjoint runs
         they paint, after the other notes."""
-        path, want = tmp_path / "a.roll", tmp_path / "b.roll"
-        corpus.write_roll(path, corpus.paint_roll(self.NOTES))
-        self._write(want, [(51, 200, 2900, 1.0), (39, 0, 100, 100 / 127),
-                           (39, 100, 150, 50 / 127)])
-        assert path.read_bytes() == want.read_bytes()
+        store = tmp_path / corpus.ROLLS_NAME
+        with corpus.RollStore.create(store) as out:
+            corpus.write_roll(out, corpus.paint_roll(self.NOTES), "a.roll")
+        assert store.read_bytes() == self._pack(
+            [(51, 200, 2900, 1.0), (39, 0, 100, 100 / 127),
+             (39, 100, 150, 50 / 127)])
+
+    def test_unknown_member(self, tmp_path):
+        self._refused(tmp_path, [(5, 0, 10, 1.0)], "no such roll",
+                      member="b.roll")
+
+    def test_missing_store(self, tmp_path):
+        with pytest.raises(ParseError, match="no such roll"):
+            corpus.read_roll(tmp_path / corpus.ROLLS_NAME / "a.roll")
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "a.roll"
-        path.write_bytes(b"PROL" + b"\0" * 12)
-        self._refused(path, "bad roll header")
+        self._refused(tmp_path, [(5, 0, 10, 1.0)],
+                      "roll store bad header",
+                      lambda b: b"PRR1" + b[4:])
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "a.roll"
-        self._write(path, [(39, 0, 100, 1.0), (40, 0, 100, 1.0)])
-        path.write_bytes(path.read_bytes()[:-8])
-        self._refused(path, "truncated")
+        self._refused(tmp_path, [(39, 0, 100, 1.0), (40, 0, 100, 1.0)],
+                      "roll store truncated", lambda b: b[:-8])
+
+    def test_flipped_payload_bit(self, tmp_path):
+        """The first record's value 1.0 becomes 0.5: a valid roll, caught
+        only by the block's CRC-32."""
+        self._refused(tmp_path, [(5, 0, 10, 1.0)],
+                      "roll store block checksum mismatch",
+                      lambda b: b[:34] + bytes([b[34] ^ 0x80]) + b[35:])
+
+    def test_index_out_of_bounds(self, tmp_path):
+        self._refused(tmp_path, [(5, 0, 10, 1.0)],
+                      "roll store index out of bounds",
+                      lambda b: b[:-8] + struct.pack("<Q", 10 ** 18))
+
+    def test_member_indexed_twice(self, tmp_path):
+        """A second index row for the member: its one roll is two blocks."""
+        self._refused(tmp_path, [(5, 0, 10, 1.0)],
+                      "roll store index out of bounds",
+                      lambda b: (b[:4] + struct.pack("<Q", 2) + b[12:]
+                                 + b[-52:]))
 
     @pytest.mark.parametrize("row", [-1, 88])
     def test_row_outside_keyboard(self, tmp_path, row):
-        path = tmp_path / "a.roll"
-        self._write(path, [(0, 0, 10, 1.0), (row, 0, 10, 1.0)])
-        self._refused(path, "record 1: row outside 0..87")
+        self._refused(tmp_path, [(0, 0, 10, 1.0), (row, 0, 10, 1.0)],
+                      "record 1: row outside 0..87")
 
     @pytest.mark.parametrize("c0, c1", [(10, 10), (11, 10), (-1, 10),
                                         (2990, 3001)])
     def test_columns_outside_roll(self, tmp_path, c0, c1):
-        path = tmp_path / "a.roll"
-        self._write(path, [(5, c0, c1, 1.0)])
-        self._refused(path, "record 0: columns not")
+        self._refused(tmp_path, [(5, c0, c1, 1.0)], "record 0: columns not")
 
     def test_spans_overlapping_in_a_row(self, tmp_path):
-        path = tmp_path / "a.roll"
-        self._write(path, [(5, 50, 100, 1.0), (6, 0, 3000, 1.0),
-                           (5, 0, 51, 0.5)])
-        self._refused(path, "overlaps another in its row")
+        self._refused(tmp_path, [(5, 50, 100, 1.0), (6, 0, 3000, 1.0),
+                                 (5, 0, 51, 0.5)],
+                      "overlaps another in its row")
 
     @pytest.mark.parametrize("value", [float("nan"), 0.0, -0.5, 1.5])
     def test_value_outside_unit_interval(self, tmp_path, value):
-        path = tmp_path / "a.roll"
-        self._write(path, [(5, 0, 10, value)])
-        self._refused(path, r"record 0: value not in \(0, 1\]")
+        self._refused(tmp_path, [(5, 0, 10, value)],
+                      r"record 0: value not in \(0, 1\]")

@@ -609,7 +609,7 @@ class TestMatrixAndTfidf:
         write_dump_and_table(path, rids, counts)
         got = features.read_feature_counts(path)
         assert got.recording_ids == tuple(rids)
-        assert got.to_dicts() == counts
+        assert table_to_dicts(got) == counts
 
     def test_feature_string_round_trip(self):
         assert features.parse_feature_string(
@@ -631,6 +631,16 @@ def dictreader_feature_counts(path):
             feat = tuple(int(v) for v in row["feature_string"].split(","))
             by_rid[rid][(row["feature_kind"], feat)] = int(row["count"])
     return order, [by_rid[r] for r in order]
+
+
+def table_to_dicts(table):
+    """Each recording's counts in a FeatureTable, keyed by (kind, feature
+    tuple), as ``dictreader_feature_counts`` returns them."""
+    out = [{} for _ in table.recording_ids]
+    for r, k, c in zip(table.row.tolist(), table.key.tolist(),
+                       table.count.tolist()):
+        out[r][table.keys[k]] = c
+    return out
 
 
 def reference_write_feature_counts(path, recording_ids, per_recording_counts):
@@ -671,7 +681,7 @@ class TestFeatureDumpIO:
                 == (root / "reference.csv").read_bytes())
         got = features.read_feature_counts(root / "features.csv")
         assert got.recording_ids == tuple(rids)
-        assert got.to_dicts() == counts
+        assert table_to_dicts(got) == counts
 
     @pytest.mark.parametrize("reader, text, where, what", [
         (features.read_vocabulary,
@@ -721,7 +731,7 @@ class TestFeatureTable:
         got = features.read_feature_counts(path)
         order, want = dictreader_feature_counts(path)
         assert got.recording_ids == tuple(order)
-        assert got.to_dicts() == want
+        assert table_to_dicts(got) == want
         # every in_vocab-th key, so some features fall outside
         vocab = features.FeatureVocabulary(
             tuple(sorted(set(got.keys))[::in_vocab]), ())
