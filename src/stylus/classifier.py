@@ -5,11 +5,11 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import ValidationError, write_table
+from .corpus import ValidationError, write_json, write_table
 from .rng import derive_rng
 
 C_RANGE = (0.001, 1000.0)
@@ -256,9 +256,7 @@ def random_search(iterations: int, seed: int, X_train, y_train, X_val,
 def write_model(path, model: LRModel, vocabulary_hash: str) -> None:
     payload = {
         "class_labels": list(model.class_labels),
-        "config": {"C": model.config.C,
-                   "class_weight": model.config.class_weight,
-                   "penalty": model.config.penalty},
+        "config": asdict(model.config),
         "b": model.b.tolist(),
         "W": model.W.ravel(order="C").tolist(),
         "n_features": model.W.shape[1],
@@ -266,8 +264,7 @@ def write_model(path, model: LRModel, vocabulary_hash: str) -> None:
         "n_iter": model.n_iter,
         "converged": model.converged,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    write_json(path, payload)
 
 
 def read_model(path) -> LRModel:

@@ -153,12 +153,10 @@ def _require(path: Path, what: str):
 
 def _load_features(out_dir: Path):
     """(FeatureTable, vocabulary) in ``out_dir``: the counts come from
-    features.table, refused unless written from features.csv's bytes."""
-    table = features.read_feature_counts(
-        _require(out_dir / "features.csv", "feature dump"))
-    vocab = features.read_vocabulary(
-        _require(out_dir / "vocabulary.csv", "vocabulary"))
-    return table, vocab
+    features.table, refused unless written from both files' bytes."""
+    dump = _require(out_dir / "features.csv", "feature dump")
+    vocab = _require(out_dir / "vocabulary.csv", "vocabulary")
+    return features.read_feature_counts(dump), features.read_vocabulary(vocab)
 
 
 def _vocab_hash(vocab) -> str:
@@ -226,10 +224,12 @@ class Run:
                         [by_id[r].dataset_tag for r in rids])
 
     def rows(self, split: str):
-        """(X, performers) of the feature rows in ``split``."""
+        """(X, performers) of the rows in ``split``, refused if it has none."""
         f = self.features
         rows = [i for i, r in enumerate(f.recording_ids)
                 if self.splits.get(r) == split]
+        if not rows:
+            raise corpus.ValidationError(f"no {split} recordings in split")
         return f.X[rows], [f.performers[i] for i in rows]
 
     def model(self) -> classifier.LRModel:
@@ -251,8 +251,7 @@ class Run:
                    "manifest_sha256": self.manifest_sha256,
                    "version": __version__,
                    "wall_time_seconds": time.time() - started, **self.record}
-        with open(self.out / "run.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+        corpus.write_json(self.out / "run.json", payload, indent=2)
 
 
 def cmd_gen_synthetic(run, config):
@@ -289,16 +288,14 @@ def cmd_extract(run, config):
     vocab = features.build_vocabulary(counts, config.min_df, config.max_df)
     table = features.FeatureTable.from_dicts(rids, counts)
     features.write_feature_counts(run.out / "features.csv", table)
-    features.write_feature_table(run.out / "features.csv", table)
     features.write_vocabulary(run.out / "vocabulary.csv", vocab)
+    features.write_feature_table(run.out / "features.csv", table)
     print(f"extracted {len(vocab)} vocabulary features "
           f"from {len(rids)} recordings")
 
 
 def cmd_train(run, config):
     X, y = run.rows("train")
-    if not y:
-        raise corpus.ValidationError("no training recordings in split")
     model = classifier.fit(X, y, _lr_config(config))
     classifier.write_model(run.out / "model.json", model,
                            _vocab_hash(run.features.vocab))
@@ -312,9 +309,7 @@ def cmd_search(run, config):
         *run.rows("validation"))
     classifier.write_trial_log(run.out / "trials.csv", trials)
     # a --config file: train --config best_config.json trains this model
-    with open(run.out / "best_config.json", "w", encoding="utf-8") as fh:
-        json.dump({"C": best.C, "class_weight": best.class_weight,
-                   "penalty": best.penalty}, fh)
+    corpus.write_json(run.out / "best_config.json", asdict(best))
     run.record["val_top1"] = acc
     print(f"best config C={best.C:.3f} class_weight={best.class_weight} "
           f"penalty={best.penalty} (val top-1 {acc:.3f})")
@@ -323,14 +318,11 @@ def cmd_search(run, config):
 def cmd_evaluate(run, config):
     X_test, y_test = run.rows("test")
     model = run.model()
-    if not y_test:
-        raise corpus.ValidationError("no test recordings in split")
     probs = classifier.predict_proba(model, X_test)
     result = {f"top{k}": classifier.top_k_accuracy(probs, y_test,
                                                    model.class_labels, k)
               for k in (1, 2, 3, 5) if k <= len(model.class_labels)}
-    with open(run.out / "evaluation.json", "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2)
+    corpus.write_json(run.out / "evaluation.json", result, indent=2)
     print(" ".join(f"{k}={v:.3f}" for k, v in result.items()))
 
 
@@ -426,8 +418,7 @@ def cmd_rolls(run, config):
             del rects   # hold one clip's rolls at a time
             index[key] = {k: os.path.join(store_path, n)
                           for k, n in names.items()}
-    with open(run.out / "rolls.json", "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2)
+    corpus.write_json(run.out / "rolls.json", index, indent=2)
     print(f"wrote {len(index)} clips x 5 rolls to {store_path}")
 
 
@@ -446,8 +437,7 @@ def cmd_augment(run, config):
                           "pitch_shift": result.pitch_shift,
                           "dilation": result.dilation,
                           "refill_missing": result.refill_missing})
-    with open(run.out / "augment_audit.json", "w", encoding="utf-8") as fh:
-        json.dump(audit, fh, indent=2)
+    corpus.write_json(run.out / "augment_audit.json", audit, indent=2)
     print(f"previewed augmentation for {len(audit)} clips")
 
 
@@ -455,11 +445,13 @@ def cmd_concepts(run, config):
     by_concept: dict = {}
     for e in run.exercises:
         by_concept.setdefault(e.concept_id, []).append(e)
-    split_map = run.splits
     by_performer: dict = {}
     for t in run.recordings():
-        if split_map.get(t.recording_id) in ("validation", "test"):
+        if run.splits.get(t.recording_id) in ("validation", "test"):
             by_performer.setdefault(t.performer, []).append(t)
+    if not by_performer:
+        raise corpus.ValidationError("no validation or test recordings in "
+                                     "split")
     # each roll's rectangles are made only when sign_count_experiment
     # embeds them
     variants = {c: (concepts.render_chord_sequence(

@@ -16,7 +16,7 @@ import numpy as np
 from . import classifier, corpus
 from .corpus import (PITCH_MAX, PITCH_MIN, ROLL_HEIGHT, ROLL_WIDTH, Clip,
                      NoteArray, json_lines, paint_roll, read_utf8,
-                     time_to_column, write_table)
+                     time_to_column, write_json, write_table)
 from .representations import MIN_CHORD_NOTES, harmony_roll
 from .rng import derive_rng
 
@@ -244,7 +244,8 @@ def sign_count_experiment(clip_rolls_by_performer: dict,
     null = np.empty_like(observed)
     for ci, concept in enumerate(concepts):
         concept_emb = var_embs[concept]
-        pool = np.vstack([var_embs[c] for c in concepts if c != concept])
+        pool = np.vstack([np.empty((0, embedder.dim))]
+                         + [var_embs[c] for c in concepts if c != concept])
         size = len(concept_emb)
         if len(pool) < 2 * size:
             raise ValueError(
@@ -479,6 +480,8 @@ def read_concept_exercises(path) -> list[ConceptExercise]:
         except (json.JSONDecodeError, KeyError, TypeError,
                 ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad exercise: {exc}")
+    if not out:
+        raise ValueError(f"{path}: no exercises")
     return out
 
 
@@ -515,7 +518,5 @@ def write_tested_sign_counts(path, matrix: SignCountMatrix, means,
 
 
 def write_dendrogram(path, dendrogram: Dendrogram) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"labels": list(dendrogram.labels),
-                   "merges": [[a, b, h] for a, b, h in dendrogram.merges]},
-                  fh)
+    write_json(path, {"labels": list(dendrogram.labels),
+                      "merges": [[a, b, h] for a, b, h in dendrogram.merges]})

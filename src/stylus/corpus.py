@@ -12,6 +12,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
@@ -78,6 +79,12 @@ def write_table(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, obj, indent=None) -> None:
+    """Write every JSON record: UTF-8, a NaN or infinity refused."""
+    Path(path).write_text(json.dumps(obj, indent=indent, allow_nan=False),
+                          encoding="utf-8")
 
 
 def read_utf8(path, error=ValidationError, data=None) -> str:
@@ -700,15 +707,21 @@ def write_roll(store: RollStore, rects, name: str) -> None:
     store.write(hashlib.sha256(name.encode()).digest(), [rects], (RECT,))
 
 
+# the last roll store parsed, kept while its stat (inode, size, mtime) holds
+_roll_store = lru_cache(maxsize=1)(lambda path, stat: RollStore(path))
+
+
 def read_roll(path) -> np.ndarray:
     """The 88x3000 float32 roll ``path.name`` of the roll store
     ``path.parent``. A ParseError names ``path`` if the store lacks it or is
     damaged, or a record is off the roll, empty, overlapping another in its
     row, or with a value not in (0, 1]."""
     path = Path(path)
+    st = path.parent.stat() if path.parent.exists() else None
     try:
-        blocks = RollStore(path.parent).read(
-            hashlib.sha256(path.name.encode()).digest(), (RECT,))
+        blocks = _roll_store(path.parent, st and (
+            st.st_ino, st.st_size, st.st_mtime_ns)).read(
+                hashlib.sha256(path.name.encode()).digest(), (RECT,))
     except ValidationError as exc:
         raise ParseError(f"{path}: {exc}") from None
     if blocks is None:

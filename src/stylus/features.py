@@ -360,8 +360,8 @@ def write_feature_counts(path, table: FeatureTable) -> None:
 
 
 class _TableFile(BlockFile):
-    """FeatureTables by the SHA-256 of their dump's bytes: a block of the
-    JSON of the ids and keys, then one of the triples, 16 bytes each."""
+    """FeatureTables by ``_table_key``: a block of the JSON of the ids and
+    keys, then one of the triples, 16 bytes each."""
     magic, what, writes = b"FTB2", "feature table", "extract"
     blocks = (("u1",), ("<u4", "<u4", "<f8"))
 
@@ -381,11 +381,19 @@ class _TableFile(BlockFile):
         return FeatureTable(tuple(rids), keys, row, col, counts)
 
 
+def _table_key(path) -> bytes:
+    """The SHA-256 of the bytes of the dump at ``path`` followed by those of
+    the vocabulary.csv beside it: the key of the table of the two."""
+    digest = hashlib.sha256()
+    for name in (path, Path(path).with_name("vocabulary.csv")):
+        digest.update(Path(name).read_bytes())
+    return digest.digest()
+
+
 def write_feature_table(path, table: FeatureTable) -> None:
     """Write ``table``, the counts of the dump at ``path``, to the ".table"
-    file beside it, keyed by the SHA-256 of the dump's bytes."""
-    with open(path, "rb") as fh:
-        key = hashlib.file_digest(fh, "sha256").digest()
+    file beside it, keyed by ``_table_key``, so after the vocabulary."""
+    key = _table_key(path)
     names = json.dumps([table.recording_ids, table.keys]).encode()
     with _TableFile.create(Path(path).with_suffix(".table")) as out:
         out.write(key, [np.frombuffer(names, np.uint8)], out.blocks[0])
@@ -394,13 +402,12 @@ def write_feature_table(path, table: FeatureTable) -> None:
 
 def read_feature_counts(path) -> FeatureTable:
     """The FeatureTable of a feature dump, read from the ".table" file
-    beside it under the SHA-256 of the dump's bytes (``write_feature_table``).
-    A dump without a table so keyed, edited or left by a failed extract, or
-    a table that does not validate, is a ValidationError naming the table.
+    beside it under ``_table_key`` (``write_feature_table``). A dump or
+    vocabulary without a table so keyed, edited or left by a failed extract,
+    or a table that does not validate, is a ValidationError naming the table.
     """
-    with open(path, "rb") as fh:
-        key = hashlib.file_digest(fh, "sha256").digest()
-    return _TableFile(Path(path).with_suffix(".table")).get(key, path)
+    return _TableFile(Path(path).with_suffix(".table")).get(
+        _table_key(path), path)
 
 
 def write_vocabulary(path, vocab: FeatureVocabulary) -> None:

@@ -489,6 +489,34 @@ class TestPipeline:
             "keyboard (21..108)"]
         assert [p.name for p in run.iterdir()] == ["splits.csv"]
 
+    @pytest.mark.parametrize("concept_ids", [[], [0]],
+                             ids=["no-exercise", "one-concept"])
+    def test_exercises_it_cannot_analyse_refused(self, workspace, tmp_path,
+                                                 capsys, concept_ids):
+        """A file with no exercise, or with one concept, whose random sets
+        would be drawn from no other concept's variants."""
+        _, manifest, out = workspace
+        exercises = tmp_path / "ex.jsonl"
+        exercises.write_text("".join(json.dumps(
+            {"concept_id": c, "chords": [[48 + i, 52 + i, 55 + i]]}) + "\n"
+            for i, c in enumerate(concept_ids)))
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(out / "splits.csv", run / "splits.csv")
+        capsys.readouterr()
+        assert cli.main(["concepts", "--manifest", manifest,
+                         "--out", str(run), "--seed", "0",
+                         "--exercises", str(exercises)]) == EXIT_VALIDATION
+        if concept_ids:
+            size = len(concepts.exercise_variants(
+                concepts.read_concept_exercises(exercises)[0]))
+            message = (f"concept 0: pool of 0 other-chapter variants cannot "
+                       f"supply two non-overlapping random sets of {size}")
+        else:
+            message = f"{exercises}: no exercises"
+        assert capsys.readouterr().err.splitlines() == [f"stylus: {message}"]
+        assert [p.name for p in run.iterdir()] == ["splits.csv"]
+
     def test_concepts_renders_rolls_as_it_embeds_them(self, workspace,
                                                       tmp_path, monkeypatch):
         # two exercises per concept
@@ -810,15 +838,22 @@ class TestFeatureTable:
         assert capsys.readouterr().err.splitlines() == self._refusal(out)
         assert not (out / "model.json").exists()
 
-    @pytest.mark.parametrize("change", ["edit", "delete"])
+    @pytest.mark.parametrize("change", ["edit", "delete", "vocabulary"])
     def test_dump_without_its_table_refused_by_every_loader(self, run,
                                                             capsys, change):
+        """The table is keyed by features.csv and vocabulary.csv, so a
+        vocabulary with 20 rows deleted is refused as an edited dump is."""
         manifest, out = run
         assert self._run("train", manifest, out) == EXIT_OK
         if change == "edit":
             self._edit_first_count(out)
-        else:
+        elif change == "delete":
             (out / "features.table").unlink()
+        else:
+            vocab = out / "vocabulary.csv"
+            rows = vocab.read_text().splitlines(keepends=True)
+            assert len(rows) > 21
+            vocab.write_text("".join(rows[:-20]))
         before = {p: p.read_bytes() for p in out.iterdir()}
         for command in ("train", "search", "evaluate", "importance",
                         "correlate", "pca", "report"):
@@ -826,6 +861,7 @@ class TestFeatureTable:
             assert self._run(command, manifest, out) == EXIT_VALIDATION
             assert capsys.readouterr().err.splitlines() == self._refusal(out)
             assert {p: p.read_bytes() for p in out.iterdir()} == before
+            strict_json(out / "run.json")
 
     @pytest.mark.parametrize("damage, reason", [
         (lambda b, names: b[:-1], "truncated"),
@@ -902,6 +938,73 @@ class TestFeatureTable:
             f"stylus: {store}: note store bad header; re-run ingest\n")
 
 
+def strict_json(path):
+    """The JSON document at ``path``, which must hold no NaN or infinity."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+class TestEmptySplit:
+    """``split`` holds nothing out of a stratum of fewer than 3 recordings.
+    A subcommand that reads a split holding no recording exits 1 naming it,
+    before it writes a file."""
+    CORPUS = synthetic.SyntheticConfig(n_performers=2, n_recordings=2,
+                                       events_per_recording=20, seed=3)
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("empty_split")
+        manifest = synthetic.write_corpus(root / "corpus", self.CORPUS)
+        cfg = root / "cfg.json"
+        cfg.write_text(json.dumps({"min_df": 1, "search_iterations": 2,
+                                   "n_importance": 1,
+                                   "n_concept_iterations": 1}))
+        out = root / "run"
+        for command in ("split", "extract"):
+            assert cli.main([command, "--manifest", str(manifest),
+                             "--out", str(out), "--config", str(cfg)]) == 0
+            strict_json(out / "run.json")
+        assert set(corpus.read_splits(out / "splits.csv").values()) == {
+            "train"}
+        return manifest, cfg, out
+
+    def _refused(self, inputs, tmp_path, capsys, argv, message):
+        """Run ``argv`` on a copy of the inputs; it must exit 1 with
+        ``message`` and leave every file as it was."""
+        manifest, cfg, out = inputs
+        run = tmp_path / "run"
+        shutil.copytree(out, run)
+        if argv[0] == "train":   # split never holds out every recording
+            ids = corpus.read_splits(run / "splits.csv")
+            corpus.write_splits(run / "splits.csv", dict.fromkeys(ids, "test"))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert cli.main([*argv, "--manifest", str(manifest), "--out", str(run),
+                         "--config", str(cfg)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"stylus: {message}"]
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+        strict_json(run / "run.json")
+
+    @pytest.mark.parametrize("command, split", [
+        ("train", "train"), ("search", "validation"), ("evaluate", "test"),
+        ("importance", "test")])
+    def test_feature_subcommand_names_the_split(self, inputs, tmp_path,
+                                                capsys, command, split):
+        self._refused(inputs, tmp_path, capsys, [command],
+                      f"no {split} recordings in split")
+
+    def test_concepts_needs_a_held_out_recording(self, inputs, tmp_path,
+                                                 capsys):
+        exercises = tmp_path / "ex.jsonl"
+        exercises.write_text("".join(json.dumps(
+            {"concept_id": i, "chords": [[48 + i, 52 + i, 55 + i]]}) + "\n"
+            for i in range(3)))
+        self._refused(inputs, tmp_path, capsys,
+                      ["concepts", "--exercises", str(exercises)],
+                      "no validation or test recordings in split")
+
+
 class TestStaleArtifacts:
     def _copy(self, workspace, tmp_path):
         _, manifest, out = workspace
@@ -917,23 +1020,24 @@ class TestStaleArtifacts:
                                                    capsys, command):
         manifest, run = self._copy(workspace, tmp_path)
         trained = json.loads((run / "model.json").read_text())
-        vocab = features.read_vocabulary(run / "vocabulary.csv")
-        # same width, other document frequencies
-        features.write_vocabulary(
-            run / "vocabulary.csv",
-            features.FeatureVocabulary(
-                vocab.features,
-                tuple(df + 1 for df in vocab.document_frequency)))
+        # another min_df: another vocabulary, and a table keyed by it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"min_df": 50}')
+        assert cli.main(["extract", "--manifest", manifest, "--out", str(run),
+                         "--config", str(cfg)]) == EXIT_OK
         current = cli._vocab_hash(
             features.read_vocabulary(run / "vocabulary.csv"))
         assert current != trained["vocabulary_hash"] != ""
+        capsys.readouterr()
         code = cli.main([command, "--manifest", manifest, "--out", str(run),
                          "--seed", "0"])
-        err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        assert trained["vocabulary_hash"] in err and current in err
+        assert capsys.readouterr().err == (
+            f"stylus: model.json was trained on vocabulary "
+            f"{trained['vocabulary_hash']}, but vocabulary.csv hashes to "
+            f"{current}; retrain the model\n")
 
-    def test_model_without_hash_accepted(self, workspace, tmp_path, capsys):
+    def test_model_without_hash_refused(self, workspace, tmp_path, capsys):
         """A model.json with an empty vocabulary hash, which no writer
         makes, is refused with one line that says to retrain."""
         manifest, run = self._copy(workspace, tmp_path)
@@ -992,11 +1096,12 @@ class TestStaleArtifacts:
                          "--seed", "0"])
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
-        if name == "features.csv":
-            # features.csv is not parsed: edited, it has no table
+        if name in ("features.csv", "vocabulary.csv"):
+            # an edited features.csv or vocabulary.csv has no table, so the
+            # table is refused before either is parsed
             assert err.splitlines() == [
                 f"stylus: {run / 'features.table'}: feature table was not "
-                f"written from {path}; re-run extract"]
+                f"written from {run / 'features.csv'}; re-run extract"]
         else:
             assert f"{path}:{line}: " in err and what in err
         assert "Traceback" not in err

@@ -212,6 +212,22 @@ def json_text(rows) -> bytes:
                    for on, off, p, v in rows).encode()
 
 
+class TestWriteJson:
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_bytes_are_json_dumps(self, tmp_path, indent):
+        record = {"C": 1.0, "labels": ["a", "é"], "n": [1, 2]}
+        corpus.write_json(tmp_path / "r.json", record, indent)
+        assert ((tmp_path / "r.json").read_bytes()
+                == json.dumps(record, indent=indent).encode())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_value_json_cannot_hold_refused_before_writing(self, tmp_path,
+                                                           value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            corpus.write_json(tmp_path / "r.json", {"val_top1": value})
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestWriteNoteEvents:
     """The one-string writer writes what ``json.dumps`` writes per note."""
 
@@ -957,6 +973,41 @@ class TestRollFile:
         assert store.read_bytes() == self._pack(
             [(51, 200, 2900, 1.0), (39, 0, 100, 100 / 127),
              (39, 100, 150, 50 / 127)])
+
+    def test_store_parsed_once_for_its_members(self, tmp_path, monkeypatch):
+        """Reading every member parses the store's index once; each read
+        still checks its block's CRC-32, and a replaced store is parsed
+        again."""
+        store, names = tmp_path / corpus.ROLLS_NAME, ["a.roll", "b.roll"]
+        with corpus.RollStore.create(store) as out:
+            for name in names:
+                corpus.write_roll(out, corpus.paint_roll(self.NOTES), name)
+        parsed = []
+
+        class CountedStore(corpus.RollStore):
+            def __init__(self, path, out=None):
+                parsed.append(path)
+                super().__init__(path, out)
+        monkeypatch.setattr(corpus, "RollStore", CountedStore)
+        for _ in range(2):
+            for name in names:
+                assert np.array_equal(corpus.read_roll(store / name),
+                                      painted(self.NOTES))
+        assert parsed == [store]
+        # one payload bit flipped in place, the file's stat restored
+        stat, data = store.stat(), bytearray(store.read_bytes())
+        data[34] ^= 0x80
+        store.write_bytes(data)
+        os.utime(store, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        with pytest.raises(ParseError, match="block checksum mismatch"):
+            corpus.read_roll(store / "a.roll")
+        assert parsed == [store]
+        with CountedStore.create(store) as out:
+            corpus.write_roll(out, corpus.paint_roll(self.NOTES[2:]),
+                              "a.roll")
+        assert np.array_equal(corpus.read_roll(store / "a.roll"),
+                              painted(self.NOTES[2:]))
+        assert parsed == [store, store, store]   # written, then parsed
 
     def test_unknown_member(self, tmp_path):
         self._refused(tmp_path, [(5, 0, 10, 1.0)], "no such roll",

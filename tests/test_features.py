@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -656,9 +657,12 @@ def reference_write_feature_counts(path, recording_ids, per_recording_counts):
 
 
 def write_dump_and_table(path, rids, counts):
-    """A feature dump and the table ``extract`` writes beside it."""
+    """A feature dump, the vocabulary of its every feature and the table
+    ``extract`` writes beside them, keyed by both."""
     table = features.FeatureTable.from_dicts(rids, counts)
     features.write_feature_counts(path, table)
+    features.write_vocabulary(path.with_name("vocabulary.csv"),
+                              features.build_vocabulary(counts, 1, 10 ** 6))
     features.write_feature_table(path, table)
 
 
@@ -737,6 +741,21 @@ class TestFeatureTable:
             tuple(sorted(set(got.keys))[::in_vocab]), ())
         X = features.count_matrix(got, vocab)
         assert X.tobytes() == features.count_matrix(want, vocab).tobytes()
+
+    def test_key_is_the_dump_then_the_vocabulary(self, tmp_path):
+        """The table is keyed by the SHA-256 of features.csv's bytes and
+        then vocabulary.csv's, so an edited vocabulary is refused."""
+        path = tmp_path / "features.csv"
+        write_dump_and_table(path, ["r0", "r1"], [
+            {(KIND_MELODY, (0, 2)): 1}, {(KIND_MELODY, (0, 4)): 2}])
+        vocab = path.with_name("vocabulary.csv")
+        key = hashlib.sha256(path.read_bytes() + vocab.read_bytes()).digest()
+        assert key in path.with_suffix(".table").read_bytes()
+        assert features.read_feature_counts(path).recording_ids == ("r0",
+                                                                     "r1")
+        vocab.write_text(vocab.read_text().replace(",1\n", ",2\n", 1))
+        with pytest.raises(ValidationError, match="was not written from"):
+            features.read_feature_counts(path)
 
     def test_repeated_recording_id_refused(self):
         with pytest.raises(ValueError, match="recording ids repeat"):
