@@ -14,7 +14,6 @@ from .rng import derive_rng
 
 C_RANGE = (0.001, 1000.0)
 CLASS_WEIGHTS = ("none", "balanced")
-PENALTIES = ("none", "L2")
 
 GRAD_TOL = 1e-5
 MAX_ITER = 5000
@@ -28,15 +27,15 @@ class LRConfig:
     """Hyperparameters of the multinomial logistic regression.
 
     ``fit`` minimises the mean weighted cross-entropy over the n training
-    rows plus ``0.5 / C * ||W||^2`` (no penalty term when ``penalty`` is
-    "none"); the bias is never penalised. "none" weights every row 1 and
-    "balanced" weights row i by ``n / (n_classes * count(class of i))``,
-    as scikit-learn does. The objective is scikit-learn's
-    ``0.5 * ||W||^2 + C_sk * sum(weight_i * loss_i)`` times ``1 / C``, so
-    both have the same minimiser at ``C_sk = C / n``: the penalty here
-    weighs against the mean loss, not the summed loss. A fit counts as
-    converged when the absolute gradient infinity-norm over W and b is at
-    most ``GRAD_TOL``.
+    rows plus ``0.5 / C * ||W||^2``, the bias unpenalised. ``penalty`` is
+    always "L2": a separable split has no unpenalised minimiser. "none"
+    weights every row 1 and "balanced" weights row i by ``n / (n_classes *
+    count(class of i))``, as scikit-learn does. The objective is
+    scikit-learn's ``0.5 * ||W||^2 + C_sk * sum(weight_i * loss_i)`` times
+    ``1 / C``, so both have the same minimiser at ``C_sk = C / n``: the
+    penalty here weighs against the mean loss, not the summed loss. A fit
+    counts as converged when the absolute gradient infinity-norm over W and
+    b is at most ``GRAD_TOL``.
     """
 
     C: float = 1.0
@@ -48,8 +47,8 @@ class LRConfig:
             raise ValueError(f"C must be positive and finite, got {self.C}")
         if self.class_weight not in CLASS_WEIGHTS:
             raise ValueError(f"unknown class_weight {self.class_weight!r}")
-        if self.penalty not in PENALTIES:
-            raise ValueError(f"unknown penalty {self.penalty!r}")
+        if self.penalty != "L2":
+            raise ValueError(f"penalty must be 'L2', got {self.penalty!r}")
 
 
 @dataclass
@@ -81,8 +80,8 @@ def sample_weights(y_idx: np.ndarray, n_classes: int,
 def loss_and_grad(W, b, X, Y, weights, l2: float):
     """Mean weighted cross-entropy plus l2 * 0.5 * ||W||^2.
 
-    Returns (loss, grad_W, grad_b). ``l2`` is 1/C, or 0 for no penalty;
-    the bias is never regularised.
+    Returns (loss, grad_W, grad_b). ``l2`` is 1/C; the bias is never
+    regularised.
     """
     n = X.shape[0]
     P = _softmax(X @ W.T + b)
@@ -149,11 +148,10 @@ def fit(X, y, config: LRConfig = LRConfig()) -> LRModel:
     Y = np.zeros((n, k))
     Y[np.arange(n), y_idx] = 1.0
     weights = sample_weights(y_idx, k, config.class_weight)
-    l2 = 1.0 / config.C if config.penalty == "L2" else 0.0
 
     def objective(theta):
-        loss, gW, gb = loss_and_grad(theta[:k * d].reshape(k, d),
-                                     theta[k * d:], X, Y, weights, l2)
+        W, b = theta[:k * d].reshape(k, d), theta[k * d:]
+        loss, gW, gb = loss_and_grad(W, b, X, Y, weights, 1 / config.C)
         return loss, np.concatenate([gW.ravel(), gb])
 
     theta = np.zeros(k * (d + 1))
@@ -186,9 +184,9 @@ def fit(X, y, config: LRConfig = LRConfig()) -> LRModel:
     else:
         it = MAX_ITER
         log.warning("fit stopped at max_iter=%d with |grad|_inf=%.3g > %.3g "
-                    "(C=%g, class_weight=%s, penalty=%s)", MAX_ITER,
+                    "(C=%g, class_weight=%s)", MAX_ITER,
                     float(np.abs(g).max()), GRAD_TOL, config.C,
-                    config.class_weight, config.penalty)
+                    config.class_weight)
     return LRModel(W=theta[:k * d].reshape(k, d), b=theta[k * d:],
                    class_labels=labels, config=config,
                    n_iter=it, converged=converged)
@@ -228,8 +226,7 @@ def sample_config(seed: int, trial: int) -> LRConfig:
     lo, hi = np.log10(C_RANGE[0]), np.log10(C_RANGE[1])
     c = float(10.0 ** rng.uniform(lo, hi))
     cw = str(rng.choice(CLASS_WEIGHTS))
-    pen = str(rng.choice(PENALTIES))
-    return LRConfig(C=c, class_weight=cw, penalty=pen)
+    return LRConfig(C=c, class_weight=cw)
 
 
 def random_search(iterations: int, seed: int, X_train, y_train, X_val,
@@ -237,8 +234,9 @@ def random_search(iterations: int, seed: int, X_train, y_train, X_val,
     """Sample ``iterations`` (at least one) configs, fit on train, score
     top-1 on validation.
 
-    Returns (best_config, best_accuracy, trial log). The winning config is
-    not refit on train + validation. Ties go to the earliest trial.
+    Returns (best_config, best_accuracy, trials), each trial (index, config,
+    accuracy, iterations, converged); the best is not refit on train +
+    validation, and ties go to the earliest trial.
     """
     trials = []
     best = None
@@ -247,9 +245,9 @@ def random_search(iterations: int, seed: int, X_train, y_train, X_val,
         model = fit(X_train, y_train, config)
         acc = top_k_accuracy(predict_proba(model, X_val), y_val,
                              model.class_labels, k=1)
-        trials.append((i, config, acc))
+        trials.append((i, config, acc, model.n_iter, model.converged))
         if best is None or acc > best[2]:
-            best = (i, config, acc)
+            best = trials[-1]
     return best[1], best[2], trials
 
 
@@ -295,6 +293,6 @@ def read_model(path) -> LRModel:
 
 
 def write_trial_log(path, trials) -> None:
-    write_table(path, ["trial", "C", "class_weight", "penalty", "val_top1"],
-                ([i, repr(config.C), config.class_weight, config.penalty,
-                  repr(acc)] for i, config, acc in trials))
+    header = "trial C class_weight val_top1 n_iter converged".split()
+    write_table(path, header, ([i, repr(c.C), c.class_weight, repr(acc), *fit]
+                               for i, c, acc, *fit in trials))

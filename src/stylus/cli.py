@@ -60,7 +60,6 @@ class RunConfig:
     max_df: int = _key(features.MAX_DF, 1, math.inf)
     C: float = _key(1.0, *classifier.C_RANGE)
     class_weight: str = _key("balanced", *classifier.CLASS_WEIGHTS)
-    penalty: str = _key("L2", *classifier.PENALTIES)
     top_k: int = _key(2000, 1, math.inf)
     n_permutations: int = _key(1000, 1, sys.maxsize)
     n_importance: int = _key(1000, 1, sys.maxsize)
@@ -140,8 +139,7 @@ def _load_config(args) -> RunConfig:
 
 
 def _lr_config(config: RunConfig) -> classifier.LRConfig:
-    return classifier.LRConfig(C=config.C, class_weight=config.class_weight,
-                               penalty=config.penalty)
+    return classifier.LRConfig(C=config.C, class_weight=config.class_weight)
 
 
 def _require(path: Path, what: str):
@@ -309,10 +307,12 @@ def cmd_search(run, config):
         *run.rows("validation"))
     classifier.write_trial_log(run.out / "trials.csv", trials)
     # a --config file: train --config best_config.json trains this model
-    corpus.write_json(run.out / "best_config.json", asdict(best))
+    corpus.write_json(run.out / "best_config.json",
+                      {"C": best.C, "class_weight": best.class_weight})
     run.record["val_top1"] = acc
+    run.record["fits_not_converged"] = sum(not ok for *_, ok in trials)
     print(f"best config C={best.C:.3f} class_weight={best.class_weight} "
-          f"penalty={best.penalty} (val top-1 {acc:.3f})")
+          f"(val top-1 {acc:.3f})")
 
 
 def cmd_evaluate(run, config):

@@ -187,7 +187,7 @@ def train_cav(concept_acts, random_acts, seed: int = 0) -> ConceptVector:
         raise ValueError("activation dimensions do not match")
     X = np.vstack([concept_acts, random_acts])
     y = [1] * len(concept_acts) + [0] * len(random_acts)
-    model = classifier.fit(X, y, classifier.LRConfig(C=1.0, penalty="L2"))
+    model = classifier.fit(X, y, classifier.LRConfig(C=1.0))
     # the class labels are sorted: (0, 1)
     return ConceptVector(y=model.W[1] - model.W[0], random_seed=seed)
 

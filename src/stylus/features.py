@@ -369,7 +369,8 @@ class _TableFile(BlockFile):
         """The table of the bytes of ``dump`` whose SHA-256 is ``key``."""
         blocks = self.read(key, *self.blocks)
         if blocks is None:
-            raise self._error(f"was not written from {dump}")
+            raise self._error(f"was not written from {dump} and "
+                              f"{Path(dump).with_name('vocabulary.csv')}")
         (names,), (row, col, counts) = blocks
         try:
             rids, keys = json.loads(names.tobytes())

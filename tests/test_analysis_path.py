@@ -23,7 +23,7 @@ CONFIG = {"min_df": 3, "top_k": 20, "n_importance": 4, "n_permutations": 4,
 
 OUTPUT_SHA256 = {
     "best_config.json":
-        "e954bcb67f791fb3a5f83b9e26f05388530f2ae478944d0b1051ddbb1ba707c5",
+        "7d60050cdae69c8a7866c461753c9effbc94897468ad31c3c189ecf136733bbb",
     "correlations.csv":
         "cd88624e53beeccb0c844f1baa721f183bb5a0683d9ffb4c3af1160a8b3aeb7a",
     "evaluation.json":
@@ -35,7 +35,7 @@ OUTPUT_SHA256 = {
     "pca_projection.csv":
         "322fc9a1e97d25d0cd8437019aa915742e93156a76720b9b2bf5d6e9b4fec6cc",
     "trials.csv":
-        "ab4ae17fb8ef26237a75b83cabdfc10c74ce84986d37153575bfe9c1b6f1e2a3",
+        "a8a541cc9ef2717a3266bc6750d8a207d1b51c2f7671d3cf48acf86076f036b0",
     "weights_topbottom.csv":
         "a3cbdd256b5381dc4b05f22e92f1022d66e13a3aa6e8df715a17c86f3630bfa1",
 }

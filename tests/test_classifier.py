@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -172,8 +173,9 @@ class TestFit:
             LRConfig(C=0.0)
         with pytest.raises(ValueError):
             LRConfig(class_weight="auto")
-        with pytest.raises(ValueError):
-            LRConfig(penalty="L1")
+        for penalty in ("L1", "none"):
+            with pytest.raises(ValueError, match="penalty must be 'L2'"):
+                LRConfig(penalty=penalty)
 
 
 def unpack(theta, k, d):
@@ -185,24 +187,23 @@ class TestSolverOracle:
 
     def _overlapping(self, rng, n=60, d=4):
         # unequal classes with a weak signal in column 0: the classes
-        # overlap, so the unpenalised objective has a finite minimiser
+        # overlap, as on a split that does not separate the performers
         y_idx = np.repeat([0, 1, 2], [30, 18, 12])
         X = rng.normal(size=(n, d))
         X[:, 0] += 0.7 * y_idx
         return X, y_idx
 
-    @pytest.mark.parametrize("penalty", ["L2", "none"])
     @pytest.mark.parametrize("class_weight", ["none", "balanced"])
-    def test_reaches_scipy_minimum(self, penalty, class_weight):
+    def test_reaches_scipy_minimum(self, class_weight):
         from scipy.optimize import minimize
         rng = np.random.default_rng(20)
         X, y_idx = self._overlapping(rng)
         n, d = X.shape
         k = 3
-        config = LRConfig(C=0.5, class_weight=class_weight, penalty=penalty)
+        config = LRConfig(C=0.5, class_weight=class_weight)
         Y = np.eye(k)[y_idx]
         weights = classifier.sample_weights(y_idx, k, class_weight)
-        l2 = 1 / config.C if penalty == "L2" else 0.0
+        l2 = 1 / config.C
 
         def objective(theta):
             loss, gW, gb = classifier.loss_and_grad(
@@ -219,7 +220,7 @@ class TestSolverOracle:
         loss = objective(np.concatenate([m.W.ravel(), m.b]))[0]
         # fit stops at |grad|_inf <= 1e-5, so its loss is O(|grad|^2) and
         # its parameters O(|grad| / curvature) from the minimiser; the
-        # largest gaps over the four cases are 5e-10 and 3.3e-5. Adding
+        # largest gaps over the two cases are 3e-11 and 1.1e-5. Adding
         # one constant to every class's logits leaves the loss unchanged,
         # so parameters are compared after centring over classes.
         assert loss - ref.fun <= 1e-8
@@ -273,11 +274,26 @@ class TestSearch:
         for trial in range(50):
             c1 = classifier.sample_config(9, trial)
             c2 = classifier.sample_config(9, trial)
-            assert (c1.C, c1.class_weight, c1.penalty) == \
-                (c2.C, c2.class_weight, c2.penalty)
+            assert c1 == c2
             assert 0.001 <= c1.C <= 1000.0
             assert c1.class_weight in ("none", "balanced")
-            assert c1.penalty in ("none", "L2")
+            assert c1.penalty == "L2"
+
+    def test_trials_keep_the_draws_made_before_the_penalty(self):
+        """Each trial draws C, then class weight, from its own stream, so
+        dropping the penalty draw after them moves no trial's C or class
+        weight: these are seed 3's draws from when half the trials were
+        unpenalised."""
+        drawn = [classifier.sample_config(3, t) for t in range(30)]
+        assert [(repr(c.C), c.class_weight) for c in drawn[:4]] == [
+            ("783.2916598740661", "balanced"),
+            ("8.427611175401452", "balanced"),
+            ("263.32032289424035", "balanced"),
+            ("3.031713699512853", "none")]
+        text = "".join(f"{c.C!r},{c.class_weight}\n" for c in drawn)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0f800795f19440593f81f2c16711ac1da867200bf42852c14affae31e49a4d6c")
+        assert all(c.penalty == "L2" for c in drawn)
 
     def test_log_uniform_spread(self):
         logs = np.array([np.log10(classifier.sample_config(0, t).C)
@@ -299,11 +315,14 @@ class TestSearch:
         assert winner[1] is best
 
     def test_trial_log_round_trip_floats(self, tmp_path):
-        trials = [(0, LRConfig(C=37.01699999999317), 0.7669999999)]
+        trials = [(0, LRConfig(C=37.01699999999317), 0.7669999999, 12, True),
+                  (1, LRConfig(C=0.5), 0.5, classifier.MAX_ITER, False)]
         path = tmp_path / "trials.csv"
         classifier.write_trial_log(path, trials)
-        text = path.read_text()
-        assert "37.01699999999317" in text and "0.7669999999" in text
+        assert path.read_text() == (
+            "trial,C,class_weight,val_top1,n_iter,converged\n"
+            "0,37.01699999999317,none,0.7669999999,12,True\n"
+            f"1,0.5,none,0.5,{classifier.MAX_ITER},False\n")
 
 
 class TestModelFile:

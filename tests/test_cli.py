@@ -113,6 +113,18 @@ class TestExitCodes:
         assert "unknown config keys: ['mask_by_pitch']" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["none", "L2"])
+    def test_penalty_is_an_unknown_config_key(self, capsys, tmp_path,
+                                              value):
+        """Every fit is L2-penalised, so no --config key chooses it."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"penalty": value}))
+        code = cli.main(["train", "--out", str(tmp_path),
+                         "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            "stylus: unknown config keys: ['penalty']"]
+
     def test_infinite_offset_rejected_by_ingest(self, capsys, tmp_path):
         notes = tmp_path / "r1.jsonl"
         notes.write_text(
@@ -279,7 +291,7 @@ class TestPipeline:
         lines = (out / "trials.csv").read_text().strip().splitlines()
         assert len(lines) == 4   # header + 3 trials
         best = json.loads((out / "best_config.json").read_text())
-        assert best["penalty"] in ("none", "L2")
+        assert best["class_weight"] in ("none", "balanced")
 
     def test_train_takes_the_config_search_writes(self, workspace, tmp_path):
         _, manifest, out = workspace
@@ -293,15 +305,18 @@ class TestPipeline:
         argv = ["--manifest", manifest, "--out", str(run), "--seed", "0"]
         assert cli.main(["search", *argv, "--config", str(cfg)]) == EXIT_OK
         best = json.loads((run / "best_config.json").read_text())
-        assert sorted(best) == ["C", "class_weight", "penalty"]
+        assert sorted(best) == ["C", "class_weight"]
         with open(run / "trials.csv") as fh:
-            top1 = [float(row["val_top1"]) for row in csv.DictReader(fh)]
+            trials = list(csv.DictReader(fh))
         record = json.loads((run / "run.json").read_text())
-        assert record["val_top1"] == max(top1)
+        assert record["val_top1"] == max(float(t["val_top1"]) for t in trials)
+        assert record["fits_not_converged"] == sum(
+            t["converged"] == "False" for t in trials)
+        assert all(int(t["n_iter"]) >= 1 for t in trials)
         assert cli.main(["train", *argv, "--config",
                          str(run / "best_config.json")]) == EXIT_OK
         model = json.loads((run / "model.json").read_text())
-        assert model["config"] == best
+        assert model["config"] == {**best, "penalty": "L2"}
 
     def test_train_before_extract_fails_cleanly(self, tmp_path, workspace):
         _, manifest, _ = workspace
@@ -816,7 +831,8 @@ class TestFeatureTable:
     @staticmethod
     def _refusal(out):
         return [f"stylus: {out / 'features.table'}: feature table was not "
-                f"written from {out / 'features.csv'}; re-run extract"]
+                f"written from {out / 'features.csv'} and "
+                f"{out / 'vocabulary.csv'}; re-run extract"]
 
     @staticmethod
     def _edit_first_count(out):
@@ -1101,7 +1117,8 @@ class TestStaleArtifacts:
             # table is refused before either is parsed
             assert err.splitlines() == [
                 f"stylus: {run / 'features.table'}: feature table was not "
-                f"written from {run / 'features.csv'}; re-run extract"]
+                f"written from {run / 'features.csv'} and "
+                f"{run / 'vocabulary.csv'}; re-run extract"]
         else:
             assert f"{path}:{line}: " in err and what in err
         assert "Traceback" not in err
@@ -1131,6 +1148,21 @@ class TestStaleArtifacts:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.splitlines() == [
             f"stylus: {run / 'model.json'}: missing key '{key}'"]
+
+    def test_unpenalised_model_refused(self, workspace, tmp_path, capsys):
+        """A model.json from a fit without the L2 penalty, which no writer
+        makes any more, is refused with one line naming the file."""
+        manifest, run = self._copy(workspace, tmp_path)
+        payload = json.loads((run / "model.json").read_text())
+        payload["config"]["penalty"] = "none"
+        (run / "model.json").write_text(json.dumps(payload))
+        code = cli.main(["evaluate", "--manifest", manifest,
+                         "--out", str(run), "--seed", "0"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"stylus: {run / 'model.json'}: penalty must be 'L2', "
+            f"got 'none'"]
+        assert not (run / "evaluation.json").exists()
 
     @pytest.mark.parametrize("command, text, message", [
         ("train", "null", "config must be a JSON object, got NoneType"),
@@ -1205,7 +1237,7 @@ class TestStaleArtifacts:
         assert not (out / "vocabulary.csv").exists()
 
     @pytest.mark.parametrize("overrides, ok", [
-        ({"C": 2, "grid": 0.05, "penalty": "none"}, True),
+        ({"C": 2, "grid": 0.05, "class_weight": "none"}, True),
         ({"n_values": [3, 4]}, True),
         ({"top_k": True}, False),
         ({"C": False}, False),
@@ -1321,7 +1353,6 @@ class TestConfigKeys:
             "max_df": ("int", (1, math.inf)),
             "C": ("float", (0.001, 1000.0)),
             "class_weight": ("str", ("none", "balanced")),
-            "penalty": ("str", ("none", "L2")),
             "top_k": ("int", (1, math.inf)),
             "n_permutations": ("int", (1, sys.maxsize)),
             "n_importance": ("int", (1, sys.maxsize)),
@@ -1484,7 +1515,7 @@ class TestRunContext:
     EXTRA_KEYS = {**{c: set() for c in FEATURE_COMMANDS},
                   **{c: {"notes"} for c in ("ingest", "extract", "rolls",
                                             "augment", "concepts")},
-                  "search": {"val_top1"},
+                  "search": {"val_top1", "fits_not_converged"},
                   "split": set(), "gen-synthetic": {"synthetic"}}
 
     @pytest.fixture(scope="class")

@@ -754,7 +754,9 @@ class TestFeatureTable:
         assert features.read_feature_counts(path).recording_ids == ("r0",
                                                                      "r1")
         vocab.write_text(vocab.read_text().replace(",1\n", ",2\n", 1))
-        with pytest.raises(ValidationError, match="was not written from"):
+        with pytest.raises(ValidationError, match=(
+                r"was not written from \S*features\.csv and "
+                r"\S*vocabulary\.csv;")):
             features.read_feature_counts(path)
 
     def test_repeated_recording_id_refused(self):
